@@ -272,6 +272,7 @@ impl HeartbeatMonitor {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use crate::dist::{Exponential, Sample};

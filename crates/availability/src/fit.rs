@@ -8,6 +8,11 @@
 //! whether the exponential inter-arrival assumption of equations (2)–(5)
 //! actually holds for a given host before trusting the model.
 
+#![expect(
+    clippy::as_conversions,
+    reason = "histogram bin indices and sample counts widened to f64 for least-squares fitting"
+)]
+
 use crate::dist::{Dist, Exponential, Gamma, LogNormal};
 use crate::moments::Moments;
 use crate::AvailabilityError;
@@ -116,13 +121,10 @@ fn cdf(dist: &Dist, x: f64) -> Result<f64, AvailabilityError> {
         }
         Dist::Uniform(d) => Ok(((x - d.low()) / (d.high() - d.low())).clamp(0.0, 1.0)),
         Dist::Deterministic(d) => Ok(if x >= d.value() { 1.0 } else { 0.0 }),
-        other => Err(AvailabilityError::InvalidParameter {
+        Dist::Gamma(_) => Err(AvailabilityError::InvalidParameter {
             name: "dist",
             value: f64::NAN,
-            requirement: {
-                let _ = other;
-                "no closed-form CDF for this family here (gamma)"
-            },
+            requirement: "no closed-form CDF for this family here (gamma)",
         }),
     }
 }

@@ -197,6 +197,7 @@ impl Mg1 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -173,6 +173,7 @@ impl Extend<f64> for Moments {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use crate::dist::{Exponential, Sample};

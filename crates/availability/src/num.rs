@@ -8,6 +8,11 @@
 //! exactly the same cast in release builds (the CI byte-stable baselines
 //! rely on bit-identical arithmetic).
 
+#![expect(
+    clippy::as_conversions,
+    reason = "the checked conversion helpers: each cast sits behind a debug_assert that the value is exactly representable"
+)]
+
 /// The largest integer magnitude `f64` represents exactly (2⁵³).
 pub const MAX_EXACT_F64: u64 = 1u64 << 53;
 

@@ -260,6 +260,7 @@ impl TaskModel {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use crate::dist::Exponential;

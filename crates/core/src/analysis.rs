@@ -9,6 +9,11 @@
 //! for). The experiment harnesses use these to sanity-check placements
 //! and the ablation suite uses them to attribute wins.
 
+#![expect(
+    clippy::as_conversions,
+    reason = "block counts widened to f64 for distribution ratios; counts stay far below 2^53"
+)]
+
 use serde::{Deserialize, Serialize};
 
 use adapt_availability::Moments;

@@ -16,6 +16,11 @@
 //! and [`ChainWeighting::Overlap`] (exact) — and the difference is one of
 //! the reproduction's ablations.
 
+#![expect(
+    clippy::as_conversions,
+    reason = "hash-slot arithmetic: u32 node ids and slot counts converted for Algorithm 1 range mapping, all values bounded by the table size"
+)]
+
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
@@ -255,6 +260,7 @@ fn uniform_index(rng: &mut dyn Rng, n: usize) -> usize {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -77,6 +77,7 @@ impl PlacementPolicy for NaivePolicy {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use adapt_dfs::cluster::{NodeAvailability, NodeSpec};

@@ -10,6 +10,11 @@
 //! session threshold) and falling back to renormalized weighted selection
 //! if rejection sampling runs long.
 
+#![expect(
+    clippy::as_conversions,
+    reason = "weight quantisation to u64 hash-table slots is clamped to the table range before casting"
+)]
+
 use rand::Rng;
 
 use adapt_availability::AvailabilityError;

@@ -7,6 +7,11 @@
 //! rate `rateᵢ = (1/E[Tᵢ])/Φ` with `Φ = Σ 1/E[Tᵢ]` that Algorithm 1
 //! consumes.
 
+#![expect(
+    clippy::as_conversions,
+    reason = "node index u32 -> usize widening for rate vector indexing; lossless on supported targets"
+)]
+
 use std::sync::Arc;
 
 use adapt_availability::AvailabilityError;
@@ -191,6 +196,7 @@ impl PerformancePredictor {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use adapt_dfs::placement::NodeView;

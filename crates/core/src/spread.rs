@@ -7,6 +7,11 @@
 //! of placement *variance* (random vs spread) and the cost of ignoring
 //! *availability* (spread vs ADAPT).
 
+#![expect(
+    clippy::as_conversions,
+    reason = "node index usize -> u32 narrowing is bounded by the cluster size validated at construction"
+)]
+
 use rand::Rng;
 
 use adapt_dfs::placement::{ClusterView, PlacementPolicy};

@@ -1,5 +1,10 @@
 //! Weighted node selection shared by the ADAPT and naive policies.
 
+#![expect(
+    clippy::as_conversions,
+    reason = "cumulative-weight binary search converts bounded indices between usize and u64"
+)]
+
 use rand::Rng;
 
 use adapt_dfs::placement::ClusterView;

@@ -171,6 +171,7 @@ impl Default for NodeSpec {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
 

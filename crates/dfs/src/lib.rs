@@ -23,9 +23,6 @@
 //!   detection after node deaths, re-replication through any policy, and
 //!   over-replication trimming when offline hosts return with their
 //!   persistent copies.
-//! * [`shared`] — a thread-safe NameNode handle for concurrent clients
-//!   (the `copyFromLocal`/`cp` client paths of the paper run concurrently
-//!   against one NameNode).
 //!
 //! The ADAPT policy itself lives in the `adapt-core` crate; this crate
 //! only knows the *interface* a policy implements, mirroring how the
@@ -59,8 +56,14 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_debug_implementations)]
 
 pub mod block;
@@ -69,7 +72,6 @@ pub mod namenode;
 pub mod placement;
 pub mod rebalance;
 pub mod replication;
-pub mod shared;
 pub mod telemetry;
 
 mod error;

@@ -333,7 +333,7 @@ impl NameNode {
     /// [`DfsError::InvalidArgument`] for an empty subset, an
     /// out-of-range subset member, or `replication` exceeding the subset
     /// size.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "create_file plus a node subset")]
     pub fn create_file_on(
         &mut self,
         name: &str,
@@ -393,7 +393,7 @@ impl NameNode {
     /// Shared placement loop behind [`create_file`](NameNode::create_file)
     /// and [`create_file_on`](NameNode::create_file_on). `allowed` is a
     /// per-node membership mask (`None` = whole cluster).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "both callers' arguments")]
     fn create_file_inner(
         &mut self,
         name: &str,

@@ -158,6 +158,7 @@ pub fn rebalance_file(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use crate::cluster::NodeSpec;

@@ -24,8 +24,14 @@
 //! in `tests/` assert behavioural equality against the `std` reference
 //! models, including FIFO tie-breaking for the heap.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_debug_implementations)]
 
 mod heap;

@@ -40,6 +40,7 @@ type PolicyFactory = Box<dyn Fn() -> Box<dyn adapt_dfs::PlacementPolicy> + Sync>
 /// # Errors
 ///
 /// Propagates the first scenario failure.
+#[expect(clippy::expect_used, reason = "the config validates gamma")]
 pub fn policy_ablation(config: &EmulatedConfig) -> Result<Vec<AblationResult>, ExperimentError> {
     let gamma = config.gamma;
     let variants: Vec<(&str, PolicyFactory)> = vec![
@@ -68,6 +69,7 @@ pub fn policy_ablation(config: &EmulatedConfig) -> Result<Vec<AblationResult>, E
 /// # Errors
 ///
 /// Propagates the first scenario failure.
+#[expect(clippy::expect_used, reason = "the config validates gamma")]
 pub fn threshold_ablation(config: &EmulatedConfig) -> Result<Vec<AblationResult>, ExperimentError> {
     let gamma = config.gamma;
     // "Tight" caps each node at the exactly fair share m·k/n.
@@ -121,6 +123,7 @@ pub fn speculation_ablation(
 /// # Errors
 ///
 /// Propagates the first scenario failure.
+#[expect(clippy::expect_used, reason = "the config validates gamma")]
 pub fn chain_weighting_ablation(
     config: &EmulatedConfig,
 ) -> Result<Vec<AblationResult>, ExperimentError> {
@@ -159,6 +162,7 @@ pub fn chain_weighting_ablation(
 /// # Errors
 ///
 /// Propagates the first scenario failure.
+#[expect(clippy::expect_used, reason = "the swept delays are non-negative")]
 pub fn detection_delay_ablation(
     config: &EmulatedConfig,
 ) -> Result<Vec<AblationResult>, ExperimentError> {

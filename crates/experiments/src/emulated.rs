@@ -46,6 +46,7 @@ impl SweepPoint {
 /// `n − interrupted` nodes are reliable, the rest cycle through the four
 /// Table 2 groups ("the interrupted nodes were further divided evenly
 /// into four groups").
+#[expect(clippy::expect_used, reason = "the Table 2 constants are valid")]
 pub fn availability_layout(config: &EmulatedConfig) -> Vec<NodeAvailability> {
     let interrupted = config.interrupted_nodes();
     let reliable = config.nodes - interrupted;
@@ -260,6 +261,7 @@ pub fn sweep_nodes(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
 

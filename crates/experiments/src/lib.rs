@@ -21,12 +21,10 @@
 //! paper's full parameters. `EXPERIMENTS.md` in the repository root
 //! records measured-vs-paper numbers for both scales.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![warn(missing_debug_implementations)]
 
 pub mod ablations;
-pub mod bench;
 pub mod cli;
 pub mod config;
 pub mod emulated;

@@ -1,4 +1,4 @@
-//! A small crossbeam-based parallel sweep runner.
+//! A small parallel sweep runner on `std::thread::scope`.
 //!
 //! Experiment sweeps are embarrassingly parallel (one simulation per
 //! scenario × seed); this runs a worklist across scoped threads and
@@ -6,8 +6,8 @@
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-
-use crossbeam::channel;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::mpsc;
 
 /// Best-effort text of a caught panic payload (`panic!` with a string
 /// literal or a formatted message covers both arms; anything else gets a
@@ -74,41 +74,34 @@ where
             .collect();
     }
 
-    type Outcome<R> = Result<R, Box<dyn Any + Send>>;
-    let (task_tx, task_rx) = channel::unbounded::<usize>();
-    let (result_tx, result_rx) = channel::unbounded::<(usize, Outcome<R>)>();
-    for i in 0..items.len() {
-        // The receiver outlives the loop, so this cannot fail; if it
-        // somehow did, the missing-result check below reports the index.
-        let _ = task_tx.send(i);
-    }
-    drop(task_tx);
-
-    let joined = crossbeam::thread::scope(|scope| {
+    // Workers claim items in index order from a shared counter, so every
+    // index below a claimed one is already claimed: a worker that stops
+    // after a panic never leaves a lower index unclaimed.
+    let next = AtomicUsize::new(0);
+    let (result_tx, result_rx) = mpsc::channel::<(usize, Result<R, Box<dyn Any + Send>>)>();
+    std::thread::scope(|scope| {
         for _ in 0..workers {
-            let task_rx = task_rx.clone();
             let result_tx = result_tx.clone();
-            let f = &f;
-            scope.spawn(move |_| {
-                while let Ok(i) = task_rx.recv() {
-                    // Catch instead of unwinding across the scope join:
-                    // the payload travels back tagged with `i`, so the
-                    // re-raise can say *which item* blew up. Propagating
-                    // the panic keeps AssertUnwindSafe honest — no
-                    // broken state is ever observed.
-                    let outcome = catch_unwind(AssertUnwindSafe(|| f(&items[i])));
-                    let failed = outcome.is_err();
-                    if result_tx.send((i, outcome)).is_err() || failed {
-                        break;
-                    }
+            let (next, f) = (&next, &f);
+            scope.spawn(move || loop {
+                // The counter only hands out indices; the results travel
+                // through the channel, so no ordering beyond the
+                // atomicity of the increment is needed.
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else { break };
+                // Catch instead of unwinding across the scope join: the
+                // payload travels back tagged with `i`, so the re-raise
+                // can say *which item* blew up. Propagating the panic
+                // keeps AssertUnwindSafe honest — no broken state is ever
+                // observed.
+                let outcome = catch_unwind(AssertUnwindSafe(|| f(item)));
+                let failed = outcome.is_err();
+                if result_tx.send((i, outcome)).is_err() || failed {
+                    break;
                 }
             });
         }
     });
-    if let Err(payload) = joined {
-        // Unreachable (workers catch their panics), but never swallow.
-        std::panic::resume_unwind(payload);
-    }
     drop(result_tx);
 
     let mut results: Vec<Option<R>> = (0..items.len()).map(|_| None).collect();

@@ -37,6 +37,7 @@ impl PolicyKind {
     ///
     /// Panics if `gamma` is not finite and positive (validated by every
     /// experiment config before use).
+    #[expect(clippy::expect_used, reason = "experiment configs validate gamma")]
     pub fn build(&self, gamma: f64) -> Box<dyn PlacementPolicy> {
         match self {
             PolicyKind::Random => Box::new(RandomPolicy::new()),

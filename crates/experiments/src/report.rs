@@ -34,7 +34,7 @@ pub type Entry = (f64, String, f64);
 pub fn pivot_table(entries: &[Entry], x_label: &str) -> String {
     let mut xs: Vec<f64> = Vec::new();
     for (x, _, _) in entries {
-        if !xs.iter().any(|v| v == x) {
+        if !xs.iter().any(|v| v.to_bits() == x.to_bits()) {
             xs.push(*x);
         }
     }
@@ -57,7 +57,7 @@ pub fn pivot_table(entries: &[Entry], x_label: &str) -> String {
         for s in &series {
             let v = entries
                 .iter()
-                .find(|(ex, es, _)| *ex == x && es == s)
+                .find(|(ex, es, _)| ex.to_bits() == x.to_bits() && es == s)
                 .map(|(_, _, v)| *v);
             match v {
                 Some(v) => out.push_str(&format!(" {v:>16.3}")),
@@ -107,7 +107,7 @@ pub fn overhead_table(points: &[OverheadPoint], x_label: &str) -> String {
     );
     for xb in xs {
         let x = f64::from_bits(xb);
-        for p in points.iter().filter(|p| p.x == x) {
+        for p in points.iter().filter(|p| p.x.to_bits() == xb) {
             out.push_str(&format!(
                 "{:>10.1} {:>16} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3}\n",
                 x,
@@ -146,7 +146,7 @@ pub fn overhead_csv(points: &[OverheadPoint], x_label: &str) -> String {
 pub fn markdown_pivot(entries: &[Entry], x_label: &str) -> String {
     let mut xs: Vec<f64> = Vec::new();
     for (x, _, _) in entries {
-        if !xs.iter().any(|v| v == x) {
+        if !xs.iter().any(|v| v.to_bits() == x.to_bits()) {
             xs.push(*x);
         }
     }
@@ -170,7 +170,7 @@ pub fn markdown_pivot(entries: &[Entry], x_label: &str) -> String {
         for s in &series {
             let v = entries
                 .iter()
-                .find(|(ex, es, _)| *ex == x && es == s)
+                .find(|(ex, es, _)| ex.to_bits() == x.to_bits() && es == s)
                 .map(|(_, _, v)| *v);
             match v {
                 Some(v) => out.push_str(&format!(" {v:.3} |")),
@@ -196,7 +196,7 @@ pub fn markdown_overhead(points: &[OverheadPoint], x_label: &str) -> String {
     }
     for xb in xs {
         let x = f64::from_bits(xb);
-        for p in points.iter().filter(|p| p.x == x) {
+        for p in points.iter().filter(|p| p.x.to_bits() == xb) {
             out.push_str(&format!(
                 "| {x} | {} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} |
 ",
@@ -213,6 +213,7 @@ pub fn markdown_overhead(points: &[OverheadPoint], x_label: &str) -> String {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use crate::PolicyKind;

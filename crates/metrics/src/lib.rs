@@ -40,8 +40,14 @@
 //! [`Series`]: registry::Series
 //! [`WorkProfiler`]: profile::WorkProfiler
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod export;
 pub mod profile;

@@ -31,8 +31,14 @@
 //! destination rack is not separately modeled, and rack labels are
 //! static (no topology churn).
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_debug_implementations)]
 
 use std::fmt;
@@ -140,7 +146,7 @@ impl Topology {
     /// oversubscription) under which every computation reduces to the
     /// flat per-node-link model.
     pub fn is_flat(&self) -> bool {
-        self.racks == 1 && self.oversubscription == 1.0
+        self.racks == 1 && self.oversubscription.to_bits() == 1.0_f64.to_bits()
     }
 
     /// The rack holding node `node` (`node mod racks` — a pure function,
@@ -193,6 +199,7 @@ impl Default for Topology {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

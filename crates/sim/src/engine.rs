@@ -1671,9 +1671,11 @@ impl MapPhaseSim {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
+#[expect(clippy::wildcard_enum_match_arm, reason = "picks one event kind")]
 mod tests {
     use super::*;
-    use adapt_availability::dist::Dist;
+    use adapt_availability::dist::{Dist, Gamma};
 
     fn reliable(n: usize) -> Vec<InterruptionProcess> {
         (0..n).map(|_| InterruptionProcess::none()).collect()
@@ -1929,33 +1931,39 @@ mod tests {
 
     #[test]
     fn overheads_are_non_negative_and_locality_bounded() {
-        // A hostile heterogeneous scenario exercising every code path.
+        // A hostile heterogeneous scenario exercising every code path,
+        // under exponential recoveries and under heavy-tailed gamma
+        // recoveries of equal mean (CoV 3).
         let groups = [(10.0, 4.0), (10.0, 8.0), (20.0, 4.0), (20.0, 8.0)];
-        let processes: Vec<InterruptionProcess> = (0..16)
-            .map(|i| {
-                if i < 8 {
-                    InterruptionProcess::none()
-                } else {
-                    let (mtbi, mu) = groups[(i - 8) % 4];
-                    InterruptionProcess::synthetic(mtbi, Dist::exponential_from_mean(mu).unwrap())
-                }
-            })
-            .collect();
-        let placement: Vec<Vec<NodeId>> = (0..160).map(|i| vec![NodeId(i % 16)]).collect();
-        let report = MapPhaseSim::new(processes, placement, cfg())
-            .unwrap()
-            .run(8)
-            .unwrap();
-        assert!(report.completed);
-        assert!(report.elapsed > 0.0);
-        assert!(report.rework >= 0.0);
-        assert!(report.recovery >= 0.0);
-        assert!(report.migration >= 0.0);
-        assert!(report.misc >= -1e-6, "misc {}", report.misc);
-        let loc = report.locality();
-        assert!((0.0..=1.0).contains(&loc));
-        assert!(report.base_work == 160.0 * 12.0);
-        assert!(report.attempts >= report.tasks);
+        let exponential = |mu: f64| Dist::exponential_from_mean(mu).unwrap();
+        let heavy_gamma = |mu: f64| Dist::from(Gamma::from_mean_cov(mu, 3.0).unwrap());
+        for service in [exponential, heavy_gamma] {
+            let processes: Vec<InterruptionProcess> = (0..16)
+                .map(|i| {
+                    if i < 8 {
+                        InterruptionProcess::none()
+                    } else {
+                        let (mtbi, mu) = groups[(i - 8) % 4];
+                        InterruptionProcess::synthetic(mtbi, service(mu))
+                    }
+                })
+                .collect();
+            let placement: Vec<Vec<NodeId>> = (0..160).map(|i| vec![NodeId(i % 16)]).collect();
+            let report = MapPhaseSim::new(processes, placement, cfg())
+                .unwrap()
+                .run(8)
+                .unwrap();
+            assert!(report.completed);
+            assert!(report.elapsed > 0.0);
+            assert!(report.rework >= 0.0);
+            assert!(report.recovery >= 0.0);
+            assert!(report.migration >= 0.0);
+            assert!(report.misc >= -1e-6, "misc {}", report.misc);
+            let loc = report.locality();
+            assert!((0.0..=1.0).contains(&loc));
+            assert!(report.base_work == 160.0 * 12.0);
+            assert!(report.attempts >= report.tasks);
+        }
     }
 
     #[test]

@@ -155,6 +155,7 @@ fn sample_exp(mean: f64, rng: &mut dyn Rng) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use adapt_availability::Moments;

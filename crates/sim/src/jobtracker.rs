@@ -774,7 +774,7 @@ impl JobTracker {
 
     /// One admission pass at stream time `t`: admit pending jobs per the
     /// configured policy until nothing more fits.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "borrows the event loop's state")]
     fn admit(
         &self,
         t: f64,
@@ -946,6 +946,7 @@ impl JobTracker {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use adapt_dfs::BlockSize;

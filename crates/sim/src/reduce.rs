@@ -683,7 +683,11 @@ impl ReducePhaseSim {
                 ReducerPhase::Blocked => {
                     self.advance(r, t);
                 }
-                _ => {}
+                ReducerPhase::Idle
+                | ReducerPhase::Fetching { .. }
+                | ReducerPhase::WaitingRecovery
+                | ReducerPhase::Computing { .. }
+                | ReducerPhase::Done => {}
             }
         }
     }
@@ -734,6 +738,7 @@ impl ReducePhaseSim {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use adapt_dfs::BlockSize;

@@ -361,6 +361,7 @@ pub fn reliable_reducer_placement(
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
 

@@ -55,6 +55,7 @@ impl Value {
     }
 
     /// Looks a key up in an object value.
+    #[expect(clippy::wildcard_enum_match_arm, reason = "only objects have keys")]
     pub fn get(&self, key: &str) -> Option<&Value> {
         match self {
             Value::Object(map) => map.get(key),

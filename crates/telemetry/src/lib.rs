@@ -36,8 +36,14 @@
 //! [`RunReport`]: report::RunReport
 //! [`merge`]: metrics::HistogramSnapshot::merge
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod json;
 pub mod metrics;

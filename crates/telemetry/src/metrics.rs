@@ -293,6 +293,7 @@ impl HistogramSnapshot {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
 

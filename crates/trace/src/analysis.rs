@@ -855,6 +855,7 @@ pub fn summarize(trace: &Trace) -> Value {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use crate::recorder::{TraceMeta, TraceRecorder};

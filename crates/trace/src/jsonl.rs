@@ -96,6 +96,7 @@ fn get<'a>(v: &'a Value, key: &str) -> Result<&'a Value, String> {
     v.get(key).ok_or_else(|| format!("missing field `{key}`"))
 }
 
+#[expect(clippy::wildcard_enum_match_arm, reason = "any other type is an error")]
 fn get_u64(v: &Value, key: &str) -> Result<u64, String> {
     match get(v, key)? {
         Value::U64(n) => Ok(*n),
@@ -110,6 +111,7 @@ fn get_u32(v: &Value, key: &str) -> Result<u32, String> {
     u32::try_from(n).map_err(|_| format!("field `{key}` exceeds u32: {n}"))
 }
 
+#[expect(clippy::wildcard_enum_match_arm, reason = "any other type is an error")]
 fn get_f64(v: &Value, key: &str) -> Result<f64, String> {
     match get(v, key)? {
         Value::F64(x) => Ok(*x),
@@ -119,6 +121,7 @@ fn get_f64(v: &Value, key: &str) -> Result<f64, String> {
     }
 }
 
+#[expect(clippy::wildcard_enum_match_arm, reason = "any other type is an error")]
 fn get_bool(v: &Value, key: &str) -> Result<bool, String> {
     match get(v, key)? {
         Value::Bool(b) => Ok(*b),
@@ -126,6 +129,7 @@ fn get_bool(v: &Value, key: &str) -> Result<bool, String> {
     }
 }
 
+#[expect(clippy::wildcard_enum_match_arm, reason = "any other type is an error")]
 fn get_str<'a>(v: &'a Value, key: &str) -> Result<&'a str, String> {
     match get(v, key)? {
         Value::Str(s) => Ok(s),

@@ -31,8 +31,14 @@
 //! same values the `adapt-dfs` newtypes wrap, so every workspace layer
 //! can emit events without a dependency cycle.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod analysis;
 pub mod chrome;

@@ -23,8 +23,6 @@
 
 use std::collections::BTreeMap;
 
-use bytes::{BufMut, Bytes, BytesMut};
-
 use crate::record::{HostId, HostTrace, Interruption, Trace};
 use crate::TraceError;
 
@@ -50,24 +48,26 @@ use crate::TraceError;
 /// # Ok(())
 /// # }
 /// ```
-pub fn write(trace: &Trace) -> Bytes {
-    let mut buf = BytesMut::with_capacity(64 + trace.event_count() * 32);
-    buf.put_slice(b"# adapt-fta v1\n");
+pub fn write(trace: &Trace) -> Vec<u8> {
+    let mut buf = Vec::with_capacity(64 + trace.event_count() * 32);
+    buf.extend_from_slice(b"# adapt-fta v1\n");
     let window = trace.hosts().first().map(|h| h.window()).unwrap_or(0.0);
-    buf.put_slice(format!("#window {window}\n").as_bytes());
+    buf.extend_from_slice(format!("#window {window}\n").as_bytes());
     let mut hosts: Vec<&HostTrace> = trace.iter().collect();
     hosts.sort_by_key(|h| h.host());
     for host in hosts {
         for ev in host.interruptions() {
-            buf.put_slice(format!("{}\t{}\t{}\n", host.host().0, ev.start, ev.end()).as_bytes());
+            buf.extend_from_slice(
+                format!("{}\t{}\t{}\n", host.host().0, ev.start, ev.end()).as_bytes(),
+            );
         }
         if host.interruptions().is_empty() {
             // Preserve event-free hosts with an explicit directive so the
             // round-trip is lossless.
-            buf.put_slice(format!("#host {}\n", host.host().0).as_bytes());
+            buf.extend_from_slice(format!("#host {}\n", host.host().0).as_bytes());
         }
     }
-    buf.freeze()
+    buf
 }
 
 /// Parses the text format back into a [`Trace`].

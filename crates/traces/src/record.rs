@@ -301,6 +301,7 @@ impl<'a> IntoIterator for &'a Trace {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -145,6 +145,7 @@ impl InterruptionSchedule {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use crate::record::HostId;

@@ -306,6 +306,7 @@ fn sample_exponential(mean: f64, rng: &mut dyn Rng) -> f64 {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use crate::stats::summarize;

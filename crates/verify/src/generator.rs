@@ -324,6 +324,7 @@ pub fn generate_jobstream(seed: u64) -> JobStreamScenario {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
 

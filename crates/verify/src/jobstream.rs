@@ -601,6 +601,7 @@ fn untraced_view(records: &[JobRecord]) -> Vec<(JobSpec, f64, f64, Vec<u32>)> {
 ///
 /// [`VerifyError`] if either tracker rejects the scenario — a rejection
 /// mismatch is reported as a divergence, not an error.
+#[expect(clippy::float_cmp, reason = "the oracle requires exact agreement")]
 pub fn check_jobstream(scenario: &JobStreamScenario) -> Result<Option<Divergence>, VerifyError> {
     for sched in ALL_POLICIES {
         let optimized = scenario.run_optimized(sched, true);
@@ -654,6 +655,7 @@ pub fn check_jobstream(scenario: &JobStreamScenario) -> Result<Option<Divergence
 }
 
 /// Compares two job-stream outcomes, returning the first difference.
+#[expect(clippy::float_cmp, reason = "the oracle requires exact agreement")]
 pub fn compare_outcomes(
     sched: SchedPolicy,
     optimized: &JobStreamOutcome,

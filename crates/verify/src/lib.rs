@@ -28,8 +28,14 @@
 //! in CI; see DESIGN.md §13 for the oracle rules and reproduction
 //! instructions.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_debug_implementations)]
 
 mod error;

@@ -1078,6 +1078,7 @@ impl ReferenceSim {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use adapt_dfs::BlockSize;

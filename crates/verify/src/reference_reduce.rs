@@ -573,7 +573,11 @@ impl ReferenceReduce {
                 Phase::Blocked => {
                     self.advance(r, t);
                 }
-                _ => {}
+                Phase::Idle
+                | Phase::Fetching { .. }
+                | Phase::WaitingRecovery
+                | Phase::Computing { .. }
+                | Phase::Done => {}
             }
         }
     }

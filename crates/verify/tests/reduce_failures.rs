@@ -5,6 +5,9 @@
 //! specific failure mode (source death mid-fetch, reducer death after
 //! the shuffle, a whole-rack outage).
 
+#![expect(clippy::float_cmp, reason = "exact reruns and representable values")]
+#![expect(clippy::wildcard_enum_match_arm, reason = "picks one event kind")]
+
 use adapt_dfs::{BlockSize, NodeId};
 use adapt_sim::engine::SimConfig;
 use adapt_sim::interrupt::InterruptionProcess;

@@ -182,6 +182,7 @@ pub fn calibrate(rows: &[FbTraceRow], block_bytes: u64) -> Result<WorkloadConfig
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
 

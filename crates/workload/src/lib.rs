@@ -36,8 +36,14 @@
 //! assert_eq!(jobs, generate(&cfg, 42).unwrap()); // pure function of the seed
 //! ```
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
+#![forbid(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 #![warn(missing_debug_implementations)]
 
 mod error;

@@ -238,6 +238,7 @@ impl SizeModel {
     /// the sampler (sampling truncates to an integer, which biases the
     /// realized mean down by strictly less than one task — the bound the
     /// moment tests use).
+    #[expect(clippy::float_cmp, reason = "`l` and `h` are whole numbers")]
     pub fn mean_tasks(&self) -> f64 {
         match *self {
             SizeModel::Fixed { tasks } => tasks as f64,
@@ -305,6 +306,7 @@ impl SizeModel {
 }
 
 #[cfg(test)]
+#[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
     use rand::SeedableRng;

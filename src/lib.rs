@@ -44,9 +44,6 @@
 //! See `examples/` for end-to-end scenarios and `crates/experiments` for
 //! the paper reproduction binaries.
 
-#![forbid(unsafe_code)]
-#![deny(missing_docs)]
-
 pub use adapt_availability as availability;
 pub use adapt_core as core;
 pub use adapt_dfs as dfs;

@@ -1,6 +1,8 @@
 //! Reproducibility integration tests: every layer of the stack must be a
 //! pure function of its seed.
 
+#![expect(clippy::float_cmp, reason = "exact reruns and representable values")]
+
 use adapt::core::AdaptPolicy;
 use adapt::dfs::cluster::{NodeAvailability, NodeSpec};
 use adapt::dfs::namenode::{NameNode, Threshold};

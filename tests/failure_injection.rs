@@ -1,6 +1,8 @@
 //! Failure-injection and boundary-condition integration tests: the
 //! system must stay correct at the edges of its operating envelope.
 
+#![expect(clippy::float_cmp, reason = "exact reruns and representable values")]
+
 use adapt::availability::dist::Dist;
 use adapt::core::AdaptPolicy;
 use adapt::dfs::cluster::{NodeAvailability, NodeSpec};

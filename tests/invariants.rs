@@ -190,3 +190,26 @@ proptest! {
         prop_assert_eq!(run(), run());
     }
 }
+
+/// Runs a small Figure-3-style emulated scenario under the test (debug)
+/// profile, so the sim engine's `debug_assert`s — in particular the
+/// event-queue time-monotonicity check in the event loop — are active
+/// while a realistic schedule (interruptions, steals, speculation,
+/// re-replication pressure) executes.
+#[test]
+fn fig3_style_run_passes_debug_assertions() {
+    use adapt::experiments::emulated::run_emulated;
+    use adapt::experiments::{EmulatedConfig, PolicyKind};
+
+    let cfg = EmulatedConfig {
+        nodes: 32,
+        blocks_per_node: 5,
+        runs: 2,
+        ..EmulatedConfig::default()
+    };
+    for policy in [PolicyKind::Random, PolicyKind::Adapt] {
+        let agg = run_emulated(&cfg, policy).expect("emulated run succeeds");
+        assert!(agg.all_completed, "{policy:?} run hit the horizon");
+        assert_eq!(agg.runs, 2);
+    }
+}

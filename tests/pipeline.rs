@@ -1,6 +1,8 @@
 //! End-to-end pipeline integration: traces → estimation → placement →
 //! simulation → reporting, across crate boundaries.
 
+#![expect(clippy::float_cmp, reason = "exact reruns and representable values")]
+
 use adapt::availability::dist::Dist;
 use adapt::core::{AdaptPolicy, NaivePolicy};
 use adapt::dfs::cluster::{NodeAvailability, NodeSpec};
