@@ -8,15 +8,10 @@
 //!
 //! * [`IntervalEstimator`] — exact running averages over observed up/down
 //!   intervals (what an offline trace analysis would compute).
-//! * [`EwmaEstimator`] — exponentially weighted averages, the
-//!   constant-memory variant suitable for the NameNode.
 //! * [`HeartbeatMonitor`] — converts a stream of heartbeat arrivals and
-//!   timeouts into up/down intervals feeding either estimator.
+//!   timeouts into up/down intervals feeding the estimator.
 
 use serde::{Deserialize, Serialize};
-
-use crate::error::require_positive;
-use crate::AvailabilityError;
 
 /// Exact running estimates of `(λ, μ)` from observed intervals.
 ///
@@ -112,81 +107,6 @@ impl IntervalEstimator {
         self.total_uptime += other.total_uptime;
         self.total_downtime += other.total_downtime;
         self.interruptions += other.interruptions;
-    }
-}
-
-/// Constant-memory exponentially-weighted estimates of `(MTBI, μ)`.
-///
-/// This matches the paper's footprint constraint: two doubles per node
-/// (plus the smoothing constant), "updated whenever the heart beat
-/// arrivals/misses are sufficient to change its values".
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct EwmaEstimator {
-    alpha: f64,
-    mtbi: Option<f64>,
-    mu: Option<f64>,
-}
-
-impl EwmaEstimator {
-    /// Creates an estimator with smoothing factor `alpha ∈ (0, 1]`; larger
-    /// values track recent behaviour more aggressively.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AvailabilityError::InvalidParameter`] if `alpha` is not in
-    /// `(0, 1]`.
-    pub fn new(alpha: f64) -> Result<Self, AvailabilityError> {
-        let alpha = require_positive("alpha", alpha)?;
-        if alpha > 1.0 {
-            return Err(AvailabilityError::InvalidParameter {
-                name: "alpha",
-                value: alpha,
-                requirement: "must be <= 1",
-            });
-        }
-        Ok(EwmaEstimator {
-            alpha,
-            mtbi: None,
-            mu: None,
-        })
-    }
-
-    /// Records one complete availability interval (time between two
-    /// consecutive interruptions).
-    pub fn record_uptime(&mut self, interval: f64) {
-        if !(interval.is_finite() && interval > 0.0) {
-            return;
-        }
-        self.mtbi = Some(match self.mtbi {
-            None => interval,
-            Some(prev) => self.alpha * interval + (1.0 - self.alpha) * prev,
-        });
-    }
-
-    /// Records one interruption recovery duration.
-    pub fn record_interruption(&mut self, duration: f64) {
-        if !(duration.is_finite() && duration >= 0.0) {
-            return;
-        }
-        self.mu = Some(match self.mu {
-            None => duration,
-            Some(prev) => self.alpha * duration + (1.0 - self.alpha) * prev,
-        });
-    }
-
-    /// Smoothed MTBI estimate, if any uptime interval has been seen.
-    pub fn mtbi(&self) -> Option<f64> {
-        self.mtbi
-    }
-
-    /// Smoothed arrival-rate estimate (`1/MTBI`).
-    pub fn lambda(&self) -> Option<f64> {
-        self.mtbi.map(|m| 1.0 / m)
-    }
-
-    /// Smoothed mean recovery estimate.
-    pub fn mu(&self) -> Option<f64> {
-        self.mu
     }
 }
 
@@ -337,42 +257,6 @@ mod tests {
         }
         assert!((est.mtbi().unwrap() - 100.0).abs() / 100.0 < 0.03);
         assert!((est.mu().unwrap() - 20.0).abs() / 20.0 < 0.03);
-    }
-
-    #[test]
-    fn ewma_requires_valid_alpha() {
-        assert!(EwmaEstimator::new(0.0).is_err());
-        assert!(EwmaEstimator::new(1.5).is_err());
-        assert!(EwmaEstimator::new(f64::NAN).is_err());
-        assert!(EwmaEstimator::new(1.0).is_ok());
-    }
-
-    #[test]
-    fn ewma_first_observation_initializes() {
-        let mut est = EwmaEstimator::new(0.2).unwrap();
-        assert_eq!(est.mtbi(), None);
-        est.record_uptime(100.0);
-        assert_eq!(est.mtbi(), Some(100.0));
-        est.record_interruption(10.0);
-        assert_eq!(est.mu(), Some(10.0));
-    }
-
-    #[test]
-    fn ewma_smooths_toward_new_values() {
-        let mut est = EwmaEstimator::new(0.5).unwrap();
-        est.record_uptime(100.0);
-        est.record_uptime(200.0);
-        assert!((est.mtbi().unwrap() - 150.0).abs() < 1e-12);
-        est.record_uptime(200.0);
-        assert!((est.mtbi().unwrap() - 175.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ewma_alpha_one_tracks_latest() {
-        let mut est = EwmaEstimator::new(1.0).unwrap();
-        est.record_uptime(100.0);
-        est.record_uptime(5.0);
-        assert_eq!(est.mtbi(), Some(5.0));
     }
 
     #[test]

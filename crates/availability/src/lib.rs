@@ -23,11 +23,6 @@
 //! * [`moments`] — streaming mean/variance/CoV accumulators used by every
 //!   statistics-reporting component (Table 1 of the paper, experiment
 //!   outputs).
-//! * [`quantile`] — streaming P² quantile estimation for tail reporting
-//!   (straggler analysis needs p90/p99, not means).
-//! * [`fit`] — distribution fitting (MLE/method of moments) with
-//!   Kolmogorov–Smirnov goodness-of-fit, for checking the exponential
-//!   inter-arrival assumption against real heartbeat data.
 //!
 //! # Quick example
 //!
@@ -58,16 +53,13 @@
 
 pub mod dist;
 pub mod estimator;
-pub mod fit;
 pub mod mg1;
 pub mod moments;
 pub mod num;
-pub mod quantile;
 pub mod task_model;
 
 mod error;
 
 pub use error::AvailabilityError;
 pub use moments::Moments;
-pub use quantile::TailSummary;
 pub use task_model::{Availability, TaskModel};

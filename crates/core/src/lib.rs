@@ -19,8 +19,6 @@
 //! * [`spread`] — an exactly balanced, availability-blind round-robin
 //!   baseline used by the ablation suite.
 //! * [`weighted`] — the shared weighted-selection primitive.
-//! * [`analysis`] — analytic placement-quality metrics (expected
-//!   makespan, finish-time spread, storage skew).
 //!
 //! # The equivalence property
 //!
@@ -67,7 +65,6 @@
 #![cfg_attr(not(test), deny(clippy::as_conversions))]
 #![warn(missing_debug_implementations)]
 
-pub mod analysis;
 pub mod hash_table;
 pub mod naive;
 pub mod policy;

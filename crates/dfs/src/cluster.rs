@@ -134,15 +134,6 @@ impl NodeSpec {
         self
     }
 
-    /// Places the node in `rack` (default 0 — the single-rack / flat
-    /// network). Rack labels feed rack-aware placement and the
-    /// topology-aware transfer model; under the whole-pipeline
-    /// convention they equal `node_id mod racks`.
-    pub fn with_rack(mut self, rack: u32) -> Self {
-        self.rack = rack;
-        self
-    }
-
     /// The rack holding this node.
     pub fn rack(&self) -> u32 {
         self.rack
@@ -234,12 +225,5 @@ mod tests {
         assert_eq!(s.rack(), 0);
         let s2 = NodeSpec::new(NodeAvailability::from_mtbi(10.0, 4.0).unwrap());
         assert_eq!(s2.capacity_blocks(), None);
-    }
-
-    #[test]
-    fn node_spec_rack_builder() {
-        let s = NodeSpec::default().with_rack(3);
-        assert_eq!(s.rack(), 3);
-        assert_eq!(s.capacity_blocks(), None);
     }
 }

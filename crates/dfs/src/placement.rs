@@ -80,15 +80,6 @@ impl ClusterView {
     pub fn same_rack(&self, a: NodeId, b: NodeId) -> bool {
         self.rack_of(a) == self.rack_of(b)
     }
-
-    /// Number of distinct rack labels present in the view (1 for an
-    /// unlabeled, flat cluster; 0 for an empty view).
-    pub fn rack_count(&self) -> usize {
-        let mut racks: Vec<u32> = self.nodes.iter().map(|n| n.rack).collect();
-        racks.sort_unstable();
-        racks.dedup();
-        racks.len()
-    }
 }
 
 /// A replica-placement decision procedure.
@@ -233,9 +224,8 @@ mod tests {
 
     #[test]
     fn cluster_view_rack_helpers() {
-        // Unlabeled views are flat: one rack, everyone co-located.
+        // Unlabeled views are flat: everyone co-located.
         let flat = view(4);
-        assert_eq!(flat.rack_count(), 1);
         assert!(flat.same_rack(NodeId(0), NodeId(3)));
 
         // Modular labels, the whole-pipeline convention.
@@ -244,7 +234,6 @@ mod tests {
             n.rack = (i % 2) as u32;
         }
         let v = ClusterView::new(nodes);
-        assert_eq!(v.rack_count(), 2);
         assert_eq!(v.rack_of(NodeId(3)), 1);
         assert!(v.same_rack(NodeId(0), NodeId(2)));
         assert!(!v.same_rack(NodeId(0), NodeId(1)));

@@ -7,8 +7,8 @@
 //! [--trace-out PATH]`
 //!
 //! `--runs` sets the reducer count. The defaults (64 nodes, 16
-//! reducers, 4 racks, 2.5× oversubscription, seed 2012) are what CI's
-//! `shuffle-regression` job byte-diffs against
+//! reducers, 4 racks, 2.5× oversubscription, seed 2012) are what the
+//! `baselines` test byte-diffs against
 //! `results/ci-baseline-shuffle.json`. `--trace-out` writes the ADAPT
 //! policy's reduce-phase event trace as JSONL — `reduce_started`,
 //! `shuffle_fetch`, and `link_contention` events included.

@@ -26,6 +26,7 @@ use rand::SeedableRng;
 use adapt_dfs::cluster::NodeSpec;
 use adapt_dfs::namenode::{NameNode, Threshold};
 use adapt_dfs::{BlockSize, DfsError, FileId, NodeId};
+use adapt_metrics::window::nearest_rank;
 use adapt_metrics::{MetricsHub, SloTarget};
 use adapt_sim::engine::SimConfig;
 use adapt_sim::interrupt::InterruptionProcess;
@@ -311,11 +312,6 @@ fn to_us(seconds: f64) -> u64 {
     (seconds * 1e6).round() as u64
 }
 
-/// Index of the `q`-quantile in a sorted sample of `n` (nearest-rank).
-fn quantile_index(q: f64, n: usize) -> usize {
-    (((q * n as f64).ceil() as usize).max(1) - 1).min(n - 1)
-}
-
 fn summarize(
     load_pm: u64,
     policy: PolicyKind,
@@ -346,9 +342,9 @@ fn summarize(
         jobs_cut: outcome.telemetry.jobs_cut,
         makespan_us: to_us(outcome.makespan),
         mean_wait_us: to_us(wait_sum / n.max(1) as f64),
-        sojourn_p50_us: sojourns_us[quantile_index(0.50, n)],
-        sojourn_p99_us: sojourns_us[quantile_index(0.99, n)],
-        sojourn_p999_us: sojourns_us[quantile_index(0.999, n)],
+        sojourn_p50_us: nearest_rank(&sojourns_us, 1, 2),
+        sojourn_p99_us: nearest_rank(&sojourns_us, 99, 100),
+        sojourn_p999_us: nearest_rank(&sojourns_us, 999, 1000),
         slowdown_cdf_pm,
     }
 }

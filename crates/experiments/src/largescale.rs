@@ -108,22 +108,8 @@ pub fn estimate_availability(host: &HostTrace) -> NodeAvailability {
 }
 
 /// Runs one large-scale scenario: `runs` seeds in parallel over a shared
-/// world, aggregated.
-///
-/// # Errors
-///
-/// Returns [`ExperimentError`] for invalid configuration or substrate
-/// failures.
-pub fn run_largescale(
-    config: &LargeScaleConfig,
-    policy: PolicyKind,
-) -> Result<AggregateReport, ExperimentError> {
-    let world = World::generate(config)?;
-    run_largescale_in(config, policy, &world)
-}
-
-/// Like [`run_largescale`] but reusing an existing [`World`] (sweeps
-/// that vary bandwidth or block size share one population).
+/// [`World`], aggregated. Sweeps that vary bandwidth or block size share
+/// one population.
 ///
 /// # Errors
 ///
@@ -406,7 +392,8 @@ mod tests {
 
     #[test]
     fn largescale_run_completes() {
-        let agg = run_largescale(&small(), PolicyKind::Adapt).unwrap();
+        let world = World::generate(&small()).unwrap();
+        let agg = run_largescale_in(&small(), PolicyKind::Adapt, &world).unwrap();
         assert_eq!(agg.runs, 2);
         assert!(agg.all_completed);
         assert!(agg.total_overhead_ratio.mean() >= 0.0);

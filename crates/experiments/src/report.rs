@@ -141,77 +141,6 @@ pub fn overhead_csv(points: &[OverheadPoint], x_label: &str) -> String {
     out
 }
 
-/// Pivots entries into a GitHub-flavored Markdown table (one row per x,
-/// one column per series) — the `EXPERIMENTS.md` format.
-pub fn markdown_pivot(entries: &[Entry], x_label: &str) -> String {
-    let mut xs: Vec<f64> = Vec::new();
-    for (x, _, _) in entries {
-        if !xs.iter().any(|v| v.to_bits() == x.to_bits()) {
-            xs.push(*x);
-        }
-    }
-    xs.sort_by(f64::total_cmp);
-    let mut series: Vec<&str> = Vec::new();
-    for (_, s, _) in entries {
-        if !series.contains(&s.as_str()) {
-            series.push(s);
-        }
-    }
-
-    let mut out = format!("| {x_label} |");
-    for s in &series {
-        out.push_str(&format!(" {s} |"));
-    }
-    out.push_str("\n|---|");
-    out.push_str(&"---|".repeat(series.len()));
-    out.push('\n');
-    for &x in &xs {
-        out.push_str(&format!("| {x} |"));
-        for s in &series {
-            let v = entries
-                .iter()
-                .find(|(ex, es, _)| ex.to_bits() == x.to_bits() && es == s)
-                .map(|(_, _, v)| *v);
-            match v {
-                Some(v) => out.push_str(&format!(" {v:.3} |")),
-                None => out.push_str(" – |"),
-            }
-        }
-        out.push('\n');
-    }
-    out
-}
-
-/// Renders the Figure 5 decomposition as a Markdown table
-/// (x, series, rework, recovery, migration, misc, total).
-pub fn markdown_overhead(points: &[OverheadPoint], x_label: &str) -> String {
-    let mut out = format!(
-        "| {x_label} | series | rework | recovery | migration | misc | total |
-|---|---|---|---|---|---|---|
-"
-    );
-    let mut xs: BTreeSet<u64> = BTreeSet::new();
-    for p in points {
-        xs.insert(p.x.to_bits());
-    }
-    for xb in xs {
-        let x = f64::from_bits(xb);
-        for p in points.iter().filter(|p| p.x.to_bits() == xb) {
-            out.push_str(&format!(
-                "| {x} | {} | {:.3} | {:.3} | {:.3} | {:.3} | {:.3} |
-",
-                p.series(),
-                p.agg.rework_ratio.mean(),
-                p.agg.recovery_ratio.mean(),
-                p.agg.migration_ratio.mean(),
-                p.agg.misc_ratio.mean(),
-                p.agg.total_overhead_ratio.mean(),
-            ));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 #[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
@@ -277,35 +206,6 @@ mod tests {
         assert!((e[0].2 - 200.0).abs() < 1e-9);
         let l = locality_entries(std::slice::from_ref(&p));
         assert!((l[0].2 - 0.9).abs() < 1e-9);
-    }
-
-    #[test]
-    fn markdown_pivot_renders_header_and_rows() {
-        let entries = vec![
-            (4.0, "A".to_string(), 1.0),
-            (8.0, "A".to_string(), 2.0),
-            (4.0, "B".to_string(), 3.0),
-        ];
-        let md = markdown_pivot(&entries, "bw");
-        let lines: Vec<&str> = md.lines().collect();
-        assert_eq!(lines[0], "| bw | A | B |");
-        assert_eq!(lines[1], "|---|---|---|");
-        assert!(lines[2].starts_with("| 4 | 1.000 | 3.000 |"));
-        assert!(lines[3].contains("–"), "missing cell renders as dash");
-    }
-
-    #[test]
-    fn markdown_overhead_renders_components() {
-        let p = OverheadPoint {
-            x: 8.0,
-            policy: PolicyKind::Adapt,
-            replication: 2,
-            agg: aggregate([report(100.0)]),
-        };
-        let md = markdown_overhead(std::slice::from_ref(&p), "bw");
-        assert!(md.starts_with("| bw | series |"));
-        assert!(md.contains("ADAPT-2rep"));
-        assert!(md.contains("0.100"));
     }
 
     #[test]

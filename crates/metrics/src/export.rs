@@ -12,8 +12,8 @@
 //!   "placements":…, "sim_us":…}` — one profiler span, DFS order.
 //!
 //! Writer and parser both ride on `adapt_telemetry::json`, so the file
-//! is a pure function of the run: the CI `metrics-regression` job
-//! byte-diffs it against a checked-in baseline.
+//! is a pure function of the run: the experiments crate's `baselines`
+//! test byte-diffs it against a checked-in baseline.
 
 use std::collections::BTreeMap;
 use std::fmt;

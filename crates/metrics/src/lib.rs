@@ -30,7 +30,7 @@
 //! Serialization ([`export`]) rides on `adapt-telemetry`'s sorted-key
 //! JSON writer and shared parser: the same seed and config produce a
 //! byte-identical `adapt-metrics/1` JSONL file on every machine, which
-//! the CI `metrics-regression` job enforces with a plain byte diff. All
+//! the experiments crate's `baselines` test enforces with a byte diff. All
 //! instrumentation in the engines is `Option`-guarded: with metrics
 //! disabled, simulation output and every existing baseline are
 //! byte-identical (the same zero-overhead-when-off contract tracing

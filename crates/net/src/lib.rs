@@ -142,13 +142,6 @@ impl Topology {
         self.oversubscription
     }
 
-    /// Whether this is the degenerate flat network (one rack, no
-    /// oversubscription) under which every computation reduces to the
-    /// flat per-node-link model.
-    pub fn is_flat(&self) -> bool {
-        self.racks == 1 && self.oversubscription.to_bits() == 1.0_f64.to_bits()
-    }
-
     /// The rack holding node `node` (`node mod racks` — a pure function,
     /// shared by every layer).
     pub fn rack_of(&self, node: u32) -> u32 {
@@ -207,7 +200,6 @@ mod tests {
     #[test]
     fn flat_topology_is_degenerate() {
         let t = Topology::flat();
-        assert!(t.is_flat());
         assert_eq!(t.racks(), 1);
         assert_eq!(t.oversubscription(), 1.0);
         for n in 0..64 {
@@ -228,10 +220,10 @@ mod tests {
     #[test]
     fn one_rack_with_oversubscription_is_not_flat() {
         // Oversubscription can never bite with a single rack (no flow is
-        // cross-rack), but the config is still reported as non-flat so
+        // cross-rack), but the config still differs from the flat one so
         // callers don't silently collapse a deliberate setting.
         let t = Topology::new(1, 4.0).unwrap();
-        assert!(!t.is_flat());
+        assert_ne!(t, Topology::flat());
         // ... yet every flow is intra-rack, so times match flat exactly.
         assert_eq!(t.fair_share_seconds(12.5, 0, 9, 3), 12.5);
     }

@@ -735,7 +735,7 @@ impl MapPhaseSim {
     }
 
     /// Like [`run`](MapPhaseSim::run), additionally returning per-node
-    /// statistics and per-task winners (the shuffle model's input).
+    /// statistics and per-task winners (the reduce phase's input).
     ///
     /// # Errors
     ///

@@ -107,11 +107,6 @@ impl<E: Copy> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
-    /// The time of the earliest event without removing it.
-    pub fn peek_time(&self) -> Option<f64> {
-        self.heap.peek().map(|e| e.time)
-    }
-
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -157,15 +152,14 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
+    fn len_tracks_push_and_pop() {
         let mut q = EventQueue::new();
         q.push(1.5, "x");
-        assert_eq!(q.peek_time(), Some(1.5));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
+        assert_eq!(q.pop(), None);
     }
 
     #[test]

@@ -18,9 +18,9 @@
 //!   reported in the paper's Figure 5.
 //! * [`runner`] — one-call simulation from a NameNode placement plus
 //!   multi-seed aggregation (the paper reports means of 10 runs).
-//! * [`shuffle`] — a first-order shuffle/reduce-phase model with
-//!   availability-aware reducer placement (the paper's stated future
-//!   work).
+//! * [`reduce`] — the event-driven shuffle/reduce phase over the map
+//!   phase's winners (the paper's stated future work), and
+//!   [`strategy`], the reducer-placement seam it runs under.
 //!
 //! # Example
 //!
@@ -59,7 +59,6 @@ pub mod interrupt;
 pub mod jobtracker;
 pub mod reduce;
 pub mod runner;
-pub mod shuffle;
 pub mod strategy;
 pub mod telemetry;
 
@@ -74,13 +73,5 @@ pub use jobtracker::{
     JobTrackerTelemetry, MapEngine, OptimizedEngine, SchedPolicy, StripedPlacer,
 };
 pub use reduce::{slice_bytes, ReduceDetailed, ReducePhaseSim, ReduceReport};
-pub use shuffle::{
-    estimate_shuffle, estimate_shuffle_instrumented, estimate_shuffle_topo,
-    estimate_shuffle_topo_instrumented, reliable_reducer_placement, ShuffleConfig, ShuffleReport,
-};
-pub use strategy::{
-    AdaptStrategy, MapTaskPlacement, NaiveStrategy, PlacementStrategy, RackAwareStrategy,
-};
-pub use telemetry::{
-    EngineTelemetry, EngineTelemetrySnapshot, ShuffleTelemetry, ShuffleTelemetrySnapshot,
-};
+pub use strategy::{AdaptStrategy, NaiveStrategy, PlacementStrategy, RackAwareStrategy};
+pub use telemetry::{EngineTelemetry, EngineTelemetrySnapshot};

@@ -1,17 +1,15 @@
 //! The reduce phase: shuffle fetches plus reduce compute, event-driven,
 //! under the same outage machinery as the map engine.
 //!
-//! [`estimate_shuffle`](crate::shuffle::estimate_shuffle) is a
-//! closed-form lower bound (no interruptions, no contention). This module
-//! is the full discrete-event counterpart the satellite experiments run:
-//! each reduce task is pinned to its placed host, fetches its slice of
-//! every map output sequentially (ascending map-task order, the sort
-//! phase's merge order), and then computes for `reduce_gamma` seconds.
-//! Fetches are modeled transfers over the same
-//! [`Topology`](crate::Topology) fabric as
-//! the map phase — intra-rack flows take the flat per-flow time,
-//! cross-rack flows pay the oversubscribed uplink fair-shared over the
-//! flows active at commit time.
+//! This is the repository's one model of the reduce phase: each reduce
+//! task is pinned to its placed host (see [`crate::strategy`]), fetches
+//! its slice of every map output sequentially (ascending map-task order,
+//! the sort phase's merge order), and then computes for `reduce_gamma`
+//! seconds. Fetches are modeled transfers over the same
+//! [`Topology`](crate::Topology) fabric as the map phase — intra-rack
+//! flows take the flat per-flow time, cross-rack flows pay the
+//! oversubscribed uplink fair-shared over the flows active at commit
+//! time.
 //!
 //! Failure semantics mirror Hadoop's reduce-side behavior:
 //!
@@ -817,6 +815,51 @@ mod tests {
         assert_eq!(report.fetches, 2);
         assert_eq!(report.fetches_aborted, 0);
         assert_eq!(report.reducer_net_hwm, 16 * MB);
+    }
+
+    #[test]
+    fn reliable_reducers_beat_volatile_reducers_on_locality() {
+        use crate::strategy::{AdaptStrategy, PlacementStrategy};
+        use adapt_dfs::cluster::NodeSpec;
+        use adapt_dfs::{NameNode, NodeAvailability};
+
+        // Outputs concentrated on reliable nodes 0 and 1 (as ADAPT
+        // placement produces); the reducers ADAPT ranks first land on
+        // those hosts and keep half of every slice local.
+        let availability = [
+            NodeAvailability::reliable(),
+            NodeAvailability::reliable(),
+            NodeAvailability::from_mtbi(10.0, 8.0).unwrap(),
+            NodeAvailability::from_mtbi(10.0, 8.0).unwrap(),
+        ];
+        let holders: Vec<Vec<NodeId>> = (0..10).map(|i| vec![NodeId(i % 2)]).collect();
+        let view =
+            NameNode::new(availability.iter().map(|&a| NodeSpec::new(a)).collect()).cluster_view();
+        let mut strategy = AdaptStrategy::new(12.0).unwrap();
+        let reliable: Vec<NodeId> = (0..2)
+            .map(|r| strategy.place_reduce_task(&view, &holders, r, 2).unwrap())
+            .collect();
+        assert_eq!(reliable, [NodeId(0), NodeId(1)]);
+
+        let run = |reducers: Vec<NodeId>| {
+            ReducePhaseSim::new(
+                vec![InterruptionProcess::none(); 4],
+                holders.clone(),
+                vec![8 * MB; 10],
+                reducers,
+                cfg(),
+                10.0,
+            )
+            .unwrap()
+            .run(7)
+            .unwrap()
+            .report
+        };
+        let good = run(reliable);
+        let bad = run(vec![NodeId(2), NodeId(3)]);
+        assert!(good.completed && bad.completed);
+        assert!(good.shuffle_locality() > bad.shuffle_locality());
+        assert!(good.elapsed < bad.elapsed);
     }
 
     #[test]

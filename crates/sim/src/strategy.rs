@@ -1,12 +1,11 @@
-//! MapReduce task-placement strategies: one trait for both phases.
+//! Reducer-placement strategies.
 //!
-//! The DFS layer answers "which node stores this replica?" through
-//! `adapt_dfs::placement::PlacementPolicy`. This module answers the
-//! JobTracker-level question — "which node should *run* this task?" —
-//! split the way simulators like dslab-mr split it: `place_map_tasks`
-//! decides the replica holders each map task may run against, and
-//! `place_reduce_task` picks a host for one reduce task given where the
-//! map outputs landed.
+//! Map-input placement has one seam: the NameNode's
+//! [`PlacementPolicy`](adapt_dfs::placement::PlacementPolicy), where
+//! `adapt_core::AdaptPolicy` is the paper's Algorithm 1. This module
+//! answers the JobTracker-level question of the reduce phase — "which
+//! node should *run* this reduce task?" — given where the map outputs
+//! landed.
 //!
 //! Every strategy here is **deterministic**: decisions are pure functions
 //! of the [`ClusterView`] and the call arguments, with no RNG. That is
@@ -18,13 +17,10 @@
 //!
 //! * [`NaiveStrategy`] — round-robin over alive nodes, availability- and
 //!   rack-blind (the stock-Hadoop baseline).
-//! * [`AdaptStrategy`] — availability-proportional smooth weighted
-//!   round-robin over equation-(5) completion rates, the ADAPT paper's
-//!   placement idea lifted to task scheduling; reducers land on the most
-//!   reliable hosts first.
-//! * [`RackAwareStrategy`] — replica spread across racks (HDFS
-//!   rack-awareness) and reducers pulled toward the rack holding the
-//!   plurality of their shuffle input, minimizing cross-rack bytes over
+//! * [`AdaptStrategy`] — reducers on the most reliable hosts first,
+//!   ranked by equation-(5) completion rate.
+//! * [`RackAwareStrategy`] — each reducer pulled toward the rack holding
+//!   the plurality of its shuffle input, minimizing cross-rack bytes over
 //!   the oversubscribed core.
 
 use adapt_dfs::placement::ClusterView;
@@ -32,36 +28,11 @@ use adapt_dfs::NodeId;
 
 use crate::SimError;
 
-/// One map task's placement: the replica holders it may run against, in
-/// preference order (the engines treat membership as data locality).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct MapTaskPlacement {
-    /// The task index the placement belongs to.
-    pub task: usize,
-    /// Replica holders of the task's input block.
-    pub replicas: Vec<NodeId>,
-}
-
-/// A deterministic two-phase task-placement strategy.
+/// A deterministic reducer-placement strategy.
 pub trait PlacementStrategy: std::fmt::Debug {
     /// Short strategy name used in reports (e.g. `"adapt"`, `"naive"`,
     /// `"rack-aware"`).
     fn name(&self) -> &'static str;
-
-    /// Chooses replica holders for each of `tasks` map inputs, with
-    /// `replication` replicas per block (capped by the alive-node
-    /// count).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::InvalidConfig`] when the view has no alive
-    /// node or `tasks`/`replication` is zero.
-    fn place_map_tasks(
-        &mut self,
-        cluster: &ClusterView,
-        tasks: usize,
-        replication: usize,
-    ) -> Result<Vec<MapTaskPlacement>, SimError>;
 
     /// Picks the host of reduce task `reducer` (of `reducers` total)
     /// given the map-output holders (`holders[t]` lists the nodes
@@ -101,22 +72,6 @@ fn require_alive(cluster: &ClusterView) -> Result<Vec<NodeId>, SimError> {
     Ok(alive)
 }
 
-fn validate_map_args(tasks: usize, replication: usize) -> Result<(), SimError> {
-    if tasks == 0 {
-        return Err(SimError::InvalidConfig {
-            name: "tasks",
-            reason: "at least one map task required".into(),
-        });
-    }
-    if replication == 0 {
-        return Err(SimError::InvalidConfig {
-            name: "replication",
-            reason: "at least one replica required".into(),
-        });
-    }
-    Ok(())
-}
-
 fn validate_reduce_args(reducer: usize, reducers: usize) -> Result<(), SimError> {
     if reducer >= reducers {
         return Err(SimError::InvalidConfig {
@@ -144,23 +99,6 @@ impl PlacementStrategy for NaiveStrategy {
         "naive"
     }
 
-    fn place_map_tasks(
-        &mut self,
-        cluster: &ClusterView,
-        tasks: usize,
-        replication: usize,
-    ) -> Result<Vec<MapTaskPlacement>, SimError> {
-        validate_map_args(tasks, replication)?;
-        let alive = require_alive(cluster)?;
-        let k = replication.min(alive.len());
-        Ok((0..tasks)
-            .map(|task| MapTaskPlacement {
-                task,
-                replicas: (0..k).map(|j| alive[(task + j) % alive.len()]).collect(),
-            })
-            .collect())
-    }
-
     fn place_reduce_task(
         &mut self,
         cluster: &ClusterView,
@@ -174,12 +112,10 @@ impl PlacementStrategy for NaiveStrategy {
     }
 }
 
-/// Availability-proportional placement: each alive node accrues credit
-/// at its equation-(5) completion *rate* (`γ / E[T] ∈ (0, 1]`, so a
-/// reliable host earns 1 per step) and each replica goes to the
-/// highest-credit node — deterministic smooth weighted round-robin, the
-/// ADAPT hash-table idea without the RNG. Reduce tasks land on the most
-/// reliable hosts first.
+/// Availability-aware reducer placement: reduce task `r` runs on the
+/// `r`-th most reliable alive host (wrapping past the last), ranked by
+/// equation-(5) completion rate `γ / E[T] ∈ (0, 1]` (slowdown ascending;
+/// a reliable host's rate is 1), ties to the lower node id.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdaptStrategy {
     gamma: f64,
@@ -203,8 +139,7 @@ impl AdaptStrategy {
     }
 
     /// Completion rate of one node: `γ / E[T]` from equation (5), or 0
-    /// for a host whose recovery queue is unstable (never placed on
-    /// unless every host is unstable).
+    /// for a host whose recovery queue is unstable (ranked last).
     fn rate(&self, cluster: &ClusterView, id: NodeId) -> f64 {
         let Some(node) = cluster.node(id) else {
             return 0.0;
@@ -233,55 +168,6 @@ impl PlacementStrategy for AdaptStrategy {
         "adapt"
     }
 
-    fn place_map_tasks(
-        &mut self,
-        cluster: &ClusterView,
-        tasks: usize,
-        replication: usize,
-    ) -> Result<Vec<MapTaskPlacement>, SimError> {
-        validate_map_args(tasks, replication)?;
-        let alive = require_alive(cluster)?;
-        let k = replication.min(alive.len());
-        let rates: Vec<f64> = alive.iter().map(|&id| self.rate(cluster, id)).collect();
-        // Degenerate all-unstable cluster: fall back to uniform credit so
-        // the round-robin still terminates with a valid assignment.
-        let uniform = rates.iter().all(|&r| r == 0.0);
-        let mut credit = vec![0.0f64; alive.len()];
-        let mut placements = Vec::with_capacity(tasks);
-        for task in 0..tasks {
-            let mut replicas: Vec<NodeId> = Vec::with_capacity(k);
-            let mut taken = vec![false; alive.len()];
-            for _ in 0..k {
-                for (i, c) in credit.iter_mut().enumerate() {
-                    *c += if uniform { 1.0 } else { rates[i] };
-                }
-                // Highest credit among nodes not yet holding this block;
-                // first (lowest-id) maximum wins, matching the stable
-                // order the oracle pins.
-                let mut best: Option<usize> = None;
-                for i in 0..alive.len() {
-                    if taken[i] {
-                        continue;
-                    }
-                    let better = match best {
-                        None => true,
-                        Some(b) => credit[i] > credit[b],
-                    };
-                    if better {
-                        best = Some(i);
-                    }
-                }
-                if let Some(i) = best {
-                    taken[i] = true;
-                    credit[i] -= 1.0;
-                    replicas.push(alive[i]);
-                }
-            }
-            placements.push(MapTaskPlacement { task, replicas });
-        }
-        Ok(placements)
-    }
-
     fn place_reduce_task(
         &mut self,
         cluster: &ClusterView,
@@ -295,11 +181,9 @@ impl PlacementStrategy for AdaptStrategy {
     }
 }
 
-/// Rack-aware placement in the HDFS mold: map replicas spread across
-/// racks (first replica rotates racks, later replicas continue into the
-/// following racks), and each reduce task runs inside the rack holding
-/// the plurality of its shuffle input — cross-rack bytes over the
-/// oversubscribed core are what this strategy minimizes.
+/// Rack-aware reducer placement: each reduce task runs inside the rack
+/// holding the plurality of its shuffle input — cross-rack bytes over
+/// the oversubscribed core are what this strategy minimizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RackAwareStrategy;
 
@@ -321,52 +205,6 @@ impl RackAwareStrategy {
 impl PlacementStrategy for RackAwareStrategy {
     fn name(&self) -> &'static str {
         "rack-aware"
-    }
-
-    fn place_map_tasks(
-        &mut self,
-        cluster: &ClusterView,
-        tasks: usize,
-        replication: usize,
-    ) -> Result<Vec<MapTaskPlacement>, SimError> {
-        validate_map_args(tasks, replication)?;
-        let alive = require_alive(cluster)?;
-        let k = replication.min(alive.len());
-        let racks = Self::alive_racks(cluster, &alive);
-        // Alive nodes of each rack, ascending id (parallel to `racks`).
-        let members: Vec<Vec<NodeId>> = racks
-            .iter()
-            .map(|&r| {
-                alive
-                    .iter()
-                    .copied()
-                    .filter(|&id| cluster.rack_of(id) == r)
-                    .collect()
-            })
-            .collect();
-        // Per-rack rotation so consecutive tasks hitting the same rack
-        // spread over its members.
-        let mut cursor = vec![0usize; racks.len()];
-        let mut placements = Vec::with_capacity(tasks);
-        for task in 0..tasks {
-            let mut replicas: Vec<NodeId> = Vec::with_capacity(k);
-            let mut offset = 0usize;
-            while replicas.len() < k && offset < racks.len() + k {
-                let ri = (task + offset) % racks.len();
-                let rack_nodes = &members[ri];
-                for step in 0..rack_nodes.len() {
-                    let candidate = rack_nodes[(cursor[ri] + step) % rack_nodes.len()];
-                    if !replicas.contains(&candidate) {
-                        cursor[ri] = (cursor[ri] + step + 1) % rack_nodes.len();
-                        replicas.push(candidate);
-                        break;
-                    }
-                }
-                offset += 1;
-            }
-            placements.push(MapTaskPlacement { task, replicas });
-        }
-        Ok(placements)
     }
 
     fn place_reduce_task(
@@ -415,8 +253,9 @@ impl PlacementStrategy for RackAwareStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use adapt_dfs::cluster::NodeSpec;
     use adapt_dfs::placement::NodeView;
-    use adapt_dfs::NodeAvailability;
+    use adapt_dfs::{NameNode, NodeAvailability};
 
     fn view(racks: u32, n: u32, volatile: &[u32], dead: &[u32]) -> ClusterView {
         ClusterView::new(
@@ -441,80 +280,62 @@ mod tests {
     fn naive_round_robins_and_validates() {
         let v = view(1, 4, &[], &[]);
         let mut s = NaiveStrategy::new();
-        let placements = s.place_map_tasks(&v, 6, 2).expect("places");
-        assert_eq!(placements.len(), 6);
-        assert_eq!(placements[0].replicas, vec![NodeId(0), NodeId(1)]);
-        assert_eq!(placements[5].replicas, vec![NodeId(1), NodeId(2)]);
-        assert_eq!(
-            s.place_reduce_task(&v, &[], 5, 8).expect("places"),
-            NodeId(1)
-        );
-        assert!(s.place_map_tasks(&v, 0, 1).is_err());
-        assert!(s.place_map_tasks(&v, 1, 0).is_err());
+        let hosts: Vec<NodeId> = (0..8)
+            .map(|r| s.place_reduce_task(&v, &[], r, 8).expect("places"))
+            .collect();
+        assert_eq!(hosts, [0, 1, 2, 3, 0, 1, 2, 3].map(NodeId));
         assert!(s.place_reduce_task(&v, &[], 3, 3).is_err());
         let empty = view(1, 2, &[], &[0, 1]);
-        assert!(s.place_map_tasks(&empty, 1, 1).is_err());
+        assert!(s.place_reduce_task(&empty, &[], 0, 1).is_err());
     }
 
     #[test]
     fn naive_skips_dead_nodes() {
         let v = view(1, 4, &[], &[1]);
         let mut s = NaiveStrategy::new();
-        let placements = s.place_map_tasks(&v, 3, 1).expect("places");
-        for p in &placements {
-            assert_ne!(p.replicas[0], NodeId(1));
-        }
+        let hosts: Vec<NodeId> = (0..6)
+            .map(|r| s.place_reduce_task(&v, &[], r, 6).expect("places"))
+            .collect();
+        assert_eq!(hosts, [0, 2, 3, 0, 2, 3].map(NodeId));
     }
 
     #[test]
     fn adapt_prefers_reliable_hosts() {
-        // Node 1 is volatile; with 2 tasks × 1 replica both land on the
-        // reliable majority first.
+        // Node 1 is volatile: the reliable hosts come first, lowest id
+        // first, and the volatile one last.
         let v = view(1, 3, &[1], &[]);
         let mut s = AdaptStrategy::new(12.0).expect("valid gamma");
-        let placements = s.place_map_tasks(&v, 4, 1).expect("places");
-        let on_volatile = placements
-            .iter()
-            .filter(|p| p.replicas.contains(&NodeId(1)))
-            .count();
-        let on_reliable = placements.len() - on_volatile;
-        assert!(
-            on_reliable > on_volatile,
-            "reliable nodes should carry more tasks: {placements:?}"
-        );
-        // Reducer 0 goes to the most reliable host (lowest id among the
-        // reliable ones).
-        assert_eq!(
-            s.place_reduce_task(&v, &[], 0, 2).expect("places"),
-            NodeId(0)
-        );
+        let hosts: Vec<NodeId> = (0..3)
+            .map(|r| s.place_reduce_task(&v, &[], r, 3).expect("places"))
+            .collect();
+        assert_eq!(hosts, [0, 2, 1].map(NodeId));
         assert!(AdaptStrategy::new(0.0).is_err());
+        assert!(s.place_reduce_task(&v, &[], 3, 3).is_err());
     }
 
     #[test]
-    fn adapt_replicas_are_distinct() {
-        let v = view(1, 4, &[2], &[]);
-        let mut s = AdaptStrategy::new(12.0).expect("valid gamma");
-        for p in s.place_map_tasks(&v, 8, 3).expect("places") {
-            let mut seen = p.replicas.clone();
-            seen.sort();
-            seen.dedup();
-            assert_eq!(seen.len(), p.replicas.len(), "duplicate replica: {p:?}");
-        }
-    }
-
-    #[test]
-    fn rack_aware_spreads_replicas_across_racks() {
-        let v = view(2, 4, &[], &[]);
-        let mut s = RackAwareStrategy::new();
-        for p in s.place_map_tasks(&v, 6, 2).expect("places") {
-            assert_eq!(p.replicas.len(), 2);
-            assert_ne!(
-                v.rack_of(p.replicas[0]),
-                v.rack_of(p.replicas[1]),
-                "replicas share a rack: {p:?}"
-            );
-        }
+    fn reliable_placement_picks_lowest_slowdown_hosts() {
+        // Slowdowns E[T]/γ ordered like [3, 1, 1, 2]: the two reliable
+        // hosts first (lower id on the tie), then node 3, then node 0.
+        let gamma = 12.0;
+        let availability = [
+            NodeAvailability::from_mtbi(10.0, 8.0).expect("valid availability"),
+            NodeAvailability::reliable(),
+            NodeAvailability::reliable(),
+            NodeAvailability::from_mtbi(40.0, 4.0).expect("valid availability"),
+        ];
+        let slowdown: Vec<f64> = availability
+            .iter()
+            .map(|a| a.expected_completion(gamma).expect("stable") / gamma)
+            .collect();
+        assert!(slowdown[0] > slowdown[3] && slowdown[3] > slowdown[1]);
+        let specs = availability.iter().map(|&a| NodeSpec::new(a)).collect();
+        let v = NameNode::new(specs).cluster_view();
+        let mut s = AdaptStrategy::new(gamma).expect("valid gamma");
+        let hosts: Vec<NodeId> = (0..4)
+            .map(|r| s.place_reduce_task(&v, &[], r, 4).expect("places"))
+            .collect();
+        assert_eq!(hosts, [1, 2, 3, 0].map(NodeId));
     }
 
     #[test]
@@ -541,22 +362,17 @@ mod tests {
     fn strategies_are_deterministic() {
         let v = view(3, 9, &[4], &[2]);
         let holders = vec![vec![NodeId(0)], vec![NodeId(4)], vec![NodeId(8)]];
+        let place_all = |s: &mut dyn PlacementStrategy| -> Vec<NodeId> {
+            (0..12)
+                .map(|r| s.place_reduce_task(&v, &holders, r, 12).expect("places"))
+                .collect()
+        };
         let mut a1 = AdaptStrategy::new(12.0).expect("valid gamma");
         let mut a2 = AdaptStrategy::new(12.0).expect("valid gamma");
-        assert_eq!(
-            a1.place_map_tasks(&v, 12, 2).expect("places"),
-            a2.place_map_tasks(&v, 12, 2).expect("places")
-        );
+        assert_eq!(place_all(&mut a1), place_all(&mut a2));
         let mut r1 = RackAwareStrategy::new();
         let mut r2 = RackAwareStrategy::new();
-        assert_eq!(
-            r1.place_map_tasks(&v, 12, 2).expect("places"),
-            r2.place_map_tasks(&v, 12, 2).expect("places")
-        );
-        assert_eq!(
-            r1.place_reduce_task(&v, &holders, 1, 4).expect("places"),
-            r2.place_reduce_task(&v, &holders, 1, 4).expect("places")
-        );
+        assert_eq!(place_all(&mut r1), place_all(&mut r2));
     }
 
     #[test]
@@ -564,6 +380,6 @@ mod tests {
         let v = view(1, 2, &[], &[]);
         let mut s: Box<dyn PlacementStrategy> = Box::new(NaiveStrategy::new());
         assert_eq!(s.name(), "naive");
-        assert!(s.place_map_tasks(&v, 1, 1).is_ok());
+        assert!(s.place_reduce_task(&v, &[], 0, 1).is_ok());
     }
 }

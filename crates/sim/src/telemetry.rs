@@ -113,114 +113,7 @@ impl EngineTelemetry {
             misc_us: self.misc.micros(),
             elapsed_us: self.elapsed.micros(),
             runs: 1,
-            shuffle: ShuffleTelemetrySnapshot::default(),
         }
-    }
-}
-
-/// Live shuffle/reduce-phase instruments (see [`crate::shuffle`]). The
-/// shuffle model runs outside the map-phase engine, so these live in
-/// their own struct; snapshots fold into [`EngineTelemetrySnapshot`] so
-/// one report carries both phases.
-#[derive(Debug, Default)]
-pub struct ShuffleTelemetry {
-    /// Shuffle estimates performed.
-    pub runs: Counter,
-    /// Bytes that crossed the network, summed over runs.
-    pub network_bytes: Counter,
-    /// Bytes served locally (reducer co-located with the map output).
-    pub local_bytes: Counter,
-    /// Of the network bytes, how many crossed a rack boundary (always
-    /// zero under the flat topology).
-    pub cross_rack_bytes: Counter,
-    /// Largest single-reducer download observed across runs — the
-    /// skew high-water mark of the binding downlink.
-    pub reducer_bytes_hwm: HighWater,
-    /// Largest single-reducer *cross-rack* download across runs. Counted
-    /// separately from [`reducer_bytes_hwm`](Self::reducer_bytes_hwm):
-    /// under oversubscription the skewed reducer is the one with the
-    /// most uplink-shaped bytes, which the total high-water can mask.
-    pub reducer_cross_rack_hwm: HighWater,
-    /// Network bytes per shuffle run.
-    pub run_network_bytes: Histogram,
-    /// Cross-rack bytes per shuffle run (recorded only for runs that
-    /// moved cross-rack bytes, so flat runs leave it untouched).
-    pub run_cross_rack_bytes: Histogram,
-}
-
-impl ShuffleTelemetry {
-    /// Snapshots every instrument into plain integers.
-    pub fn snapshot(&self) -> ShuffleTelemetrySnapshot {
-        ShuffleTelemetrySnapshot {
-            runs: self.runs.get(),
-            network_bytes: self.network_bytes.get(),
-            local_bytes: self.local_bytes.get(),
-            cross_rack_bytes: self.cross_rack_bytes.get(),
-            reducer_bytes_hwm: self.reducer_bytes_hwm.get(),
-            reducer_cross_rack_hwm: self.reducer_cross_rack_hwm.get(),
-            run_network_bytes: self.run_network_bytes.snapshot(),
-            run_cross_rack_bytes: self.run_cross_rack_bytes.snapshot(),
-        }
-    }
-}
-
-/// Plain-integer shuffle telemetry; merges exactly like the engine
-/// snapshot (integer sums, max for the high-water mark).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ShuffleTelemetrySnapshot {
-    /// Shuffle estimates performed.
-    pub runs: u64,
-    /// Network bytes, summed over runs.
-    pub network_bytes: u64,
-    /// Locally served bytes, summed over runs.
-    pub local_bytes: u64,
-    /// Cross-rack network bytes, summed over runs (zero on flat runs).
-    pub cross_rack_bytes: u64,
-    /// Largest single-reducer download (max across merged runs).
-    pub reducer_bytes_hwm: u64,
-    /// Largest single-reducer cross-rack download (max across merged
-    /// runs; zero on flat runs).
-    pub reducer_cross_rack_hwm: u64,
-    /// Network bytes per shuffle run.
-    pub run_network_bytes: HistogramSnapshot,
-    /// Cross-rack bytes per shuffle run (empty on flat runs).
-    pub run_cross_rack_bytes: HistogramSnapshot,
-}
-
-impl ShuffleTelemetrySnapshot {
-    /// Adds `other`'s run(s) into `self`; merge order cannot change the
-    /// result.
-    pub fn merge(&mut self, other: &ShuffleTelemetrySnapshot) {
-        self.runs += other.runs;
-        self.network_bytes += other.network_bytes;
-        self.local_bytes += other.local_bytes;
-        self.cross_rack_bytes += other.cross_rack_bytes;
-        self.reducer_bytes_hwm = self.reducer_bytes_hwm.max(other.reducer_bytes_hwm);
-        self.reducer_cross_rack_hwm = self
-            .reducer_cross_rack_hwm
-            .max(other.reducer_cross_rack_hwm);
-        self.run_network_bytes.merge(&other.run_network_bytes);
-        self.run_cross_rack_bytes.merge(&other.run_cross_rack_bytes);
-    }
-
-    /// Serializes the snapshot as a JSON object with stable keys.
-    pub fn to_value(&self) -> Value {
-        let mut v = Value::object();
-        // Sparse: flat-topology shuffles keep the exact JSON shape (and
-        // bytes) they had before cross-rack accounting existed.
-        if self.cross_rack_bytes > 0 {
-            v.insert("cross_rack_bytes", self.cross_rack_bytes);
-        }
-        v.insert("local_bytes", self.local_bytes);
-        v.insert("network_bytes", self.network_bytes);
-        v.insert("reducer_bytes_hwm", self.reducer_bytes_hwm);
-        if self.cross_rack_bytes > 0 {
-            v.insert("reducer_cross_rack_hwm", self.reducer_cross_rack_hwm);
-            v.insert("run_cross_rack_bytes", self.run_cross_rack_bytes.to_value());
-        }
-        v.insert("run_network_bytes", self.run_network_bytes.to_value());
-        v.insert("runs", self.runs);
-        v
     }
 }
 
@@ -287,9 +180,6 @@ pub struct EngineTelemetrySnapshot {
     pub elapsed_us: u64,
     /// Number of runs merged into this snapshot.
     pub runs: u64,
-    /// Shuffle/reduce-phase telemetry, folded in by the harness when the
-    /// shuffle model ran (all-zero otherwise).
-    pub shuffle: ShuffleTelemetrySnapshot,
 }
 
 impl EngineTelemetrySnapshot {
@@ -325,7 +215,6 @@ impl EngineTelemetrySnapshot {
         self.misc_us += other.misc_us;
         self.elapsed_us += other.elapsed_us;
         self.runs += other.runs;
-        self.shuffle.merge(&other.shuffle);
     }
 
     /// Serializes the snapshot as a JSON object with stable keys.
@@ -366,11 +255,6 @@ impl EngineTelemetrySnapshot {
         v.insert("queue_depth_hwm", self.queue_depth_hwm);
         v.insert("requeues", self.requeues);
         v.insert("runs", self.runs);
-        // Sparse: jobs without a shuffle phase keep the exact report
-        // shape (and bytes) they had before shuffle telemetry existed.
-        if self.shuffle.runs > 0 {
-            v.insert("shuffle", self.shuffle.to_value());
-        }
         v.insert("speculative_attempts", self.speculative_attempts);
         v.insert("speculative_losses", self.speculative_losses);
         v.insert("speculative_wins", self.speculative_wins);
@@ -410,97 +294,6 @@ mod tests {
         assert_eq!(ab.rework_us, 1_750_000);
         assert_eq!(ab.runs, 2);
         assert_eq!(ab.attempt_duration_us.count, 1);
-    }
-
-    #[test]
-    fn shuffle_merge_is_order_independent_and_sparse_in_json() {
-        let s = ShuffleTelemetry::default();
-        s.runs.incr();
-        s.network_bytes.add(1_000);
-        s.local_bytes.add(500);
-        s.reducer_bytes_hwm.record(400);
-        s.run_network_bytes.record(1_000);
-
-        let t = ShuffleTelemetry::default();
-        t.runs.incr();
-        t.network_bytes.add(2_000);
-        t.reducer_bytes_hwm.record(900);
-        t.run_network_bytes.record(2_000);
-
-        let mut a = EngineTelemetry::default().snapshot();
-        a.shuffle = s.snapshot();
-        let mut b = EngineTelemetry::default().snapshot();
-        b.shuffle = t.snapshot();
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.shuffle.runs, 2);
-        assert_eq!(ab.shuffle.network_bytes, 3_000);
-        assert_eq!(ab.shuffle.local_bytes, 500);
-        assert_eq!(ab.shuffle.reducer_bytes_hwm, 900);
-        assert_eq!(ab.shuffle.run_network_bytes.count, 2);
-
-        // Present only when a shuffle actually ran: a map-only snapshot
-        // serializes byte-identically to the pre-shuffle-telemetry shape.
-        let map_only = EngineTelemetry::default().snapshot();
-        assert!(!map_only.to_value().to_json().contains("\"shuffle\""));
-        assert!(ab.to_value().to_json().contains("\"shuffle\""));
-    }
-
-    #[test]
-    fn cross_rack_merge_is_order_independent_and_sparse_in_json() {
-        // Mirrors `shuffle_merge_is_order_independent_and_sparse_in_json`
-        // for the cross-rack instruments: the skew high-water and the
-        // log2 histogram count cross-rack bytes separately, merge in any
-        // order, and stay out of the JSON on flat runs.
-        let s = ShuffleTelemetry::default();
-        s.runs.incr();
-        s.network_bytes.add(1_000);
-        s.cross_rack_bytes.add(600);
-        s.reducer_bytes_hwm.record(400);
-        s.reducer_cross_rack_hwm.record(300);
-        s.run_network_bytes.record(1_000);
-        s.run_cross_rack_bytes.record(600);
-
-        let t = ShuffleTelemetry::default();
-        t.runs.incr();
-        t.network_bytes.add(2_000);
-        t.cross_rack_bytes.add(150);
-        t.reducer_bytes_hwm.record(900);
-        t.reducer_cross_rack_hwm.record(150);
-        t.run_network_bytes.record(2_000);
-        t.run_cross_rack_bytes.record(150);
-
-        let mut a = EngineTelemetry::default().snapshot();
-        a.shuffle = s.snapshot();
-        let mut b = EngineTelemetry::default().snapshot();
-        b.shuffle = t.snapshot();
-
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.shuffle.cross_rack_bytes, 750);
-        assert_eq!(ab.shuffle.reducer_bytes_hwm, 900);
-        assert_eq!(ab.shuffle.reducer_cross_rack_hwm, 300);
-        assert_eq!(ab.shuffle.run_cross_rack_bytes.count, 2);
-
-        // A flat-topology shuffle run serializes byte-identically to the
-        // pre-cross-rack shape: no cross-rack keys at all.
-        let flat = ShuffleTelemetry::default();
-        flat.runs.incr();
-        flat.network_bytes.add(1_000);
-        flat.run_network_bytes.record(1_000);
-        let flat_json = flat.snapshot().to_value().to_json();
-        assert!(!flat_json.contains("cross_rack"));
-        let rack_json = ab.shuffle.to_value().to_json();
-        assert!(rack_json.contains("\"cross_rack_bytes\":750"));
-        assert!(rack_json.contains("\"reducer_cross_rack_hwm\":300"));
-        assert!(rack_json.contains("\"run_cross_rack_bytes\""));
     }
 
     #[test]

@@ -20,9 +20,9 @@
 //!   binaries write via `--report-json`. Reports carry *simulated* time
 //!   and counters only; no wall-clock timestamps, hostnames, paths, or
 //!   other environment-dependent fields are ever included, so a fixed
-//!   seed produces byte-identical report files on every machine. CI
-//!   relies on this: the `telemetry-regression` job diffs a fresh report
-//!   against a checked-in baseline with `cmp`.
+//!   seed produces byte-identical report files on every machine. The
+//!   experiments crate's `baselines` test relies on this: it diffs a
+//!   fresh report against a checked-in baseline byte for byte.
 //!
 //! Instruments are embedded per component (the sim engine, the NameNode,
 //! the predictor) rather than registered globally; each component exposes

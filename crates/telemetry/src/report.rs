@@ -13,9 +13,9 @@
 //! all inputs, never environment), and each `sections` entry is one
 //! instrumented component's snapshot. Because the content is derived only
 //! from configuration and simulated execution, and the serializer is
-//! deterministic, a fixed seed yields a byte-identical file — CI's
-//! `telemetry-regression` job compares reports with `cmp` and fails on
-//! any drift.
+//! deterministic, a fixed seed yields a byte-identical file — the
+//! experiments crate's `baselines` test compares reports byte for byte
+//! and fails on any drift.
 
 use std::io;
 use std::path::Path;

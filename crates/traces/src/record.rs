@@ -154,15 +154,6 @@ impl HostTrace {
             .map(|w| w[1].start - w[0].start)
     }
 
-    /// Availability intervals: the uptime between one recovery and the next
-    /// interruption (excluding the leading and trailing partial intervals,
-    /// which are censored observations).
-    pub fn uptime_intervals(&self) -> impl Iterator<Item = f64> + '_ {
-        self.interruptions
-            .windows(2)
-            .map(|w| w[1].start - w[0].end())
-    }
-
     /// Interruption durations.
     pub fn durations(&self) -> impl Iterator<Item = f64> + '_ {
         self.interruptions.iter().map(|ev| ev.duration)
@@ -232,38 +223,9 @@ impl Trace {
         self.hosts.iter().map(|h| h.interruptions().len()).sum()
     }
 
-    /// Selects `n` hosts uniformly at random without replacement
-    /// (Fisher–Yates prefix), mirroring the paper's "randomly selected
-    /// 16 384 nodes" sampling. If `n >= len`, returns a clone.
-    pub fn sample_hosts(&self, n: usize, rng: &mut dyn rand::Rng) -> Trace {
-        if n >= self.hosts.len() {
-            return self.clone();
-        }
-        let mut indices: Vec<usize> = (0..self.hosts.len()).collect();
-        for i in 0..n {
-            let j = i + (rng.next_u64() as usize) % (indices.len() - i);
-            indices.swap(i, j);
-        }
-        Trace {
-            hosts: indices[..n]
-                .iter()
-                .map(|&i| self.hosts[i].clone())
-                .collect(),
-        }
-    }
-
     /// Iterates over the host traces.
     pub fn iter(&self) -> std::slice::Iter<'_, HostTrace> {
         self.hosts.iter()
-    }
-
-    /// Keeps only hosts satisfying the predicate (e.g. selecting hosts
-    /// above an availability floor, as production deployments gate
-    /// volunteer hosts before admitting them).
-    pub fn filter_hosts(&self, mut keep: impl FnMut(&HostTrace) -> bool) -> Trace {
-        Trace {
-            hosts: self.hosts.iter().filter(|h| keep(h)).cloned().collect(),
-        }
     }
 
     /// Merges two traces into one population (host ids are expected to be
@@ -305,8 +267,6 @@ impl<'a> IntoIterator for &'a Trace {
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     fn ev(start: f64, duration: f64) -> Interruption {
         Interruption { start, duration }
@@ -364,8 +324,6 @@ mod tests {
         .unwrap();
         let inter: Vec<f64> = t.interarrival_times().collect();
         assert_eq!(inter, vec![200.0, 400.0]);
-        let up: Vec<f64> = t.uptime_intervals().collect();
-        assert_eq!(up, vec![190.0, 380.0]);
         assert_eq!(t.mtbi(), Some(300.0));
         assert_eq!(t.mean_duration(), Some(20.0));
         assert_eq!(t.total_downtime(), 60.0);
@@ -380,45 +338,6 @@ mod tests {
         assert_eq!(t.len(), 4);
         assert_eq!(t.event_count(), 8);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn sample_hosts_returns_distinct_subset() {
-        let t: Trace = (0..100)
-            .map(|i| HostTrace::new(HostId(i), 100.0, vec![]).unwrap())
-            .collect();
-        let mut rng = StdRng::seed_from_u64(5);
-        let s = t.sample_hosts(10, &mut rng);
-        assert_eq!(s.len(), 10);
-        let mut ids: Vec<u64> = s.iter().map(|h| h.host().0).collect();
-        ids.sort_unstable();
-        ids.dedup();
-        assert_eq!(ids.len(), 10, "sampled hosts must be distinct");
-    }
-
-    #[test]
-    fn sample_more_than_available_returns_all() {
-        let t: Trace = (0..3)
-            .map(|i| HostTrace::new(HostId(i), 100.0, vec![]).unwrap())
-            .collect();
-        let mut rng = StdRng::seed_from_u64(5);
-        assert_eq!(t.sample_hosts(10, &mut rng).len(), 3);
-    }
-
-    #[test]
-    fn filter_hosts_selects_by_predicate() {
-        let t: Trace = vec![
-            HostTrace::new(HostId(0), 100.0, vec![ev(10.0, 50.0)]).unwrap(), // 50% avail
-            HostTrace::new(HostId(1), 100.0, vec![ev(10.0, 5.0)]).unwrap(),  // 95% avail
-            HostTrace::new(HostId(2), 100.0, vec![]).unwrap(),               // 100%
-        ]
-        .into_iter()
-        .collect();
-        let good = t.filter_hosts(|h| h.availability() >= 0.9);
-        assert_eq!(good.len(), 2);
-        assert!(good.iter().all(|h| h.availability() >= 0.9));
-        // Original untouched.
-        assert_eq!(t.len(), 3);
     }
 
     #[test]
@@ -463,12 +382,6 @@ mod tests {
             let trace = HostTrace::new(HostId(0), window, events).unwrap();
             prop_assert_eq!(trace.interruptions().len(), n);
             prop_assert!(trace.availability() >= 0.0 && trace.availability() <= 1.0);
-            // Uptime intervals never exceed inter-arrival intervals.
-            let ia: Vec<f64> = trace.interarrival_times().collect();
-            let up: Vec<f64> = trace.uptime_intervals().collect();
-            for (a, u) in ia.iter().zip(&up) {
-                prop_assert!(u <= a);
-            }
         }
     }
 }

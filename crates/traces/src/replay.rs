@@ -30,8 +30,8 @@ use crate::record::{HostTrace, Interruption};
 ///     vec![Interruption { start: 100.0, duration: 10.0 }],
 /// )?;
 /// let schedule = InterruptionSchedule::from_host_trace(&trace);
-/// assert_eq!(schedule.next_after(0.0).unwrap().start, 100.0);
-/// assert!(schedule.next_after(100.0).is_none());
+/// assert!(schedule.is_down_at(105.0));
+/// assert!(!schedule.is_down_at(110.0)); // the end is exclusive
 /// # Ok(())
 /// # }
 /// ```
@@ -122,25 +122,10 @@ impl InterruptionSchedule {
         self.horizon
     }
 
-    /// The first interruption strictly after time `t`, if any.
-    pub fn next_after(&self, t: f64) -> Option<&Interruption> {
-        let idx = self.events.partition_point(|ev| ev.start <= t);
-        self.events.get(idx)
-    }
-
     /// Whether the node is down (inside an interruption) at time `t`.
     pub fn is_down_at(&self, t: f64) -> bool {
         let idx = self.events.partition_point(|ev| ev.start <= t);
         idx > 0 && self.events[idx - 1].end() > t
-    }
-
-    /// Total downtime scheduled within `[0, until)`.
-    pub fn downtime_before(&self, until: f64) -> f64 {
-        self.events
-            .iter()
-            .take_while(|ev| ev.start < until)
-            .map(|ev| ev.end().min(until) - ev.start)
-            .sum()
     }
 }
 
@@ -174,15 +159,6 @@ mod tests {
     }
 
     #[test]
-    fn next_after_finds_strictly_later_event() {
-        let s = InterruptionSchedule::from_host_trace(&trace());
-        assert_eq!(s.next_after(0.0).unwrap().start, 100.0);
-        assert_eq!(s.next_after(100.0).unwrap().start, 400.0);
-        assert_eq!(s.next_after(899.9).unwrap().start, 900.0);
-        assert!(s.next_after(900.0).is_none());
-    }
-
-    #[test]
     fn is_down_at_tracks_intervals() {
         let s = InterruptionSchedule::from_host_trace(&trace());
         assert!(!s.is_down_at(50.0));
@@ -190,15 +166,6 @@ mod tests {
         assert!(!s.is_down_at(150.0)); // end is exclusive
         assert!(s.is_down_at(450.0));
         assert!(!s.is_down_at(999.0));
-    }
-
-    #[test]
-    fn downtime_before_accumulates_and_clips() {
-        let s = InterruptionSchedule::from_host_trace(&trace());
-        assert_eq!(s.downtime_before(100.0), 0.0);
-        assert_eq!(s.downtime_before(125.0), 25.0);
-        assert_eq!(s.downtime_before(600.0), 150.0);
-        assert_eq!(s.downtime_before(2_000.0), 200.0);
     }
 
     #[test]

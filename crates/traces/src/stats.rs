@@ -4,8 +4,7 @@
 //! the inter-arrival times between interruptions (MTBI) and the
 //! interruption durations, reporting mean, standard deviation, and
 //! coefficient of variation for each. [`summarize`] computes exactly that
-//! from any [`Trace`], and [`TraceSummary::to_table`] renders it in the
-//! paper's row format.
+//! from any [`Trace`].
 
 use serde::{Deserialize, Serialize};
 
@@ -26,37 +25,6 @@ pub struct TraceSummary {
     pub hosts: usize,
     /// Total interruption events.
     pub events: usize,
-}
-
-impl TraceSummary {
-    /// Renders the summary in the layout of the paper's Table 1
-    /// (`Mean`, `Std Dev`, `CoV` rows for MTBI and interruption duration).
-    pub fn to_table(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "{:<32} {:>12} {:>12} {:>8}\n",
-            "", "Mean", "Std Dev", "CoV"
-        ));
-        out.push_str(&format!(
-            "{:<32} {:>12.0} {:>12.0} {:>8.4}\n",
-            "MTBI (seconds)",
-            self.mtbi.mean(),
-            self.mtbi.std_dev(),
-            self.mtbi.cov()
-        ));
-        out.push_str(&format!(
-            "{:<32} {:>12.0} {:>12.0} {:>8.4}\n",
-            "Interruption Duration (seconds)",
-            self.duration.mean(),
-            self.duration.std_dev(),
-            self.duration.cov()
-        ));
-        out.push_str(&format!(
-            "({} hosts, {} interruption events)\n",
-            self.hosts, self.events
-        ));
-        out
-    }
 }
 
 /// Computes pooled statistics over every host in the trace.
@@ -153,16 +121,5 @@ mod tests {
         assert_eq!(s.availability.count(), 2);
         // Host 0: 40/1000 down, host 1: 20/1000 down.
         assert!((s.availability.mean() - (0.96 + 0.98) / 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn table_rendering_contains_all_rows() {
-        let s = summarize(&two_host_trace());
-        let table = s.to_table();
-        assert!(table.contains("MTBI"));
-        assert!(table.contains("Interruption Duration"));
-        assert!(table.contains("CoV"));
-        assert!(table.contains("2 hosts"));
-        assert!(table.contains("3 interruption events"));
     }
 }

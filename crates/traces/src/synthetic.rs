@@ -236,11 +236,6 @@ impl SyntheticPopulation {
         self
     }
 
-    /// Number of hosts currently configured.
-    pub fn host_count(&self) -> usize {
-        self.hosts
-    }
-
     /// Observation window currently configured.
     pub fn window(&self) -> f64 {
         self.window

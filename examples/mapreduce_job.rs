@@ -1,6 +1,6 @@
-//! A full MapReduce job: map phase simulation plus the shuffle/reduce
-//! model — including the paper's future-work lever, availability-aware
-//! reducer placement.
+//! A full MapReduce job: map phase simulation plus the event-driven
+//! shuffle/reduce phase — including the paper's future-work lever,
+//! availability-aware reducer placement.
 //!
 //! Run with: `cargo run --example mapreduce_job`
 
@@ -12,7 +12,7 @@ use adapt::dfs::{BlockSize, NodeId};
 use adapt::sim::engine::{MapPhaseSim, SimConfig};
 use adapt::sim::interrupt::InterruptionProcess;
 use adapt::sim::runner::placement_from_namenode;
-use adapt::sim::shuffle::{estimate_shuffle, reliable_reducer_placement, ShuffleConfig};
+use adapt::sim::{AdaptStrategy, PlacementStrategy, ReducePhaseSim};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect::<Result<_, adapt::availability::AvailabilityError>>()?;
     let map_cfg = SimConfig::new(8.0, BlockSize::DEFAULT, GAMMA)?;
-    let detailed = MapPhaseSim::new(processes, placement, map_cfg)?.run_detailed(17)?;
+    let detailed = MapPhaseSim::new(processes.clone(), placement, map_cfg)?.run_detailed(17)?;
     println!("map phase:");
     println!("  elapsed  : {:8.1} s", detailed.report.elapsed);
     println!("  locality : {:8.3}", detailed.report.locality());
@@ -76,42 +76,57 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .collect();
     println!("  map outputs per node: {outputs_per_node:?}");
 
-    // Shuffle/reduce: each map task emits 8 MB of intermediate data.
-    let shuffle_cfg = ShuffleConfig::new(REDUCERS, BlockSize::from_mb(8), 8.0, 30.0)?;
-
-    // The slowdown per host drives reducer placement.
-    let slowdown: Vec<f64> = availability
+    // Shuffle/reduce: each map task emits 8 MB of intermediate data,
+    // fetched over gigabit links under the same outage processes.
+    let holders: Vec<Vec<NodeId>> = detailed
+        .winners
         .iter()
-        .map(|a| a.expected_completion(GAMMA).map(|et| et / GAMMA))
-        .collect::<Result<_, _>>()?;
-
-    // Future-work lever: reducers on the most reliable hosts...
-    let reliable_nodes = reliable_reducer_placement(&slowdown, REDUCERS)?;
-    let good = estimate_shuffle(&detailed.winners, NODES, &reliable_nodes, &shuffle_cfg)?;
-    // ...versus reducers on the flakiest hosts.
-    let mut worst_order: Vec<usize> = (0..NODES).collect();
-    worst_order.sort_by(|&a, &b| slowdown[b].total_cmp(&slowdown[a]));
-    let volatile_nodes: Vec<NodeId> = worst_order[..REDUCERS]
-        .iter()
-        .map(|&i| NodeId(i as u32))
+        .flatten()
+        .map(|&w| vec![w])
         .collect();
-    let bad = estimate_shuffle(&detailed.winners, NODES, &volatile_nodes, &shuffle_cfg)?;
+    let output_bytes = vec![8 * 1_048_576; holders.len()];
+    let reduce_cfg = SimConfig::new(1_000.0, BlockSize::DEFAULT, GAMMA)?.with_horizon(1e5);
 
-    println!("\nshuffle + reduce (first-order model):");
+    // Future-work lever: AdaptStrategy ranks every host by equation-(5)
+    // slowdown. Reducers on the hosts it ranks first, versus reducers on
+    // the flakiest hosts, the last it ranks.
+    let cluster = namenode.cluster_view();
+    let mut strategy = AdaptStrategy::new(GAMMA)?;
+    let ranked: Vec<NodeId> = (0..NODES)
+        .map(|r| strategy.place_reduce_task(&cluster, &holders, r, NODES))
+        .collect::<Result<_, _>>()?;
+    let reliable_nodes = ranked[..REDUCERS].to_vec();
+    let volatile_nodes = ranked[NODES - REDUCERS..].to_vec();
+
+    let run_reduce = |reducer_nodes: Vec<NodeId>| {
+        ReducePhaseSim::new(
+            processes.clone(),
+            holders.clone(),
+            output_bytes.clone(),
+            reducer_nodes,
+            reduce_cfg,
+            30.0,
+        )?
+        .run(17)
+        .map(|detailed| detailed.report)
+    };
+    let good = run_reduce(reliable_nodes)?;
+    let bad = run_reduce(volatile_nodes)?;
+
+    println!("\nshuffle + reduce (event-driven, outages included):");
+    for (label, report) in [("reliable", &good), ("volatile", &bad)] {
+        println!(
+            "  reducers on {label} hosts {:?}: elapsed {:7.1} s, {:3} attempts, \
+             {:6.2} GB fetched, shuffle locality {:.3}",
+            report.reducer_nodes,
+            report.elapsed,
+            report.attempts,
+            report.network_bytes as f64 / 1e9,
+            report.shuffle_locality()
+        );
+    }
     println!(
-        "  reducers on reliable hosts {:?}: elapsed {:7.1} s, shuffle locality {:.3}",
-        good.reducer_nodes,
-        good.elapsed,
-        good.shuffle_locality()
-    );
-    println!(
-        "  reducers on volatile hosts {:?}: elapsed {:7.1} s, shuffle locality {:.3}",
-        bad.reducer_nodes,
-        bad.elapsed,
-        bad.shuffle_locality()
-    );
-    println!(
-        "\ntotal job estimate: {:.1} s (map) + {:.1} s (shuffle/reduce) = {:.1} s",
+        "\ntotal job: {:.1} s (map) + {:.1} s (shuffle/reduce) = {:.1} s",
         detailed.report.elapsed,
         good.elapsed,
         detailed.report.elapsed + good.elapsed

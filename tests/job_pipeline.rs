@@ -1,6 +1,6 @@
-//! Integration: map phase → shuffle/reduce model, including the
-//! future-work levers (availability-aware reducer placement and steal
-//! ordering).
+//! Integration: map phase → event-driven shuffle/reduce phase, including
+//! the future-work levers (availability-aware reducer placement and
+//! steal ordering).
 
 use adapt::availability::dist::Dist;
 use adapt::core::AdaptPolicy;
@@ -10,9 +10,12 @@ use adapt::dfs::{BlockSize, NodeId};
 use adapt::sim::engine::{MapPhaseSim, SchedulingMode, SimConfig};
 use adapt::sim::interrupt::InterruptionProcess;
 use adapt::sim::runner::placement_from_namenode;
-use adapt::sim::shuffle::{estimate_shuffle, reliable_reducer_placement, ShuffleConfig};
+use adapt::sim::{AdaptStrategy, PlacementStrategy, ReducePhaseSim, ReduceReport};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// Intermediate output of one map task: 8 MiB.
+const MAP_OUTPUT_BYTES: u64 = 8 * 1_048_576;
 
 fn half_flaky(nodes: usize) -> Vec<NodeAvailability> {
     let groups = [(10.0, 4.0), (10.0, 8.0), (20.0, 4.0), (20.0, 8.0)];
@@ -49,7 +52,17 @@ fn run_map(
         )
         .unwrap();
     let placement = placement_from_namenode(&nn, file).unwrap();
-    let processes: Vec<InterruptionProcess> = availability
+    let cfg = SimConfig::new(8.0, BlockSize::DEFAULT, 10.0)
+        .unwrap()
+        .with_scheduling(mode);
+    MapPhaseSim::new(processes(availability), placement, cfg)
+        .unwrap()
+        .run_detailed(seed)
+        .unwrap()
+}
+
+fn processes(availability: &[NodeAvailability]) -> Vec<InterruptionProcess> {
+    availability
         .iter()
         .map(|a| {
             if a.is_reliable() {
@@ -61,14 +74,48 @@ fn run_map(
                 )
             }
         })
-        .collect();
-    let cfg = SimConfig::new(8.0, BlockSize::DEFAULT, 10.0)
+        .collect()
+}
+
+/// The reducers `AdaptStrategy` ranks first: the most reliable hosts.
+fn adapt_reducers(availability: &[NodeAvailability], reducers: usize) -> Vec<NodeId> {
+    let specs: Vec<NodeSpec> = availability.iter().map(|&a| NodeSpec::new(a)).collect();
+    let cluster = NameNode::new(specs).cluster_view();
+    let mut strategy = AdaptStrategy::new(10.0).unwrap();
+    (0..reducers)
+        .map(|r| {
+            strategy
+                .place_reduce_task(&cluster, &[], r, reducers)
+                .unwrap()
+        })
+        .collect()
+}
+
+/// Shuffles every map winner's 8 MiB output into `reducer_nodes` over
+/// gigabit links, under the same outage processes as the map phase.
+fn run_reduce(
+    availability: &[NodeAvailability],
+    detailed: &adapt::sim::DetailedReport,
+    reducer_nodes: Vec<NodeId>,
+    seed: u64,
+) -> ReduceReport {
+    let holders: Vec<Vec<NodeId>> = detailed.winners.iter().map(|w| vec![w.unwrap()]).collect();
+    let output_bytes = vec![MAP_OUTPUT_BYTES; holders.len()];
+    let cfg = SimConfig::new(1_000.0, BlockSize::DEFAULT, 10.0)
         .unwrap()
-        .with_scheduling(mode);
-    MapPhaseSim::new(processes, placement, cfg)
-        .unwrap()
-        .run_detailed(seed)
-        .unwrap()
+        .with_horizon(1e5);
+    ReducePhaseSim::new(
+        processes(availability),
+        holders,
+        output_bytes,
+        reducer_nodes,
+        cfg,
+        20.0,
+    )
+    .unwrap()
+    .run(seed)
+    .unwrap()
+    .report
 }
 
 #[test]
@@ -78,51 +125,43 @@ fn map_winners_feed_the_shuffle_model() {
     assert!(detailed.report.completed);
     assert!(detailed.winners.iter().all(|w| w.is_some()));
 
-    let cfg = ShuffleConfig::new(4, BlockSize::from_mb(8), 8.0, 20.0).unwrap();
-    let slowdown: Vec<f64> = availability
-        .iter()
-        .map(|a| a.expected_completion(10.0).unwrap() / 10.0)
-        .collect();
-    let reducers = reliable_reducer_placement(&slowdown, 4).unwrap();
+    let reducers = adapt_reducers(&availability, 4);
     // All picks must be reliable hosts.
     assert!(reducers.iter().all(|r| (r.0 as usize) < 8), "{reducers:?}");
 
-    let report = estimate_shuffle(&detailed.winners, 16, &reducers, &cfg).unwrap();
+    let report = run_reduce(&availability, &detailed, reducers, 1);
+    assert!(report.completed);
     assert!(report.elapsed > 20.0, "must include reduce compute");
-    let total_mb = report.network_mb + report.local_mb;
-    assert!(
-        (total_mb - 160.0 * 8.0).abs() < 1e-6,
-        "volume conserved: {total_mb}"
+    assert_eq!(
+        report.local_bytes + report.network_bytes,
+        160 * MAP_OUTPUT_BYTES,
+        "volume conserved"
     );
 }
 
 #[test]
 fn reducer_placement_on_winners_beats_arbitrary_placement() {
-    // Reducers co-located with where outputs actually landed (reliable,
-    // ADAPT-loaded hosts) move less data than reducers on the flaky tail.
+    // Reducers on the reliable hosts ADAPT ranks first finish sooner and
+    // move less data than reducers on the flaky tail, which lose their
+    // shuffled bytes with every outage and fetch them again.
     let availability = half_flaky(16);
     let detailed = run_map(&availability, 160, SchedulingMode::Fifo, 2);
-    let cfg = ShuffleConfig::new(4, BlockSize::from_mb(8), 8.0, 20.0).unwrap();
-    let slowdown: Vec<f64> = availability
-        .iter()
-        .map(|a| a.expected_completion(10.0).unwrap() / 10.0)
-        .collect();
-    let good = estimate_shuffle(
-        &detailed.winners,
-        16,
-        &reliable_reducer_placement(&slowdown, 4).unwrap(),
-        &cfg,
-    )
-    .unwrap();
-    let bad = estimate_shuffle(
-        &detailed.winners,
-        16,
-        &[NodeId(12), NodeId(13), NodeId(14), NodeId(15)],
-        &cfg,
-    )
-    .unwrap();
-    assert!(good.network_mb <= bad.network_mb);
+    let good = run_reduce(
+        &availability,
+        &detailed,
+        adapt_reducers(&availability, 4),
+        2,
+    );
+    let bad = run_reduce(
+        &availability,
+        &detailed,
+        vec![NodeId(12), NodeId(13), NodeId(14), NodeId(15)],
+        2,
+    );
+    assert!(good.completed && bad.completed);
+    assert!(good.network_bytes <= bad.network_bytes);
     assert!(good.elapsed <= bad.elapsed);
+    assert!(good.attempts <= bad.attempts);
 }
 
 #[test]
