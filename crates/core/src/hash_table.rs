@@ -24,6 +24,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use adapt_dfs::placement::uniform_index;
 use adapt_dfs::DfsError;
 
 /// How a collision chain distributes probability among its members.
@@ -42,11 +43,21 @@ pub enum ChainWeighting {
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct ChainEntry {
     node: usize,
-    rate: f64,
-    overlap: f64,
+    /// The member's chain weight: its rate under [`ChainWeighting::Rate`],
+    /// its overlap with the key's unit interval under
+    /// [`ChainWeighting::Overlap`].
+    weight: f64,
+    /// The running sum of `weight / Ω` over the chain up to and including
+    /// this member (`Ω` = the chain's total weight): the secondary draw
+    /// picks the first member whose `high` exceeds it.
+    high: f64,
 }
 
 /// The block-key → node placement table of Algorithm 1.
+///
+/// The chains are stored flat, key after key, each member with its
+/// cumulative threshold precomputed, so a lookup is a binary search over
+/// one chain.
 ///
 /// # Examples
 ///
@@ -65,8 +76,10 @@ struct ChainEntry {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct PlacementHashTable {
-    slots: Vec<Vec<ChainEntry>>,
-    weighting: ChainWeighting,
+    /// Every key's chain, in key order.
+    entries: Vec<ChainEntry>,
+    /// Key `r`'s chain is `entries[offsets[r]..offsets[r + 1]]`.
+    offsets: Vec<usize>,
     nodes: usize,
 }
 
@@ -106,7 +119,12 @@ impl PlacementHashTable {
             });
         }
 
-        let mut slots: Vec<Vec<ChainEntry>> = vec![Vec::new(); m];
+        // Intervals are laid out in node order and `a` only grows, so the
+        // members come out in key order: chain after chain, each chain in
+        // node order. `offsets[j + 1]` counts key j's members until the
+        // prefix sum below turns the counts into offsets.
+        let mut entries: Vec<ChainEntry> = Vec::with_capacity(m + rates.len());
+        let mut offsets = vec![0usize; m + 1];
         let mut a = 0.0_f64;
         for (node, &raw) in rates.iter().enumerate() {
             let rate = raw / phi;
@@ -118,48 +136,63 @@ impl PlacementHashTable {
             // Every key j whose unit interval [j, j+1) overlaps [a, b).
             let first = a.floor() as usize;
             let last = (b.ceil() as usize).min(m);
-            for (j, slot) in slots.iter_mut().enumerate().take(last).skip(first) {
+            for j in first..last {
                 let overlap = (b.min((j + 1) as f64) - a.max(j as f64)).max(0.0);
                 if overlap > 1e-12 {
-                    slot.push(ChainEntry {
+                    let weight = match weighting {
+                        ChainWeighting::Rate => rate,
+                        ChainWeighting::Overlap => overlap,
+                    };
+                    entries.push(ChainEntry {
                         node,
-                        rate,
-                        overlap,
+                        weight,
+                        high: 0.0,
                     });
+                    offsets[j + 1] += 1;
                 }
             }
             a += w;
         }
         // Float drift can leave the last key uncovered; extend the final
         // node to the end of the key space.
-        if let Some((last_covered, entry)) = slots
-            .iter()
-            .enumerate()
-            .rev()
-            .find_map(|(j, s)| s.last().map(|e| (j, *e)))
-        {
-            for slot in slots.iter_mut().skip(last_covered + 1) {
-                slot.push(ChainEntry {
-                    overlap: 1.0,
-                    ..entry
-                });
+        let last_covered = (0..m).rev().find(|&j| offsets[j + 1] > 0);
+        if let (Some(covered), Some(&entry)) = (last_covered, entries.last()) {
+            let weight = match weighting {
+                ChainWeighting::Rate => entry.weight,
+                ChainWeighting::Overlap => 1.0,
+            };
+            for j in covered + 1..m {
+                entries.push(ChainEntry { weight, ..entry });
+                offsets[j + 1] += 1;
+            }
+        }
+        for j in 0..m {
+            offsets[j + 1] += offsets[j];
+        }
+        for span in offsets.windows(2) {
+            let chain = &mut entries[span[0]..span[1]];
+            let omega: f64 = chain.iter().map(|e| e.weight).sum();
+            let mut low = 0.0;
+            for e in chain {
+                e.high = low + e.weight / omega;
+                low = e.high;
             }
         }
         Ok(PlacementHashTable {
-            slots,
-            weighting,
+            entries,
+            offsets,
             nodes: rates.len(),
         })
     }
 
     /// Number of keys (`m`).
     pub fn len(&self) -> usize {
-        self.slots.len()
+        self.offsets.len().saturating_sub(1)
     }
 
     /// Whether the table has no keys (never true for a built table).
     pub fn is_empty(&self) -> bool {
-        self.slots.is_empty()
+        self.len() == 0
     }
 
     /// Number of nodes the table was built over.
@@ -170,13 +203,13 @@ impl PlacementHashTable {
     /// The longest collision chain — a measure of the table's memory
     /// overhead on the NameNode.
     pub fn max_chain_len(&self) -> usize {
-        self.slots.iter().map(Vec::len).max().unwrap_or(0)
+        self.chain_lengths().max().unwrap_or(0)
     }
 
     /// The collision-chain length of every slot, in key order (feeds the
     /// policy's chain-length telemetry histogram).
     pub fn chain_lengths(&self) -> impl Iterator<Item = usize> + '_ {
-        self.slots.iter().map(Vec::len)
+        self.offsets.windows(2).map(|span| span[1] - span[0])
     }
 
     /// Resolves key `r` using secondary draw `r1 ∈ [0, 1)`
@@ -187,35 +220,28 @@ impl PlacementHashTable {
     /// Panics if `r >= len()` (keys come from
     /// [`sample`](PlacementHashTable::sample) or a bounded generator).
     pub fn lookup(&self, r: usize, r1: f64) -> usize {
-        let chain = &self.slots[r];
+        let chain = &self.entries[self.offsets[r]..self.offsets[r + 1]];
         // The final entry absorbs any floating-point shortfall in the
         // cumulative weights, so `r1` close to 1 still resolves.
         let Some((last, rest)) = chain.split_last() else {
             debug_assert!(false, "every key must be covered (guaranteed by build)");
             return 0;
         };
-        if rest.is_empty() {
-            return last.node;
-        }
-        let weight = |e: &ChainEntry| match self.weighting {
-            ChainWeighting::Rate => e.rate,
-            ChainWeighting::Overlap => e.overlap,
-        };
-        let omega: f64 = chain.iter().map(weight).sum();
-        let mut low = 0.0;
-        for e in rest {
-            let high = low + weight(e) / omega;
-            if r1 < high {
-                return e.node;
-            }
-            low = high;
-        }
-        last.node
+        // The thresholds never decrease, so the first member whose
+        // threshold exceeds `r1` is a binary search away. The test is
+        // written negated so that a NaN `r1` passes every member and
+        // lands on the last one.
+        #[expect(
+            clippy::neg_cmp_op_on_partial_ord,
+            reason = "a NaN r1 must fall through to the last member"
+        )]
+        let at = rest.partition_point(|e| !(r1 < e.high));
+        rest.get(at).unwrap_or(last).node
     }
 
     /// Draws one placement: uniform key, then chain resolution.
     pub fn sample(&self, rng: &mut dyn Rng) -> usize {
-        let r = uniform_index(rng, self.slots.len());
+        let r = uniform_index(rng, self.len());
         let r1 = adapt_availability::dist::uniform_open01(rng);
         self.lookup(r, r1)
     }
@@ -223,39 +249,23 @@ impl PlacementHashTable {
     /// The marginal probability that a sample lands on `node` — exact
     /// arithmetic over the table, used by tests and the ablation bench.
     pub fn node_probability(&self, node: usize) -> f64 {
-        let m = self.slots.len() as f64;
-        self.slots
-            .iter()
-            .map(|chain| {
+        let m = self.len() as f64;
+        self.offsets
+            .windows(2)
+            .map(|span| {
+                let chain = &self.entries[span[0]..span[1]];
                 if chain.is_empty() {
                     return 0.0;
                 }
-                let weight = |e: &ChainEntry| match self.weighting {
-                    ChainWeighting::Rate => e.rate,
-                    ChainWeighting::Overlap => e.overlap,
-                };
-                let omega: f64 = chain.iter().map(weight).sum();
+                let omega: f64 = chain.iter().map(|e| e.weight).sum();
                 chain
                     .iter()
                     .filter(|e| e.node == node)
-                    .map(|e| weight(e) / omega)
+                    .map(|e| e.weight / omega)
                     .sum::<f64>()
                     / m
             })
             .sum()
-    }
-}
-
-/// Draws a uniform index in `[0, n)` without modulo bias.
-fn uniform_index(rng: &mut dyn Rng, n: usize) -> usize {
-    debug_assert!(n > 0);
-    let n = n as u64;
-    let zone = u64::MAX - (u64::MAX % n);
-    loop {
-        let v = rng.next_u64();
-        if v < zone {
-            return (v % n) as usize;
-        }
     }
 }
 
@@ -371,6 +381,131 @@ mod tests {
         assert!(t.max_chain_len() <= 2);
         assert_eq!(t.node_count(), 16);
         assert!(!t.is_empty());
+    }
+
+    /// Algorithm 1's chains as nested vectors of `(node, weight)`, built
+    /// member by member the way the table was before it was stored flat.
+    fn reference_chains(
+        rates: &[f64],
+        m: usize,
+        weighting: ChainWeighting,
+    ) -> Vec<Vec<(usize, f64)>> {
+        let phi: f64 = rates.iter().sum();
+        let mut slots: Vec<Vec<(usize, f64, f64)>> = vec![Vec::new(); m];
+        let mut a = 0.0_f64;
+        for (node, &raw) in rates.iter().enumerate() {
+            let rate = raw / phi;
+            if rate == 0.0 {
+                continue;
+            }
+            let w = m as f64 * rate;
+            let b = (a + w).min(m as f64);
+            let first = a.floor() as usize;
+            let last = (b.ceil() as usize).min(m);
+            for (j, slot) in slots.iter_mut().enumerate().take(last).skip(first) {
+                let overlap = (b.min((j + 1) as f64) - a.max(j as f64)).max(0.0);
+                if overlap > 1e-12 {
+                    slot.push((node, rate, overlap));
+                }
+            }
+            a += w;
+        }
+        if let Some((last_covered, entry)) = slots
+            .iter()
+            .enumerate()
+            .rev()
+            .find_map(|(j, s)| s.last().map(|e| (j, *e)))
+        {
+            for slot in slots.iter_mut().skip(last_covered + 1) {
+                slot.push((entry.0, entry.1, 1.0));
+            }
+        }
+        slots
+            .into_iter()
+            .map(|chain| {
+                chain
+                    .into_iter()
+                    .map(|(node, rate, overlap)| match weighting {
+                        ChainWeighting::Rate => (node, rate),
+                        ChainWeighting::Overlap => (node, overlap),
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// The linear chain resolution: re-sum the chain's weights, then walk
+    /// it until the running share exceeds `r1`.
+    fn reference_lookup(chain: &[(usize, f64)], r1: f64) -> usize {
+        let (last, rest) = chain.split_last().unwrap();
+        let omega: f64 = chain.iter().map(|e| e.1).sum();
+        let mut low = 0.0;
+        for &(node, w) in rest {
+            let high = low + w / omega;
+            if r1 < high {
+                return node;
+            }
+            low = high;
+        }
+        last.0
+    }
+
+    #[test]
+    fn binary_search_lookup_matches_the_linear_scan() {
+        let mut rng = StdRng::seed_from_u64(2012);
+        let sizes = [1usize, 2, 3, 7, 10, 64, 100, 999, 1_000, 4_097, 10_000];
+        for case in 0..66 {
+            let n = 1 + uniform_index(&mut rng, 64);
+            let mut rates: Vec<f64> = (0..n)
+                .map(|_| match uniform_index(&mut rng, 4) {
+                    0 => 0.0,
+                    _ => 10.0 * adapt_availability::dist::uniform_open01(&mut rng),
+                })
+                .collect();
+            if rates.iter().all(|&r| r == 0.0) {
+                rates[n - 1] = 1.0;
+            }
+            let m = sizes[case % sizes.len()];
+            for weighting in [ChainWeighting::Rate, ChainWeighting::Overlap] {
+                let table = PlacementHashTable::build(&rates, m, weighting).unwrap();
+                let chains = reference_chains(&rates, m, weighting);
+                assert!(table.chain_lengths().eq(chains.iter().map(Vec::len)));
+                for node in 0..n {
+                    let reference: f64 = chains
+                        .iter()
+                        .map(|chain| {
+                            let omega: f64 = chain.iter().map(|e| e.1).sum();
+                            chain
+                                .iter()
+                                .filter(|e| e.0 == node)
+                                .map(|e| e.1 / omega)
+                                .sum::<f64>()
+                                / m as f64
+                        })
+                        .sum();
+                    assert_eq!(table.node_probability(node).to_bits(), reference.to_bits());
+                }
+                for (r, chain) in chains.iter().enumerate() {
+                    // Every threshold the linear scan compares against,
+                    // its float neighbours, and the ends of [0, 1].
+                    let omega: f64 = chain.iter().map(|e| e.1).sum();
+                    let mut probes = vec![0.0, 1.0, f64::NAN];
+                    let mut low = 0.0;
+                    for &(_, w) in chain {
+                        let high = low + w / omega;
+                        probes.extend([high, high.next_down(), high.next_up()]);
+                        low = high;
+                    }
+                    for r1 in probes {
+                        assert_eq!(
+                            table.lookup(r, r1),
+                            reference_lookup(chain, r1),
+                            "rates {rates:?}, m {m}, {weighting:?}, key {r}, r1 {r1}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     proptest! {

@@ -9,7 +9,7 @@
 
 use rand::Rng;
 
-use adapt_dfs::placement::{ClusterView, PlacementPolicy};
+use adapt_dfs::placement::{ClusterView, Eligible, PlacementPolicy};
 use adapt_dfs::{DfsError, NodeId};
 
 use crate::weighted::weighted_select;
@@ -66,13 +66,13 @@ impl PlacementPolicy for NaivePolicy {
     fn select(
         &mut self,
         cluster: &ClusterView,
-        eligible: &dyn Fn(NodeId) -> bool,
+        eligible: &Eligible,
         rng: &mut dyn Rng,
     ) -> Option<NodeId> {
         let weights = self
             .weights
             .get_or_insert_with(|| NaivePolicy::compute_weights(cluster));
-        weighted_select(cluster, weights, eligible, rng)
+        weighted_select(weights, eligible, rng)
     }
 }
 
@@ -114,11 +114,10 @@ mod tests {
         p.prepare(&nn.cluster_view(), 10).unwrap();
         assert_eq!(p.weights().unwrap()[0], 0.0);
         let mut rng = StdRng::seed_from_u64(0);
+        let view = nn.cluster_view();
+        let all = Eligible::from_fn(&view, |_| true);
         for _ in 0..50 {
-            assert_eq!(
-                p.select(&nn.cluster_view(), &|_| true, &mut rng),
-                Some(NodeId(1))
-            );
+            assert_eq!(p.select(&view, &all, &mut rng), Some(NodeId(1)));
         }
     }
 
@@ -164,7 +163,10 @@ mod tests {
         let nn = NameNode::new(vec![NodeSpec::default(); 3]);
         let mut p = NaivePolicy::new();
         let mut rng = StdRng::seed_from_u64(2);
-        assert!(p.select(&nn.cluster_view(), &|_| true, &mut rng).is_some());
+        let view = nn.cluster_view();
+        assert!(p
+            .select(&view, &Eligible::from_fn(&view, |_| true), &mut rng)
+            .is_some());
     }
 
     #[test]

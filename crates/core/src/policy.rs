@@ -18,7 +18,7 @@
 use rand::Rng;
 
 use adapt_availability::AvailabilityError;
-use adapt_dfs::placement::{ClusterView, PlacementPolicy};
+use adapt_dfs::placement::{ClusterView, Eligible, PlacementPolicy};
 use adapt_dfs::{DfsError, NodeId};
 
 use crate::hash_table::{ChainWeighting, PlacementHashTable};
@@ -129,15 +129,14 @@ impl PlacementPolicy for AdaptPolicy {
     fn select(
         &mut self,
         cluster: &ClusterView,
-        eligible: &dyn Fn(NodeId) -> bool,
+        eligible: &Eligible,
         rng: &mut dyn Rng,
     ) -> Option<NodeId> {
         // Fast path: rejection-sample the hash table.
         if let Some(table) = &self.table {
             for _ in 0..MAX_REJECTIONS {
                 let node = NodeId(table.sample(rng) as u32);
-                let alive = cluster.node(node).is_some_and(|n| n.alive);
-                if alive && eligible(node) {
+                if eligible.contains(node) {
                     return Some(node);
                 }
             }
@@ -145,8 +144,7 @@ impl PlacementPolicy for AdaptPolicy {
         // Slow path (crowded exclusions or no prepared table): weighted
         // selection renormalized over the eligible set.
         self.telemetry.select_fallbacks.incr();
-        let rates = self.ensure_rates(cluster).rates().to_vec();
-        weighted_select(cluster, &rates, eligible, rng)
+        weighted_select(self.ensure_rates(cluster).rates(), eligible, rng)
     }
 }
 
@@ -298,7 +296,8 @@ mod tests {
         let nn = emulated_cluster(4);
         let mut p = AdaptPolicy::new(12.0).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
-        let node = p.select(&nn.cluster_view(), &|_| true, &mut rng);
+        let view = nn.cluster_view();
+        let node = p.select(&view, &Eligible::from_fn(&view, |_| true), &mut rng);
         assert!(node.is_some());
     }
 

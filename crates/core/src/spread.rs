@@ -14,7 +14,7 @@
 
 use rand::Rng;
 
-use adapt_dfs::placement::{ClusterView, PlacementPolicy};
+use adapt_dfs::placement::{ClusterView, Eligible, PlacementPolicy};
 use adapt_dfs::{DfsError, NodeId};
 
 /// Deterministic round-robin over eligible alive nodes.
@@ -46,7 +46,7 @@ impl PlacementPolicy for SpreadPolicy {
     fn select(
         &mut self,
         cluster: &ClusterView,
-        eligible: &dyn Fn(NodeId) -> bool,
+        eligible: &Eligible,
         _rng: &mut dyn Rng,
     ) -> Option<NodeId> {
         let n = cluster.len();
@@ -56,8 +56,7 @@ impl PlacementPolicy for SpreadPolicy {
         for offset in 0..n {
             let idx = (self.cursor + offset) % n;
             let id = NodeId(idx as u32);
-            let alive = cluster.node(id).is_some_and(|nv| nv.alive);
-            if alive && eligible(id) {
+            if eligible.contains(id) {
                 self.cursor = idx + 1;
                 return Some(id);
             }
@@ -123,7 +122,11 @@ mod tests {
         let nn = NameNode::new(vec![NodeSpec::default(); 3]);
         let mut p = SpreadPolicy::new();
         let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(p.select(&nn.cluster_view(), &|_| false, &mut rng), None);
+        let view = nn.cluster_view();
+        assert_eq!(
+            p.select(&view, &Eligible::from_fn(&view, |_| false), &mut rng),
+            None
+        );
     }
 
     #[test]
@@ -132,9 +135,10 @@ mod tests {
         let mut p = SpreadPolicy::new();
         let mut rng = StdRng::seed_from_u64(4);
         let view = nn.cluster_view();
-        let first = p.select(&view, &|_| true, &mut rng).unwrap();
+        let all = Eligible::from_fn(&view, |_| true);
+        let first = p.select(&view, &all, &mut rng).unwrap();
         p.prepare(&view, 10).unwrap();
-        let after_reset = p.select(&view, &|_| true, &mut rng).unwrap();
+        let after_reset = p.select(&view, &all, &mut rng).unwrap();
         assert_eq!(first, after_reset);
     }
 }

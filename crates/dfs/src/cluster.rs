@@ -114,16 +114,14 @@ impl Default for NodeAvailability {
 pub struct NodeSpec {
     availability: NodeAvailability,
     capacity_blocks: Option<usize>,
-    rack: u32,
 }
 
 impl NodeSpec {
-    /// Creates a node with unlimited storage capacity in rack 0.
+    /// Creates a node with unlimited storage capacity.
     pub fn new(availability: NodeAvailability) -> Self {
         NodeSpec {
             availability,
             capacity_blocks: None,
-            rack: 0,
         }
     }
 
@@ -132,11 +130,6 @@ impl NodeSpec {
     pub fn with_capacity(mut self, blocks: usize) -> Self {
         self.capacity_blocks = Some(blocks);
         self
-    }
-
-    /// The rack holding this node.
-    pub fn rack(&self) -> u32 {
-        self.rack
     }
 
     /// The node's interruption parameters.
@@ -222,7 +215,6 @@ mod tests {
         let s = NodeSpec::default().with_capacity(80);
         assert_eq!(s.capacity_blocks(), Some(80));
         assert!(s.availability().is_reliable());
-        assert_eq!(s.rack(), 0);
         let s2 = NodeSpec::new(NodeAvailability::from_mtbi(10.0, 4.0).unwrap());
         assert_eq!(s2.capacity_blocks(), None);
     }

@@ -12,7 +12,8 @@
 //! * [`namenode`] — the metadata manager: file creation drives the
 //!   pluggable placement policy, enforcing replica distinctness, capacity,
 //!   liveness, and the paper's per-node threshold `m(k+1)/n`.
-//! * [`placement`] — the [`PlacementPolicy`] trait (object-safe) and the
+//! * [`placement`] — the [`PlacementPolicy`] trait (object-safe), the
+//!   [`Eligible`] set of nodes a session lets it choose from, and the
 //!   stock HDFS behaviour, [`RandomPolicy`]: replicas land on nodes chosen
 //!   uniformly at random ("data blocks are dispatched randomly onto the
 //!   participating nodes for balanced data distribution").
@@ -80,5 +81,5 @@ pub use block::{BlockId, BlockSize, FileId, NodeId};
 pub use cluster::{NodeAvailability, NodeSpec};
 pub use error::DfsError;
 pub use namenode::{NameNode, Threshold};
-pub use placement::{ClusterView, PlacementPolicy, RandomPolicy};
+pub use placement::{ClusterView, Eligible, PlacementPolicy, RandomPolicy};
 pub use telemetry::{NameNodeTelemetry, NameNodeTelemetrySnapshot};

@@ -18,7 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::block::{BlockId, FileId, NodeId};
 use crate::cluster::{NodeAvailability, NodeSpec};
-use crate::placement::{ClusterView, NodeView, PlacementPolicy};
+use crate::placement::{ClusterView, Eligible, NodeView, PlacementPolicy};
 use crate::telemetry::{NameNodeTelemetry, NameNodeTelemetrySnapshot};
 use crate::DfsError;
 
@@ -286,7 +286,7 @@ impl NameNode {
                     alive: n.alive,
                     stored_blocks: n.stored.len(),
                     capacity_blocks: n.spec.capacity_blocks(),
-                    rack: n.spec.rack(),
+                    rack: 0,
                 })
                 .collect(),
         )
@@ -323,9 +323,10 @@ impl NameNode {
     /// restricted to the `allowed` node subset — the per-job block
     /// namespace a multi-job tracker carves out of the shared cluster.
     /// The threshold cap is computed over the subset size (the subset
-    /// *is* the job's cluster), and the policy's availability weighting
-    /// renormalizes over the subset because ineligible nodes are simply
-    /// never accepted.
+    /// *is* the job's cluster). The policy still sees the whole cluster:
+    /// ADAPT rejection-samples its whole-cluster table up to 64 times per
+    /// replica, then falls back to weighted selection over the subset's
+    /// open nodes.
     ///
     /// # Errors
     ///
@@ -439,37 +440,43 @@ impl NameNode {
         // this file placed so far (threshold).
         let mut stored: Vec<usize> = self.nodes.iter().map(|n| n.stored.len()).collect();
         let mut session: Vec<usize> = vec![0; self.nodes.len()];
+        let in_subset = |id: NodeId| allowed.is_none_or(|m| m.get(id.0 as usize) == Some(&true));
+        let has_room = |id: NodeId, stored: &[usize]| {
+            let i = id.0 as usize;
+            self.nodes[i]
+                .spec
+                .capacity_blocks()
+                .is_none_or(|c| stored[i] < c)
+        };
+        let under_cap =
+            |id: NodeId, session: &[usize]| cap.is_none_or(|c| session[id.0 as usize] < c);
 
+        // The open nodes are those a replica of the current block may go
+        // to: maintained incrementally, so a draw never scans the cluster.
+        let mut eligible = Eligible::from_fn(&view, |id| {
+            in_subset(id) && has_room(id, &stored) && under_cap(id, &session)
+        });
         let mut placements: Vec<Vec<NodeId>> = Vec::with_capacity(num_blocks);
         for _ in 0..num_blocks {
             let mut replicas: Vec<NodeId> = Vec::with_capacity(replication);
             for _ in 0..replication {
-                let chosen = {
-                    let base_eligible = |id: NodeId| {
-                        let i = id.0 as usize;
-                        let entry = &self.nodes[i];
-                        allowed.is_none_or(|m| m.get(i).copied().unwrap_or(false))
-                            && entry.alive
-                            && !replicas.contains(&id)
-                            && entry.spec.capacity_blocks().is_none_or(|c| stored[i] < c)
-                    };
-                    let with_threshold = |id: NodeId| {
-                        base_eligible(id) && cap.is_none_or(|c| session[id.0 as usize] < c)
-                    };
-                    match policy.select(&view, &with_threshold, rng) {
-                        Some(node) => Some(node),
-                        // Threshold made placement impossible: relax it
-                        // rather than fail ingestion.
-                        None => {
-                            self.telemetry.threshold_rejections.incr();
-                            policy.select(&view, &base_eligible, rng)
-                        }
+                let chosen = match policy.select(&view, &eligible, rng) {
+                    Some(node) => Some(node),
+                    // Threshold made placement impossible: relax it
+                    // rather than fail ingestion.
+                    None => {
+                        self.telemetry.threshold_rejections.incr();
+                        let relaxed = Eligible::from_fn(&view, |id| {
+                            in_subset(id) && !replicas.contains(&id) && has_room(id, &stored)
+                        });
+                        policy.select(&view, &relaxed, rng)
                     }
                 };
                 match chosen {
                     Some(node) => {
                         stored[node.0 as usize] += 1;
                         session[node.0 as usize] += 1;
+                        eligible.set(node, false);
                         replicas.push(node);
                     }
                     None => {
@@ -480,6 +487,9 @@ impl NameNode {
                         });
                     }
                 }
+            }
+            for &node in &replicas {
+                eligible.set(node, has_room(node, &stored) && under_cap(node, &session));
             }
             placements.push(replicas);
         }

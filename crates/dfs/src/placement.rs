@@ -7,7 +7,9 @@
 //! [`RandomPolicy`]. The ADAPT policy (and the naive availability-
 //! proportional baseline) implement the same trait in the `adapt-core`
 //! crate, which is what makes ADAPT "an add-on feature … enabled/disabled
-//! flexibly".
+//! flexibly". Each decision picks from an [`Eligible`] set that the
+//! placement session keeps up to date, so drawing the paper's `r` costs
+//! O(log n) rather than a scan of the cluster.
 
 use rand::Rng;
 
@@ -106,19 +108,179 @@ pub trait PlacementPolicy: std::fmt::Debug {
         Ok(())
     }
 
-    /// Selects a node for the next replica among those for which
-    /// `eligible` returns `true`, or `None` if no eligible node can be
-    /// chosen.
+    /// Selects an open node of `eligible` for the next replica, or `None`
+    /// if none can be chosen. Every node of `eligible` is alive.
     fn select(
         &mut self,
         cluster: &ClusterView,
-        eligible: &dyn Fn(NodeId) -> bool,
+        eligible: &Eligible,
         rng: &mut dyn Rng,
     ) -> Option<NodeId>;
 }
 
-/// Draws a uniform index in `[0, n)` without modulo bias.
-pub(crate) fn uniform_index(rng: &mut dyn Rng, n: usize) -> usize {
+/// The nodes a placement session may choose for the next replica.
+///
+/// A session fixes the set's *candidates* when it builds it: the alive
+/// nodes of its cluster view that pass the session's filter, in ascending
+/// id order. Each candidate is *open* or *closed*, and a policy may return
+/// only an open node. The session closes a node once it holds a replica
+/// of the current block, and reopens it after the block while the node is
+/// under its capacity and the threshold.
+///
+/// A Fenwick tree over the open flags makes [`nth`](Eligible::nth) and
+/// [`set`](Eligible::set) O(log n) and [`contains`](Eligible::contains)
+/// O(1), so drawing one replica never scans the cluster.
+///
+/// # Examples
+///
+/// ```
+/// use adapt_dfs::placement::{ClusterView, Eligible, NodeView};
+/// use adapt_dfs::{NodeAvailability, NodeId};
+///
+/// let view = ClusterView::new(
+///     (0..6)
+///         .map(|i| NodeView {
+///             id: NodeId(i),
+///             availability: NodeAvailability::reliable(),
+///             alive: i != 1,
+///             stored_blocks: 0,
+///             capacity_blocks: None,
+///             rack: 0,
+///         })
+///         .collect(),
+/// );
+/// let mut eligible = Eligible::from_fn(&view, |id| id.0 < 5);
+/// eligible.set(NodeId(2), false);
+/// assert_eq!(eligible.iter().collect::<Vec<_>>(), [NodeId(0), NodeId(3), NodeId(4)]);
+/// assert_eq!(eligible.nth(1), Some(NodeId(3)));
+/// assert!(!eligible.contains(NodeId(1))); // dead
+/// ```
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Eligible {
+    /// Candidate ids, ascending.
+    ids: Vec<NodeId>,
+    /// Each cluster node's position in `ids`, if it is a candidate.
+    slot: Vec<Option<usize>>,
+    /// Whether each candidate is open, by position.
+    open: Vec<bool>,
+    /// Fenwick tree over `open`: `tree[i]` counts the open candidates at
+    /// positions `i - lowbit(i) .. i` (1-based; `tree[0]` is unused).
+    tree: Vec<usize>,
+    /// Number of open candidates.
+    len: usize,
+}
+
+impl Eligible {
+    /// The alive nodes of `cluster` for which `candidate` holds, all open.
+    pub fn from_fn(cluster: &ClusterView, mut candidate: impl FnMut(NodeId) -> bool) -> Self {
+        let mut slot = vec![None; cluster.len()];
+        let mut ids = Vec::new();
+        for (n, s) in cluster.nodes().iter().zip(&mut slot) {
+            if n.alive && candidate(n.id) {
+                *s = Some(ids.len());
+                ids.push(n.id);
+            }
+        }
+        let len = ids.len();
+        // Linear-time Fenwick build over all-ones: each node adds its own
+        // count into its parent.
+        let mut tree = vec![1; len + 1];
+        tree[0] = 0;
+        for i in 1..=len {
+            let parent = i + (i & i.wrapping_neg());
+            if parent <= len {
+                tree[parent] += tree[i];
+            }
+        }
+        Eligible {
+            ids,
+            slot,
+            open: vec![true; len],
+            tree,
+            len,
+        }
+    }
+
+    /// Number of open nodes.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no node is open.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Whether `id` is an open node (false for non-candidates and ids
+    /// outside the cluster).
+    pub fn contains(&self, id: NodeId) -> bool {
+        self.position(id).is_some_and(|p| self.open[p])
+    }
+
+    /// The `k`-th open node in ascending id order (0-based), or `None` if
+    /// `k >= len()`.
+    pub fn nth(&self, k: usize) -> Option<NodeId> {
+        if k >= self.len {
+            return None;
+        }
+        // Descend the tree: `pos` is the longest prefix holding at most
+        // `k` open nodes, so position `pos` (0-based) is the answer.
+        let size = self.ids.len();
+        let mut pos = 0;
+        let mut rest = k;
+        let mut step = 1 << size.ilog2();
+        while step > 0 {
+            let next = pos + step;
+            if next <= size && self.tree[next] <= rest {
+                pos = next;
+                rest -= self.tree[next];
+            }
+            step >>= 1;
+        }
+        self.ids.get(pos).copied()
+    }
+
+    /// The open nodes in ascending id order.
+    pub fn iter(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.ids
+            .iter()
+            .zip(&self.open)
+            .filter_map(|(&id, &open)| open.then_some(id))
+    }
+
+    /// Opens or closes `id`. Ignored for a node that is not a candidate.
+    pub fn set(&mut self, id: NodeId, open: bool) {
+        let Some(p) = self.position(id) else {
+            return;
+        };
+        if self.open[p] == open {
+            return;
+        }
+        self.open[p] = open;
+        let mut i = p + 1;
+        while i < self.tree.len() {
+            if open {
+                self.tree[i] += 1;
+            } else {
+                self.tree[i] -= 1;
+            }
+            i += i & i.wrapping_neg();
+        }
+        if open {
+            self.len += 1;
+        } else {
+            self.len -= 1;
+        }
+    }
+
+    fn position(&self, id: NodeId) -> Option<usize> {
+        self.slot.get(id.0 as usize).copied().flatten()
+    }
+}
+
+/// Draws a uniform index in `[0, n)` without modulo bias: values of the
+/// `u64` stream at or above the largest multiple of `n` are redrawn.
+pub fn uniform_index(rng: &mut dyn Rng, n: usize) -> usize {
     debug_assert!(n > 0);
     let n = n as u64;
     let zone = u64::MAX - (u64::MAX % n);
@@ -135,7 +297,7 @@ pub(crate) fn uniform_index(rng: &mut dyn Rng, n: usize) -> usize {
 /// # Examples
 ///
 /// ```
-/// use adapt_dfs::placement::{ClusterView, NodeView, PlacementPolicy, RandomPolicy};
+/// use adapt_dfs::placement::{ClusterView, Eligible, NodeView, PlacementPolicy, RandomPolicy};
 /// use adapt_dfs::{NodeAvailability, NodeId};
 /// use rand::SeedableRng;
 ///
@@ -153,7 +315,9 @@ pub(crate) fn uniform_index(rng: &mut dyn Rng, n: usize) -> usize {
 /// );
 /// let mut policy = RandomPolicy::new();
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let picked = policy.select(&view, &|_| true, &mut rng).unwrap();
+/// let picked = policy
+///     .select(&view, &Eligible::from_fn(&view, |_| true), &mut rng)
+///     .unwrap();
 /// assert!(picked.0 < 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -173,27 +337,21 @@ impl PlacementPolicy for RandomPolicy {
 
     fn select(
         &mut self,
-        cluster: &ClusterView,
-        eligible: &dyn Fn(NodeId) -> bool,
+        _cluster: &ClusterView,
+        eligible: &Eligible,
         rng: &mut dyn Rng,
     ) -> Option<NodeId> {
-        let candidates: Vec<NodeId> = cluster
-            .nodes()
-            .iter()
-            .filter(|n| n.alive && eligible(n.id))
-            .map(|n| n.id)
-            .collect();
-        if candidates.is_empty() {
-            None
-        } else {
-            Some(candidates[uniform_index(rng, candidates.len())])
+        if eligible.is_empty() {
+            return None;
         }
+        eligible.nth(uniform_index(rng, eligible.len()))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -210,6 +368,10 @@ mod tests {
                 })
                 .collect(),
         )
+    }
+
+    fn all(v: &ClusterView) -> Eligible {
+        Eligible::from_fn(v, |_| true)
     }
 
     #[test]
@@ -247,7 +409,9 @@ mod tests {
         let mut p = RandomPolicy::new();
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..64 {
-            let id = p.select(&v, &|n| n.0 >= 4, &mut rng).unwrap();
+            let id = p
+                .select(&v, &Eligible::from_fn(&v, |n| n.0 >= 4), &mut rng)
+                .unwrap();
             assert!(id.0 >= 4);
         }
     }
@@ -261,7 +425,7 @@ mod tests {
         let mut p = RandomPolicy::new();
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..32 {
-            let id = p.select(&v, &|_| true, &mut rng).unwrap();
+            let id = p.select(&v, &all(&v), &mut rng).unwrap();
             assert!(id.0 >= 2);
         }
     }
@@ -271,7 +435,10 @@ mod tests {
         let v = view(4);
         let mut p = RandomPolicy::new();
         let mut rng = StdRng::seed_from_u64(3);
-        assert_eq!(p.select(&v, &|_| false, &mut rng), None);
+        assert_eq!(
+            p.select(&v, &Eligible::from_fn(&v, |_| false), &mut rng),
+            None
+        );
     }
 
     #[test]
@@ -282,7 +449,7 @@ mod tests {
         let mut counts = [0usize; 4];
         let trials = 40_000;
         for _ in 0..trials {
-            let id = p.select(&v, &|_| true, &mut rng).unwrap();
+            let id = p.select(&v, &all(&v), &mut rng).unwrap();
             counts[id.0 as usize] += 1;
         }
         for &c in &counts {
@@ -304,11 +471,74 @@ mod tests {
         assert!(seen.iter().all(|&s| s));
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn eligible_agrees_with_a_sorted_vec(
+            nodes in prop::collection::vec((0u8..4, 0u8..3), 0..160),
+            ops in prop::collection::vec((0u32..180, 0u8..2), 0..240),
+        ) {
+            // Node i is dead when its first draw is 0 and outside the
+            // subset when its second is 0; ops address ids past the end too.
+            let v = ClusterView::new(
+                nodes
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(alive, _))| NodeView {
+                        id: NodeId(i as u32),
+                        availability: NodeAvailability::reliable(),
+                        alive: alive != 0,
+                        stored_blocks: 0,
+                        capacity_blocks: None,
+                        rack: 0,
+                    })
+                    .collect(),
+            );
+            let in_subset = |id: NodeId| nodes[id.0 as usize].1 != 0;
+            let candidates: Vec<NodeId> = v
+                .nodes()
+                .iter()
+                .filter(|n| n.alive && in_subset(n.id))
+                .map(|n| n.id)
+                .collect();
+            let mut eligible = Eligible::from_fn(&v, in_subset);
+            let mut open = candidates.clone();
+            let agree = |eligible: &Eligible, open: &[NodeId]| -> TestCaseResult {
+                prop_assert_eq!(eligible.len(), open.len());
+                prop_assert_eq!(eligible.is_empty(), open.is_empty());
+                prop_assert_eq!(eligible.iter().collect::<Vec<_>>(), open.to_vec());
+                for k in 0..=open.len() {
+                    prop_assert_eq!(eligible.nth(k), open.get(k).copied());
+                }
+                for id in (0..180).map(NodeId) {
+                    prop_assert_eq!(eligible.contains(id), open.binary_search(&id).is_ok());
+                }
+                Ok(())
+            };
+            agree(&eligible, &open)?;
+            for (id, flag) in ops {
+                let id = NodeId(id);
+                eligible.set(id, flag == 1);
+                if candidates.contains(&id) {
+                    match (open.binary_search(&id), flag == 1) {
+                        (Ok(p), false) => {
+                            open.remove(p);
+                        }
+                        (Err(p), true) => open.insert(p, id),
+                        _ => {}
+                    }
+                }
+                agree(&eligible, &open)?;
+            }
+        }
+    }
+
     #[test]
     fn policy_trait_is_object_safe() {
         let mut p: Box<dyn PlacementPolicy> = Box::new(RandomPolicy::new());
         assert_eq!(p.name(), "random");
         let mut rng = StdRng::seed_from_u64(6);
-        assert!(p.select(&view(2), &|_| true, &mut rng).is_some());
+        let v = view(2);
+        assert!(p.select(&v, &all(&v), &mut rng).is_some());
     }
 }

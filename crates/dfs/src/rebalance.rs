@@ -11,7 +11,7 @@ use rand::Rng;
 
 use crate::block::{FileId, NodeId};
 use crate::namenode::{NameNode, Threshold};
-use crate::placement::PlacementPolicy;
+use crate::placement::{Eligible, PlacementPolicy};
 use crate::DfsError;
 
 /// Outcome of one rebalance run.
@@ -104,8 +104,7 @@ pub fn rebalance_file(
             let capacity_of = |id: NodeId| view.node(id).and_then(|nv| nv.capacity_blocks);
             let base_eligible = |id: NodeId| {
                 let i = id.0 as usize;
-                view.node(id).is_some_and(|nv| nv.alive)
-                    && !targets.contains(&id)
+                !targets.contains(&id)
                     // A node keeping its existing replica consumes no new
                     // capacity; only count capacity for true additions.
                     && (current.contains(&id)
@@ -114,8 +113,8 @@ pub fn rebalance_file(
             let with_threshold =
                 |id: NodeId| base_eligible(id) && cap.is_none_or(|c| session[id.0 as usize] < c);
             let chosen = policy
-                .select(&view, &with_threshold, rng)
-                .or_else(|| policy.select(&view, &base_eligible, rng));
+                .select(&view, &Eligible::from_fn(&view, with_threshold), rng)
+                .or_else(|| policy.select(&view, &Eligible::from_fn(&view, base_eligible), rng));
             match chosen {
                 Some(node) => {
                     session[node.0 as usize] += 1;
@@ -178,16 +177,11 @@ mod tests {
 
         fn select(
             &mut self,
-            cluster: &ClusterView,
-            eligible: &dyn Fn(NodeId) -> bool,
+            _cluster: &ClusterView,
+            eligible: &Eligible,
             _rng: &mut dyn Rng,
         ) -> Option<NodeId> {
-            cluster
-                .nodes()
-                .iter()
-                .filter(|n| n.alive && eligible(n.id))
-                .map(|n| n.id)
-                .next()
+            eligible.nth(0)
         }
     }
 

@@ -21,7 +21,7 @@ use rand::Rng;
 
 use crate::block::{BlockId, NodeId};
 use crate::namenode::{NameNode, Threshold};
-use crate::placement::PlacementPolicy;
+use crate::placement::{Eligible, PlacementPolicy};
 use crate::DfsError;
 
 /// One block that currently has fewer alive replicas than its target.
@@ -121,9 +121,10 @@ pub fn re_replicate(
         }
         for _ in item.alive..item.target {
             let current: Vec<NodeId> = namenode.replicas(item.block)?.to_vec();
+            // `Eligible` keeps only the nodes the view shows alive, and no
+            // node changes liveness during the pass.
             let base_eligible = |id: NodeId| {
-                namenode.is_alive(id).unwrap_or(false)
-                    && !current.contains(&id)
+                !current.contains(&id)
                     && view.node(id).is_some_and(|nv| {
                         nv.capacity_blocks
                             .is_none_or(|c| namenode.node_block_count(id).unwrap_or(c) < c)
@@ -132,8 +133,8 @@ pub fn re_replicate(
             let with_threshold =
                 |id: NodeId| base_eligible(id) && cap.is_none_or(|c| session[id.0 as usize] < c);
             let chosen = policy
-                .select(&view, &with_threshold, rng)
-                .or_else(|| policy.select(&view, &base_eligible, rng));
+                .select(&view, &Eligible::from_fn(&view, with_threshold), rng)
+                .or_else(|| policy.select(&view, &Eligible::from_fn(&view, base_eligible), rng));
             match chosen {
                 Some(node) => {
                     namenode.add_replica(item.block, node)?;
