@@ -1,7 +1,7 @@
-//! Checked integer↔float conversion helpers.
+//! Checked integer→float widening helpers.
 //!
 //! The model crates widen counts and indices to `f64` constantly (sample
-//! means, moment accumulators, quantile marker positions). A bare
+//! means, moment accumulators, series sums). A bare
 //! `expr as f64` is silent about its precondition — exactness requires
 //! the value to fit in the 53-bit mantissa — so these helpers name the
 //! conversion and `debug_assert!` the precondition, while compiling to
@@ -33,17 +33,6 @@ pub fn exact_f64(n: usize) -> f64 {
     widen_u64(n as u64)
 }
 
-/// Rounds a finite non-negative `f64` to the nearest `usize` index,
-/// asserting (debug) the value is in the exactly-convertible domain.
-#[inline]
-pub fn round_to_index(x: f64) -> usize {
-    debug_assert!(
-        x.is_finite() && x >= 0.0 && x <= MAX_EXACT_F64 as f64,
-        "f64 -> usize rounding of {x} is out of domain"
-    );
-    x.round() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,13 +43,6 @@ mod tests {
             assert_eq!(widen_u64(n).to_bits(), (n as f64).to_bits());
         }
         assert_eq!(exact_f64(12345).to_bits(), 12345.0f64.to_bits());
-    }
-
-    #[test]
-    fn rounding_matches_the_bare_cast() {
-        for x in [0.0, 0.4, 0.5, 99.9, 1e6] {
-            assert_eq!(round_to_index(x), x.round() as usize);
-        }
     }
 
     #[test]

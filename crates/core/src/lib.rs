@@ -79,4 +79,4 @@ pub use naive::NaivePolicy;
 pub use policy::AdaptPolicy;
 pub use predictor::{NodeRates, PerformancePredictor};
 pub use spread::SpreadPolicy;
-pub use telemetry::{PolicyTelemetry, PolicyTelemetrySnapshot};
+pub use telemetry::PolicyTelemetrySnapshot;

@@ -23,7 +23,7 @@ use adapt_dfs::{DfsError, NodeId};
 
 use crate::hash_table::{ChainWeighting, PlacementHashTable};
 use crate::predictor::{NodeRates, PerformancePredictor};
-use crate::telemetry::{PolicyTelemetry, PolicyTelemetrySnapshot};
+use crate::telemetry::PolicyTelemetrySnapshot;
 use crate::weighted::weighted_select;
 
 /// Rejection-sampling budget before falling back to direct weighted
@@ -39,7 +39,9 @@ pub struct AdaptPolicy {
     weighting: ChainWeighting,
     table: Option<PlacementHashTable>,
     rates: Option<NodeRates>,
-    telemetry: PolicyTelemetry,
+    /// Hash-table and selection counters; `predictor_evaluations` is
+    /// filled from the predictor when a snapshot is taken.
+    telemetry: PolicyTelemetrySnapshot,
 }
 
 impl AdaptPolicy {
@@ -56,19 +58,17 @@ impl AdaptPolicy {
             weighting: ChainWeighting::default(),
             table: None,
             rates: None,
-            telemetry: PolicyTelemetry::default(),
+            telemetry: PolicyTelemetrySnapshot::default(),
         })
     }
 
-    /// The policy's live telemetry (hash-table and selection counters).
-    pub fn telemetry(&self) -> &PolicyTelemetry {
-        &self.telemetry
-    }
-
-    /// A plain-integer snapshot of the policy telemetry, including the
-    /// predictor's `E[T]` evaluation total.
+    /// A copy of the policy's counters, including the predictor's
+    /// `E[T]` evaluation total.
     pub fn telemetry_snapshot(&self) -> PolicyTelemetrySnapshot {
-        self.telemetry.snapshot(self.predictor.evaluations())
+        PolicyTelemetrySnapshot {
+            predictor_evaluations: self.predictor.evaluations(),
+            ..self.telemetry.clone()
+        }
     }
 
     /// Selects the collision-chain weighting (see [`ChainWeighting`]).
@@ -95,7 +95,7 @@ impl AdaptPolicy {
     fn ensure_rates(&mut self, cluster: &ClusterView) -> &NodeRates {
         // Disjoint field borrows keep this panic-free: no `expect` on an
         // option this method just filled.
-        let predictor = &self.predictor;
+        let predictor = &mut self.predictor;
         self.rates.get_or_insert_with(|| predictor.rates(cluster))
     }
 }
@@ -114,13 +114,14 @@ impl PlacementPolicy for AdaptPolicy {
             });
         }
         let table = PlacementHashTable::build(rates.rates(), num_blocks, self.weighting)?;
-        self.telemetry.tables_built.incr();
+        self.telemetry.tables_built += 1;
         for len in table.chain_lengths() {
             self.telemetry.chain_lengths.record(len as u64);
         }
-        self.telemetry
+        self.telemetry.max_chain_len = self
+            .telemetry
             .max_chain_len
-            .record(table.max_chain_len() as u64);
+            .max(table.max_chain_len() as u64);
         self.table = Some(table);
         self.rates = Some(rates);
         Ok(())
@@ -143,7 +144,7 @@ impl PlacementPolicy for AdaptPolicy {
         }
         // Slow path (crowded exclusions or no prepared table): weighted
         // selection renormalized over the eligible set.
-        self.telemetry.select_fallbacks.incr();
+        self.telemetry.select_fallbacks += 1;
         weighted_select(self.ensure_rates(cluster).rates(), eligible, rng)
     }
 }

@@ -12,13 +12,10 @@
     reason = "node index u32 -> usize widening for rate vector indexing; lossless on supported targets"
 )]
 
-use std::sync::Arc;
-
 use adapt_availability::AvailabilityError;
 use adapt_dfs::placement::ClusterView;
 use adapt_dfs::NodeId;
 use adapt_metrics::MetricsRegistry;
-use adapt_telemetry::Counter;
 
 /// Per-node expected task times and normalized placement rates.
 #[derive(Debug, Clone, PartialEq)]
@@ -93,15 +90,11 @@ impl NodeRates {
 }
 
 /// Computes expected task times per node from the heartbeat-collected
-/// availability parameters.
-///
-/// Carries an evaluation counter shared by clones (placement sessions
-/// clone the policy holding the predictor; the counter totals every
-/// equation-(5) evaluation regardless).
+/// availability parameters, counting every equation-(5) evaluation.
 #[derive(Debug, Clone)]
 pub struct PerformancePredictor {
     gamma: f64,
-    evals: Arc<Counter>,
+    evals: u64,
 }
 
 impl PartialEq for PerformancePredictor {
@@ -126,10 +119,7 @@ impl PerformancePredictor {
                 requirement: "must be finite and > 0",
             });
         }
-        Ok(PerformancePredictor {
-            gamma,
-            evals: Arc::new(Counter::new()),
-        })
+        Ok(PerformancePredictor { gamma, evals: 0 })
     }
 
     /// The failure-free task length.
@@ -137,10 +127,9 @@ impl PerformancePredictor {
         self.gamma
     }
 
-    /// Number of `E[T]` evaluations performed through this predictor
-    /// (shared across its clones).
+    /// Number of `E[T]` evaluations performed through this predictor.
     pub fn evaluations(&self) -> u64 {
-        self.evals.get()
+        self.evals
     }
 
     /// Expected completion time for one node's parameters, following the
@@ -150,8 +139,8 @@ impl PerformancePredictor {
     /// * an unstable node (`λμ ≥ 1`) never completes (`+∞`), so its
     ///   placement weight is zero;
     /// * a dead node never completes (`+∞`).
-    pub fn expected_time(&self, availability: adapt_dfs::NodeAvailability, alive: bool) -> f64 {
-        self.evals.incr();
+    pub fn expected_time(&mut self, availability: adapt_dfs::NodeAvailability, alive: bool) -> f64 {
+        self.evals += 1;
         if !alive {
             return f64::INFINITY;
         }
@@ -162,14 +151,14 @@ impl PerformancePredictor {
 
     /// Records the predictor's own state as `predictor.*` gauges: the
     /// failure-free task length `γ` and the cumulative equation-(5)
-    /// evaluation count (shared across clones).
+    /// evaluation count.
     pub fn record_gauges(&self, registry: &mut MetricsRegistry) {
         registry.set_gauge("predictor.gamma", self.gamma);
         registry.set_gauge("predictor.evaluations", self.evaluations());
     }
 
     /// Computes `E[Tᵢ]` and normalized rates for every node in the view.
-    pub fn rates(&self, cluster: &ClusterView) -> NodeRates {
+    pub fn rates(&mut self, cluster: &ClusterView) -> NodeRates {
         let expected: Vec<f64> = cluster
             .nodes()
             .iter()
@@ -230,7 +219,7 @@ mod tests {
 
     #[test]
     fn reliable_node_rate_dominates_flaky_node() {
-        let p = PerformancePredictor::new(12.0).unwrap();
+        let mut p = PerformancePredictor::new(12.0).unwrap();
         let v = view(vec![
             (NodeAvailability::reliable(), true),
             (NodeAvailability::from_mtbi(10.0, 4.0).unwrap(), true),
@@ -244,7 +233,7 @@ mod tests {
 
     #[test]
     fn rates_are_normalized() {
-        let p = PerformancePredictor::new(12.0).unwrap();
+        let mut p = PerformancePredictor::new(12.0).unwrap();
         let v = view(vec![
             (NodeAvailability::from_mtbi(10.0, 4.0).unwrap(), true),
             (NodeAvailability::from_mtbi(10.0, 8.0).unwrap(), true),
@@ -259,7 +248,7 @@ mod tests {
 
     #[test]
     fn rates_are_proportional_to_inverse_expected_time() {
-        let p = PerformancePredictor::new(12.0).unwrap();
+        let mut p = PerformancePredictor::new(12.0).unwrap();
         let a = NodeAvailability::from_mtbi(10.0, 4.0).unwrap();
         let b = NodeAvailability::from_mtbi(20.0, 4.0).unwrap();
         let v = view(vec![(a, true), (b, true)]);
@@ -273,7 +262,7 @@ mod tests {
 
     #[test]
     fn dead_node_gets_zero_rate() {
-        let p = PerformancePredictor::new(12.0).unwrap();
+        let mut p = PerformancePredictor::new(12.0).unwrap();
         let v = view(vec![
             (NodeAvailability::reliable(), true),
             (NodeAvailability::reliable(), false),
@@ -286,7 +275,7 @@ mod tests {
 
     #[test]
     fn unstable_node_gets_zero_rate() {
-        let p = PerformancePredictor::new(12.0).unwrap();
+        let mut p = PerformancePredictor::new(12.0).unwrap();
         // MTBI 5 s, recovery 10 s: rho = 2 — never completes.
         let v = view(vec![
             (NodeAvailability::from_mtbi(5.0, 10.0).unwrap(), true),
@@ -299,7 +288,7 @@ mod tests {
 
     #[test]
     fn all_unusable_cluster_reports_no_usable_rates() {
-        let p = PerformancePredictor::new(12.0).unwrap();
+        let mut p = PerformancePredictor::new(12.0).unwrap();
         let v = view(vec![(NodeAvailability::reliable(), false)]);
         let r = p.rates(&v);
         assert!(!r.any_usable());
@@ -309,7 +298,7 @@ mod tests {
 
     #[test]
     fn homogeneous_cluster_gets_equal_rates() {
-        let p = PerformancePredictor::new(12.0).unwrap();
+        let mut p = PerformancePredictor::new(12.0).unwrap();
         let a = NodeAvailability::from_mtbi(10.0, 4.0).unwrap();
         let v = view(vec![(a, true); 8]);
         let r = p.rates(&v);
@@ -321,7 +310,7 @@ mod tests {
     #[test]
     fn record_gauges_exports_predictor_state() {
         use adapt_metrics::SampleValue;
-        let p = PerformancePredictor::new(12.0).unwrap();
+        let mut p = PerformancePredictor::new(12.0).unwrap();
         let v = view(vec![
             (NodeAvailability::reliable(), true),
             (NodeAvailability::from_mtbi(10.0, 4.0).unwrap(), true),
@@ -371,7 +360,7 @@ mod tests {
             bump in 1.0f64..500.0,
             mu in 0.5f64..4.0,
         ) {
-            let p = PerformancePredictor::new(gamma).unwrap();
+            let mut p = PerformancePredictor::new(gamma).unwrap();
             let worse = NodeAvailability::from_mtbi(mtbi, mu).unwrap();
             let better = NodeAvailability::from_mtbi(mtbi + bump, mu).unwrap();
             let t_worse = p.expected_time(worse, true);
@@ -392,7 +381,7 @@ mod tests {
             mu in 0.5f64..4.0,
             bump in 0.1f64..4.0,
         ) {
-            let p = PerformancePredictor::new(gamma).unwrap();
+            let mut p = PerformancePredictor::new(gamma).unwrap();
             let quick = NodeAvailability::from_mtbi(mtbi, mu).unwrap();
             let slow = NodeAvailability::from_mtbi(mtbi, mu + bump).unwrap();
             let t_quick = p.expected_time(quick, true);
@@ -411,7 +400,7 @@ mod tests {
                 1..16,
             ),
         ) {
-            let p = PerformancePredictor::new(gamma).unwrap();
+            let mut p = PerformancePredictor::new(gamma).unwrap();
             let v = view(
                 params
                     .iter()

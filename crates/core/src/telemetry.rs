@@ -1,66 +1,32 @@
 //! ADAPT-policy observability: predictor and hash-table counters.
 //!
-//! [`PolicyTelemetry`] is embedded in [`AdaptPolicy`] and updated at each
-//! `prepare` (one per file-ingest session, when the weighted hash table
-//! is built) and through the shared predictor evaluation counter.
+//! [`AdaptPolicy`] owns one [`PolicyTelemetrySnapshot`] and updates it at
+//! each `prepare` (one per file-ingest session, when the weighted hash
+//! table is built) and on every slow-path selection; the predictor
+//! counts its own evaluations.
 //!
 //! [`AdaptPolicy`]: crate::policy::AdaptPolicy
 
-use adapt_telemetry::{Counter, HighWater, Histogram, HistogramSnapshot, Value};
+use adapt_telemetry::{HistogramSnapshot, Value};
 
-/// Live counters embedded in the ADAPT policy.
-#[derive(Debug, Default, Clone)]
-pub struct PolicyTelemetry {
-    /// Placement hash tables built (one per `prepare`).
-    pub tables_built: Counter,
-    /// Collision-chain length of every slot of every table built.
-    pub chain_lengths: Histogram,
-    /// Longest collision chain seen across all builds.
-    pub max_chain_len: HighWater,
-    /// Rejection-sampling retries that fell through to the renormalized
-    /// weighted-selection slow path.
-    pub select_fallbacks: Counter,
-}
-
-impl PolicyTelemetry {
-    /// Copies the counters (plus the predictor's evaluation total, which
-    /// lives on the shared predictor) into a snapshot.
-    pub fn snapshot(&self, predictor_evaluations: u64) -> PolicyTelemetrySnapshot {
-        PolicyTelemetrySnapshot {
-            predictor_evaluations,
-            tables_built: self.tables_built.get(),
-            chain_lengths: self.chain_lengths.snapshot(),
-            max_chain_len: self.max_chain_len.get(),
-            select_fallbacks: self.select_fallbacks.get(),
-        }
-    }
-}
-
-/// Plain-integer copy of [`PolicyTelemetry`]; merges exactly.
+/// The ADAPT policy's counters, in plain integers.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct PolicyTelemetrySnapshot {
-    /// Equation-(5) `E[T]` evaluations by the Performance Predictor.
+    /// Equation-(5) `E[T]` evaluations by the Performance Predictor
+    /// (read from the predictor when the snapshot is taken).
     pub predictor_evaluations: u64,
-    /// Hash tables built.
+    /// Placement hash tables built (one per `prepare`).
     pub tables_built: u64,
-    /// Distribution of collision-chain lengths over all built slots.
+    /// Collision-chain length of every slot of every table built.
     pub chain_lengths: HistogramSnapshot,
-    /// Longest chain (max across merges).
+    /// Longest collision chain seen across all builds.
     pub max_chain_len: u64,
-    /// Slow-path weighted selections.
+    /// Rejection-sampling retries that fell through to the renormalized
+    /// weighted-selection slow path.
     pub select_fallbacks: u64,
 }
 
 impl PolicyTelemetrySnapshot {
-    /// Adds `other` into `self` (sums; max for `max_chain_len`).
-    pub fn merge(&mut self, other: &PolicyTelemetrySnapshot) {
-        self.predictor_evaluations += other.predictor_evaluations;
-        self.tables_built += other.tables_built;
-        self.chain_lengths.merge(&other.chain_lengths);
-        self.max_chain_len = self.max_chain_len.max(other.max_chain_len);
-        self.select_fallbacks += other.select_fallbacks;
-    }
-
     /// Serializes with stable keys.
     pub fn to_value(&self) -> Value {
         let mut v = Value::object();
@@ -75,22 +41,24 @@ impl PolicyTelemetrySnapshot {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::policy::AdaptPolicy;
+    use adapt_dfs::cluster::{NodeAvailability, NodeSpec};
+    use adapt_dfs::namenode::NameNode;
+    use adapt_dfs::placement::PlacementPolicy;
 
     #[test]
     fn snapshot_merge_and_serialize() {
-        let t = PolicyTelemetry::default();
-        t.tables_built.incr();
-        t.chain_lengths.record(1);
-        t.chain_lengths.record(3);
-        t.max_chain_len.record(3);
-        let a = t.snapshot(10);
-        let mut sum = a.clone();
-        sum.merge(&a);
-        assert_eq!(sum.predictor_evaluations, 20);
+        // Two sessions accumulate in place, as merging two one-session
+        // snapshots did.
+        let nn = NameNode::new(vec![NodeSpec::new(NodeAvailability::reliable()); 5]);
+        let mut p = AdaptPolicy::new(12.0).unwrap();
+        p.prepare(&nn.cluster_view(), 10).unwrap();
+        p.prepare(&nn.cluster_view(), 10).unwrap();
+        let sum = p.telemetry_snapshot();
+        assert_eq!(sum.predictor_evaluations, 10);
         assert_eq!(sum.tables_built, 2);
-        assert_eq!(sum.max_chain_len, 3);
-        assert_eq!(sum.chain_lengths.count, 4);
+        assert_eq!(sum.chain_lengths.count, 20);
+        assert!(sum.max_chain_len >= 1);
         assert!(sum.to_value().to_json().contains("\"tables_built\":2"));
     }
 }

@@ -82,4 +82,4 @@ pub use cluster::{NodeAvailability, NodeSpec};
 pub use error::DfsError;
 pub use namenode::{NameNode, Threshold};
 pub use placement::{ClusterView, Eligible, PlacementPolicy, RandomPolicy};
-pub use telemetry::{NameNodeTelemetry, NameNodeTelemetrySnapshot};
+pub use telemetry::NameNodeTelemetrySnapshot;

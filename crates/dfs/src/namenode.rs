@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 use crate::block::{BlockId, FileId, NodeId};
 use crate::cluster::{NodeAvailability, NodeSpec};
 use crate::placement::{ClusterView, Eligible, NodeView, PlacementPolicy};
-use crate::telemetry::{NameNodeTelemetry, NameNodeTelemetrySnapshot};
+use crate::telemetry::NameNodeTelemetrySnapshot;
 use crate::DfsError;
 
 /// Per-node block cap for one file's placement session.
@@ -124,7 +124,8 @@ pub struct NameNode {
     blocks: BTreeMap<BlockId, BlockMeta>,
     next_file: u64,
     next_block: u64,
-    telemetry: NameNodeTelemetry,
+    /// Placement counters; the rebalancer counts its moves here too.
+    pub(crate) telemetry: NameNodeTelemetrySnapshot,
     trace: Option<TraceRecorder>,
     metrics: Option<MetricsHub>,
 }
@@ -146,7 +147,7 @@ impl NameNode {
             blocks: BTreeMap::new(),
             next_file: 0,
             next_block: 0,
-            telemetry: NameNodeTelemetry::default(),
+            telemetry: NameNodeTelemetrySnapshot::default(),
             trace: None,
             metrics: None,
         }
@@ -200,14 +201,9 @@ impl NameNode {
         }
     }
 
-    /// The NameNode's placement counters (live).
-    pub fn telemetry(&self) -> &NameNodeTelemetry {
-        &self.telemetry
-    }
-
-    /// A plain-integer snapshot of the placement counters.
+    /// A copy of the placement counters.
     pub fn telemetry_snapshot(&self) -> NameNodeTelemetrySnapshot {
-        self.telemetry.snapshot()
+        self.telemetry.clone()
     }
 
     /// Number of registered DataNodes.
@@ -465,7 +461,7 @@ impl NameNode {
                     // Threshold made placement impossible: relax it
                     // rather than fail ingestion.
                     None => {
-                        self.telemetry.threshold_rejections.incr();
+                        self.telemetry.threshold_rejections += 1;
                         let relaxed = Eligible::from_fn(&view, |id| {
                             in_subset(id) && !replicas.contains(&id) && has_room(id, &stored)
                         });
@@ -480,7 +476,7 @@ impl NameNode {
                         replicas.push(node);
                     }
                     None => {
-                        self.telemetry.placement_failures.incr();
+                        self.telemetry.placement_failures += 1;
                         return Err(DfsError::InsufficientNodes {
                             needed: replication,
                             eligible: replicas.len(),
@@ -495,11 +491,9 @@ impl NameNode {
         }
 
         // Commit.
-        self.telemetry.files_created.incr();
-        self.telemetry.blocks_placed.add(num_blocks as u64);
-        self.telemetry
-            .replicas_placed
-            .add((num_blocks * replication) as u64);
+        self.telemetry.files_created += 1;
+        self.telemetry.blocks_placed += num_blocks as u64;
+        self.telemetry.replicas_placed += (num_blocks * replication) as u64;
         self.telemetry
             .session_max_per_node
             .record(session.iter().copied().max().unwrap_or(0) as u64);

@@ -150,7 +150,7 @@ pub fn rebalance_file(
             stored[from.0 as usize] -= 1;
             stored[to.0 as usize] += 1;
             report.moved += 1;
-            namenode.telemetry().rebalance_moves.incr();
+            namenode.telemetry.rebalance_moves += 1;
         }
     }
     Ok(report)

@@ -1,81 +1,35 @@
 //! NameNode observability: placement-session counters.
 //!
-//! [`NameNodeTelemetry`] is embedded in [`NameNode`] (and therefore
-//! cloned with it) and updated on every placement session, threshold
-//! relaxation, and rebalance move. [`NameNodeTelemetrySnapshot`] is the
-//! plain-integer copy reports serialize; snapshots merge exactly.
+//! [`NameNode`] owns one [`NameNodeTelemetrySnapshot`] (cloned with it)
+//! and updates it in place on every placement session, threshold
+//! relaxation, and rebalance move; reports serialize it.
 //!
 //! [`NameNode`]: crate::namenode::NameNode
 
-use adapt_telemetry::{Counter, Histogram, HistogramSnapshot, Value};
+use adapt_telemetry::{HistogramSnapshot, Value};
 
-/// Live placement counters, embedded in the NameNode.
-#[derive(Debug, Default, Clone)]
-pub struct NameNodeTelemetry {
-    /// Files successfully created.
-    pub files_created: Counter,
-    /// Blocks committed across all created files.
-    pub blocks_placed: Counter,
-    /// Replicas committed (blocks × replication, summed over files).
-    pub replicas_placed: Counter,
-    /// Replica selections where the Section IV-C threshold left no
-    /// eligible node and the cap was relaxed for that replica.
-    pub threshold_rejections: Counter,
-    /// File creations rolled back because even the relaxed search failed.
-    pub placement_failures: Counter,
-    /// Replicas moved by the rebalancer (`adapt <file>` path).
-    pub rebalance_moves: Counter,
-    /// Per-file-session distribution of blocks landing on the most-loaded
-    /// node (one observation per created file).
-    pub session_max_per_node: Histogram,
-}
-
-impl NameNodeTelemetry {
-    /// Copies every counter into a plain-integer snapshot.
-    pub fn snapshot(&self) -> NameNodeTelemetrySnapshot {
-        NameNodeTelemetrySnapshot {
-            files_created: self.files_created.get(),
-            blocks_placed: self.blocks_placed.get(),
-            replicas_placed: self.replicas_placed.get(),
-            threshold_rejections: self.threshold_rejections.get(),
-            placement_failures: self.placement_failures.get(),
-            rebalance_moves: self.rebalance_moves.get(),
-            session_max_per_node: self.session_max_per_node.snapshot(),
-        }
-    }
-}
-
-/// Plain-integer copy of [`NameNodeTelemetry`]; merges exactly.
+/// The NameNode's placement counters, in plain integers.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct NameNodeTelemetrySnapshot {
     /// Files successfully created.
     pub files_created: u64,
-    /// Blocks committed.
+    /// Blocks committed across all created files.
     pub blocks_placed: u64,
-    /// Replicas committed.
+    /// Replicas committed (blocks × replication, summed over files).
     pub replicas_placed: u64,
-    /// Threshold relaxations (Section IV-C cap hit).
+    /// Replica selections where the Section IV-C threshold left no
+    /// eligible node and the cap was relaxed for that replica.
     pub threshold_rejections: u64,
-    /// Rolled-back file creations.
+    /// File creations rolled back because even the relaxed search failed.
     pub placement_failures: u64,
-    /// Replicas moved by the rebalancer.
+    /// Replicas moved by the rebalancer (`adapt <file>` path).
     pub rebalance_moves: u64,
-    /// Max blocks-per-node per session.
+    /// Per-file-session distribution of blocks landing on the most-loaded
+    /// node (one observation per created file).
     pub session_max_per_node: HistogramSnapshot,
 }
 
 impl NameNodeTelemetrySnapshot {
-    /// Adds `other` into `self` (pure integer sums).
-    pub fn merge(&mut self, other: &NameNodeTelemetrySnapshot) {
-        self.files_created += other.files_created;
-        self.blocks_placed += other.blocks_placed;
-        self.replicas_placed += other.replicas_placed;
-        self.threshold_rejections += other.threshold_rejections;
-        self.placement_failures += other.placement_failures;
-        self.rebalance_moves += other.rebalance_moves;
-        self.session_max_per_node.merge(&other.session_max_per_node);
-    }
-
     /// Serializes with stable keys.
     pub fn to_value(&self) -> Value {
         let mut v = Value::object();
@@ -92,21 +46,36 @@ impl NameNodeTelemetrySnapshot {
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::cluster::{NodeAvailability, NodeSpec};
+    use crate::namenode::{NameNode, Threshold};
+    use crate::placement::RandomPolicy;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     #[test]
     fn snapshot_and_merge_round_trip() {
-        let t = NameNodeTelemetry::default();
-        t.files_created.incr();
-        t.blocks_placed.add(40);
-        t.threshold_rejections.add(3);
-        t.session_max_per_node.record(7);
-        let a = t.snapshot();
-        let mut sum = a.clone();
-        sum.merge(&a);
+        // Two sessions accumulate in place, as merging two one-file
+        // snapshots did.
+        let mut nn = NameNode::new(vec![NodeSpec::new(NodeAvailability::reliable()); 4]);
+        let mut rng = StdRng::seed_from_u64(7);
+        for name in ["a", "b"] {
+            nn.create_file(
+                name,
+                40,
+                2,
+                &mut RandomPolicy::new(),
+                Threshold::None,
+                &mut rng,
+            )
+            .unwrap();
+        }
+        let sum = nn.telemetry_snapshot();
+        assert_eq!(sum.files_created, 2);
         assert_eq!(sum.blocks_placed, 80);
-        assert_eq!(sum.threshold_rejections, 6);
+        assert_eq!(sum.replicas_placed, 160);
         assert_eq!(sum.session_max_per_node.count, 2);
+        // A cloned NameNode carries its counters along.
+        assert_eq!(nn.clone().telemetry_snapshot(), sum);
         let json = sum.to_value().to_json();
         assert!(json.contains("\"blocks_placed\":80"));
     }

@@ -90,7 +90,7 @@ fn main() {
     // The metrics cell: the saturated load level under ADAPT placement,
     // instrumented with the declared p99-sojourn SLO.
     if let Some(path) = &opts.metrics_out {
-        let interval_us = adapt_experiments::run_report::metrics_interval_us(
+        let interval_us = adapt_telemetry::micros(
             opts.metrics_interval
                 .unwrap_or(adapt_experiments::run_report::DEFAULT_METRICS_INTERVAL_SECS),
         );

@@ -35,7 +35,7 @@ use adapt_sim::{
     JobPlacer, JobStreamOutcome, JobTracker, JobTrackerConfig, OptimizedEngine, SchedPolicy,
     SimError,
 };
-use adapt_telemetry::Value;
+use adapt_telemetry::{micros, Value};
 use adapt_traces::replay::InterruptionSchedule;
 use adapt_workload::{generate, JobSpec, WorkloadConfig};
 
@@ -308,10 +308,6 @@ pub struct LoadPoint {
     pub slowdown_cdf_pm: Vec<u64>,
 }
 
-fn to_us(seconds: f64) -> u64 {
-    (seconds * 1e6).round() as u64
-}
-
 fn summarize(
     load_pm: u64,
     policy: PolicyKind,
@@ -319,7 +315,11 @@ fn summarize(
     outcome: &JobStreamOutcome,
 ) -> LoadPoint {
     let n = outcome.records.len();
-    let mut sojourns_us: Vec<u64> = outcome.records.iter().map(|r| to_us(r.sojourn())).collect();
+    let mut sojourns_us: Vec<u64> = outcome
+        .records
+        .iter()
+        .map(|r| micros(r.sojourn()))
+        .collect();
     sojourns_us.sort_unstable();
     let wait_sum: f64 = outcome.records.iter().map(|r| r.wait()).sum();
     let mut slowdowns: Vec<f64> = outcome
@@ -340,8 +340,8 @@ fn summarize(
         policy,
         jobs_completed: outcome.telemetry.jobs_completed,
         jobs_cut: outcome.telemetry.jobs_cut,
-        makespan_us: to_us(outcome.makespan),
-        mean_wait_us: to_us(wait_sum / n.max(1) as f64),
+        makespan_us: micros(outcome.makespan),
+        mean_wait_us: micros(wait_sum / n.max(1) as f64),
         sojourn_p50_us: nearest_rank(&sojourns_us, 1, 2),
         sojourn_p99_us: nearest_rank(&sojourns_us, 99, 100),
         sojourn_p999_us: nearest_rank(&sojourns_us, 999, 1000),

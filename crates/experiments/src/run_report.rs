@@ -26,7 +26,7 @@ use adapt_sim::engine::{MapPhaseSim, SimConfig};
 use adapt_sim::interrupt::InterruptionProcess;
 use adapt_sim::runner::placement_from_namenode;
 use adapt_sim::Topology;
-use adapt_telemetry::{RunReport, Value};
+use adapt_telemetry::{micros, RunReport, Value};
 use adapt_trace::{write_jsonl, Trace, TraceRecorder};
 use adapt_traces::replay::InterruptionSchedule;
 use adapt_traces::stats::TraceSummary;
@@ -303,12 +303,6 @@ pub fn write_probe_trace(tool: &str, path: &str, nodes: usize, seed: u64) {
 /// Default metrics scrape cadence: every 10 simulated seconds.
 pub const DEFAULT_METRICS_INTERVAL_SECS: f64 = 10.0;
 
-/// Converts a scrape cadence in simulated seconds to the integer
-/// microseconds the registry runs on.
-pub fn metrics_interval_us(secs: f64) -> u64 {
-    (secs * 1e6).round() as u64
-}
-
 /// Runs the metrics probe for `tool` and writes its `adapt-metrics/1`
 /// document (JSONL) to `path` — the shared tail of every binary's
 /// `--metrics-out` handling. `interval` is the scrape cadence in
@@ -316,7 +310,7 @@ pub fn metrics_interval_us(secs: f64) -> u64 {
 /// Byte-identical for a given `(nodes, seed, interval)` triple. Exits the
 /// process on failure.
 pub fn write_probe_metrics(tool: &str, path: &str, nodes: usize, seed: u64, interval: Option<f64>) {
-    let interval_us = metrics_interval_us(interval.unwrap_or(DEFAULT_METRICS_INTERVAL_SECS));
+    let interval_us = micros(interval.unwrap_or(DEFAULT_METRICS_INTERVAL_SECS));
     let hub = match build_probe_metrics(tool, nodes, seed, interval_us) {
         Ok((_, hub)) => hub,
         Err(e) => {

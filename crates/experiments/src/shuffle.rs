@@ -30,7 +30,7 @@ use adapt_sim::{
     AdaptStrategy, NaiveStrategy, PlacementStrategy, RackAwareStrategy, ReducePhaseSim,
     ReduceReport, Topology,
 };
-use adapt_telemetry::Value;
+use adapt_telemetry::{micros, Value};
 use adapt_trace::{Trace, TraceRecorder};
 use adapt_traces::replay::InterruptionSchedule;
 
@@ -323,10 +323,6 @@ pub fn run_shuffle(config: &ShuffleExpConfig) -> Result<ShuffleOutcome, Experime
     Ok(run_shuffle_traced(config, false)?.0)
 }
 
-fn to_us(seconds: f64) -> u64 {
-    (seconds * 1e6).round() as u64
-}
-
 /// Serializes the experiment as the `adapt-shuffle/1` report: the
 /// config, the shared map phase, and one object per placement strategy
 /// — all keys sorted, all measurements integers (bytes, counts,
@@ -348,7 +344,7 @@ pub fn report_value(config: &ShuffleExpConfig, outcome: &ShuffleOutcome) -> Valu
 
     let mut map = Value::object();
     map.insert("completed", outcome.map.completed);
-    map.insert("elapsed_us", to_us(outcome.map.elapsed));
+    map.insert("elapsed_us", micros(outcome.map.elapsed));
     map.insert("map_outputs", outcome.map_outputs as u64);
     map.insert("shuffle_input_bytes", outcome.shuffle_input_bytes);
     map.insert("tasks", outcome.map.tasks as u64);
@@ -362,7 +358,7 @@ pub fn report_value(config: &ShuffleExpConfig, outcome: &ShuffleOutcome) -> Valu
             v.insert("attempts", r.attempts as u64);
             v.insert("completed", r.completed);
             v.insert("cross_rack_bytes", r.cross_rack_bytes);
-            v.insert("elapsed_us", to_us(r.elapsed));
+            v.insert("elapsed_us", micros(r.elapsed));
             v.insert("fetches", r.fetches as u64);
             v.insert("fetches_aborted", r.fetches_aborted as u64);
             v.insert("interruptions", r.interruptions as u64);
@@ -370,7 +366,7 @@ pub fn report_value(config: &ShuffleExpConfig, outcome: &ShuffleOutcome) -> Valu
             v.insert("network_bytes", r.network_bytes);
             v.insert("policy", p.policy);
             v.insert("reducer_net_hwm", r.reducer_net_hwm);
-            v.insert("rework_us", to_us(r.rework));
+            v.insert("rework_us", micros(r.rework));
             v.insert(
                 "shuffle_locality_pm",
                 (r.shuffle_locality() * 1_000.0).round() as u64,

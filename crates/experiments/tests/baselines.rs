@@ -1,6 +1,9 @@
 //! The pinned baselines: each command below regenerates its committed
 //! `results/ci-baseline-*` file byte for byte, and a second run
-//! reproduces the first.
+//! reproduces the first. Three commands also write a second file that
+//! has no committed copy — the table1 probe's event trace, the
+//! fig-shuffle reduce-phase trace and the jobstream SLO-cell metrics
+//! document — and the second run must reproduce it byte for byte too.
 //!
 //! The reports and metrics documents hold only simulated-time integers
 //! and sorted keys, so any difference is a real change of behaviour. When
@@ -21,6 +24,9 @@ struct Pin {
     out_flag: &'static str,
     /// The committed file under `results/`.
     baseline: &'static str,
+    /// The flag of a second file the same command writes, checked for
+    /// run-to-run stability only.
+    extra_flag: Option<&'static str>,
 }
 
 const TABLE1: Pin = Pin {
@@ -29,6 +35,7 @@ const TABLE1: Pin = Pin {
     args: &["--nodes", "2000", "--seed", "2012"],
     out_flag: "--report-json",
     baseline: "ci-baseline-report.json",
+    extra_flag: Some("--trace-out"),
 };
 
 /// The degeneracy contract (DESIGN.md §17): the trivial topology, one
@@ -44,6 +51,7 @@ const TABLE1_ONE_RACK: Pin = Pin {
         "--oversubscription",
         "1",
     ],
+    extra_flag: None,
     ..TABLE1
 };
 
@@ -53,6 +61,7 @@ const JOBSTREAM: Pin = Pin {
     args: &["fair"],
     out_flag: "--report-json",
     baseline: "ci-baseline-jobstream.json",
+    extra_flag: Some("--metrics-out"),
 };
 
 const FIG_SHUFFLE: Pin = Pin {
@@ -61,6 +70,7 @@ const FIG_SHUFFLE: Pin = Pin {
     args: &[],
     out_flag: "--report-json",
     baseline: "ci-baseline-shuffle.json",
+    extra_flag: Some("--trace-out"),
 };
 
 const FIG3_METRICS: Pin = Pin {
@@ -69,11 +79,13 @@ const FIG3_METRICS: Pin = Pin {
     args: &["--seed", "2012"],
     out_flag: "--metrics-out",
     baseline: "ci-baseline-metrics.jsonl",
+    extra_flag: None,
 };
 
 impl Pin {
-    /// The command line that writes `out`, as a user would type it.
-    fn command_line(&self, out: &str) -> String {
+    /// The command line that writes `out`, and the extra file to
+    /// `extra` when given, as a user would type it.
+    fn command_line(&self, out: &str, extra: Option<&str>) -> String {
         let mut words = vec![
             "cargo run --release -p adapt-experiments --bin",
             self.bin,
@@ -81,49 +93,67 @@ impl Pin {
         ];
         words.extend(self.args);
         words.extend([self.out_flag, out]);
+        if let (Some(flag), Some(extra)) = (self.extra_flag, extra) {
+            words.extend([flag, extra]);
+        }
         words.join(" ")
     }
 
-    /// Runs the command, writing to `file` in the test's scratch
-    /// directory, and returns the bytes written.
-    fn run(&self, file: &str) -> Vec<u8> {
-        let out = Path::new(env!("CARGO_TARGET_TMPDIR")).join(file);
-        let output = Command::new(self.exe)
-            .args(self.args)
-            .arg(self.out_flag)
-            .arg(&out)
-            .output()
-            .unwrap();
+    /// Runs the command, writing to `file` (and `file.extra`) in the
+    /// test's scratch directory, and returns the bytes of each.
+    fn run(&self, file: &str) -> (Vec<u8>, Vec<u8>) {
+        let dir = Path::new(env!("CARGO_TARGET_TMPDIR"));
+        let (out, extra) = (dir.join(file), dir.join(format!("{file}.extra")));
+        let mut command = Command::new(self.exe);
+        command.args(self.args).arg(self.out_flag).arg(&out);
+        if let Some(flag) = self.extra_flag {
+            command.arg(flag).arg(&extra);
+        }
+        let output = command.output().unwrap();
         assert!(
             output.status.success(),
             "`{}` failed: {}\n{}",
-            self.command_line(&out.display().to_string()),
+            self.command_line(
+                &out.display().to_string(),
+                Some(&extra.display().to_string())
+            ),
             output.status,
             String::from_utf8_lossy(&output.stderr)
         );
-        std::fs::read(&out).unwrap()
+        let extra = match self.extra_flag {
+            Some(_) => std::fs::read(&extra).unwrap(),
+            None => Vec::new(),
+        };
+        (std::fs::read(&out).unwrap(), extra)
     }
 
-    /// Checks two runs against the committed baseline and each other.
-    fn check(&self, file: &str) {
+    /// Checks two runs against the committed baseline and each other,
+    /// and returns the first run's extra file.
+    fn check(&self, file: &str) -> Vec<u8> {
         let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
         let baseline = std::fs::read(results.join(self.baseline)).unwrap();
         let first = self.run(&format!("{file}-1"));
-        if let Some(offset) = first_difference(&baseline, &first) {
+        if let Some(offset) = first_difference(&baseline, &first.0) {
             panic!(
                 "results/{} differs from a fresh run at byte {offset}; if the change is \
                  intended, regenerate it with `{}` and commit it",
                 self.baseline,
-                self.command_line(&format!("results/{}", self.baseline)),
+                self.command_line(&format!("results/{}", self.baseline), None),
             );
         }
         let second = self.run(&format!("{file}-2"));
-        if let Some(offset) = first_difference(&first, &second) {
-            panic!(
-                "two runs of `{}` differ at byte {offset}",
-                self.command_line(file)
-            );
+        for (what, a, b) in [
+            ("", &first.0, &second.0),
+            (" (extra file)", &first.1, &second.1),
+        ] {
+            if let Some(offset) = first_difference(a, b) {
+                panic!(
+                    "two runs of `{}` differ{what} at byte {offset}",
+                    self.command_line(file, Some(&format!("{file}.extra")))
+                );
+            }
         }
+        first.1
     }
 }
 
@@ -138,7 +168,8 @@ fn first_difference(a: &[u8], b: &[u8]) -> Option<usize> {
 
 #[test]
 fn table1_report_matches_baseline() {
-    TABLE1.check("report.json");
+    let trace = TABLE1.check("report.json");
+    assert!(!trace.is_empty(), "the probe trace is empty");
 }
 
 #[test]
@@ -148,12 +179,24 @@ fn one_rack_report_matches_flat_baseline() {
 
 #[test]
 fn jobstream_report_matches_baseline() {
-    JOBSTREAM.check("jobstream.json");
+    let metrics = JOBSTREAM.check("jobstream.json");
+    assert!(
+        !metrics.is_empty(),
+        "the SLO-cell metrics document is empty"
+    );
 }
 
 #[test]
 fn shuffle_report_matches_baseline() {
-    FIG_SHUFFLE.check("shuffle.json");
+    let trace = String::from_utf8(FIG_SHUFFLE.check("shuffle.json")).unwrap();
+    // The reduce-phase event kinds the map probe never emits.
+    for kind in ["reduce_started", "shuffle_fetch", "link_contention"] {
+        let tag = format!("\"kind\":\"{kind}\"");
+        assert!(
+            trace.contains(&tag),
+            "the shuffle trace has no {kind} events"
+        );
+    }
 }
 
 #[test]

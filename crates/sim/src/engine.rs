@@ -43,11 +43,12 @@ use serde::{Deserialize, Serialize};
 use adapt_dfs::{BlockSize, NodeId};
 use adapt_metrics::{MetricsHub, MetricsRegistry, WorkCounts};
 use adapt_net::Topology;
+use adapt_telemetry::micros;
 use adapt_trace::{KillCause, Trace, TraceEvent, TraceMeta, TraceRecorder};
 
 use crate::event::EventQueue;
 use crate::interrupt::InterruptionProcess;
-use crate::telemetry::{EngineTelemetry, EngineTelemetrySnapshot};
+use crate::telemetry::EngineTelemetrySnapshot;
 use crate::SimError;
 
 /// Per-node activity summary of one run (from
@@ -272,7 +273,8 @@ impl SimConfig {
     }
 
     /// Sets the simulation horizon (default 10⁹ s); runs that exceed it
-    /// are reported as incomplete.
+    /// are reported as incomplete. The engines' constructors reject a
+    /// horizon that is not finite and positive.
     pub fn with_horizon(mut self, horizon: f64) -> Self {
         self.horizon = horizon;
         self
@@ -281,6 +283,20 @@ impl SimConfig {
     /// The simulation horizon in seconds.
     pub fn horizon(&self) -> f64 {
         self.horizon
+    }
+
+    /// Checks that the horizon is finite and positive. A negative one
+    /// would cut the run before its first event, and a NaN one would
+    /// never cut it.
+    pub(crate) fn check_horizon(&self) -> Result<(), SimError> {
+        if self.horizon.is_finite() && self.horizon > 0.0 {
+            Ok(())
+        } else {
+            Err(SimError::InvalidConfig {
+                name: "horizon",
+                reason: format!("{} must be finite and > 0", self.horizon),
+            })
+        }
     }
 
     /// Maximum concurrent copies of one task, including the original.
@@ -427,12 +443,6 @@ impl Event {
     }
 }
 
-/// Simulated seconds → integer microseconds (the timestamp unit of the
-/// metrics layer, matching `adapt-trace`'s conversion).
-pub(crate) fn sim_us(secs: f64) -> u64 {
-    (secs * 1e6).round() as u64
-}
-
 #[derive(Debug, Clone, Copy)]
 struct Attempt {
     task: usize,
@@ -528,10 +538,8 @@ pub struct MapPhaseSim {
     rework: f64,
     migration: f64,
     dup_compute: f64,
-    attempts: usize,
-    transfers: usize,
     local_completions: usize,
-    telemetry: EngineTelemetry,
+    telemetry: EngineTelemetrySnapshot,
     /// Event recorder, present only when tracing was requested. Every
     /// emission site is guarded by this `Option`, so an untraced run
     /// does no trace work at all (the zero-overhead-when-disabled
@@ -546,14 +554,16 @@ impl MapPhaseSim {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for an empty cluster or task
-    /// list and [`SimError::PlacementOutOfRange`] if a replica references
-    /// a node outside the cluster.
+    /// Returns [`SimError::InvalidConfig`] for a horizon that is not
+    /// finite and positive or an empty cluster or task list, and
+    /// [`SimError::PlacementOutOfRange`] if a replica references a node
+    /// outside the cluster.
     pub fn new(
         processes: Vec<InterruptionProcess>,
         placement: Vec<Vec<NodeId>>,
         cfg: SimConfig,
     ) -> Result<Self, SimError> {
+        cfg.check_horizon()?;
         if processes.is_empty() {
             return Err(SimError::InvalidConfig {
                 name: "processes",
@@ -661,10 +671,11 @@ impl MapPhaseSim {
             rework: 0.0,
             migration: 0.0,
             dup_compute: 0.0,
-            attempts: 0,
-            transfers: 0,
             local_completions: 0,
-            telemetry: EngineTelemetry::default(),
+            telemetry: EngineTelemetrySnapshot {
+                runs: 1,
+                ..EngineTelemetrySnapshot::default()
+            },
             trace: None,
         })
     }
@@ -781,10 +792,10 @@ impl MapPhaseSim {
         for (i, rng) in rngs.iter_mut().enumerate() {
             if let Some(outage) = self.nodes[i].process.next_outage(0.0, rng) {
                 self.nodes[i].pending_up_at = outage.up_at;
-                self.queue.push(outage.down_at, Event::Down(i as u32));
+                self.queue.push(outage.down_at, Event::Down(i as u32))?;
             }
         }
-        self.queue.push(0.0, Event::Kick);
+        self.queue.push(0.0, Event::Kick)?;
 
         let mut elapsed = None;
         let mut last_event_time = 0.0f64;
@@ -792,9 +803,8 @@ impl MapPhaseSim {
             // The queue is longest right before a dispatch (pushes happen
             // inside handlers; nothing pops in between), so sampling here
             // observes every high-water mark.
-            self.telemetry
-                .queue_depth_hwm
-                .record(self.queue.len() as u64);
+            let depth = self.queue.len() as u64;
+            self.telemetry.queue_depth_hwm = self.telemetry.queue_depth_hwm.max(depth);
             let Some((t, event)) = self.queue.pop() else {
                 break;
             };
@@ -813,7 +823,7 @@ impl MapPhaseSim {
             // the gap (prev, t] samples the state that actually held
             // across that gap.
             let queue_len_before = if let Some(hub) = metrics.as_deref_mut() {
-                let t_us = sim_us(t);
+                let t_us = micros(t);
                 if hub.registry.due(t_us) {
                     self.scrape_engine_gauges(&mut hub.registry);
                     hub.registry.advance(t_us);
@@ -825,21 +835,21 @@ impl MapPhaseSim {
             };
             match event {
                 Event::Kick => {
-                    self.telemetry.events_kick.incr();
+                    self.telemetry.events_kick += 1;
                     for i in 0..self.nodes.len() as u32 {
                         self.try_assign(i, t)?;
                     }
                 }
                 Event::Down(n) => {
-                    self.telemetry.events_down.incr();
+                    self.telemetry.events_down += 1;
                     self.on_down(n, t)?;
                 }
                 Event::Up(n) => {
-                    self.telemetry.events_up.incr();
+                    self.telemetry.events_up += 1;
                     self.on_up(n, t, &mut rngs[n as usize])?;
                 }
                 Event::AttemptDone { node, epoch } => {
-                    self.telemetry.events_attempt_done.incr();
+                    self.telemetry.events_attempt_done += 1;
                     if self.nodes[node as usize].epoch == epoch {
                         self.on_attempt_done(node, t)?;
                         if self.done_count == self.tasks.len() {
@@ -848,7 +858,7 @@ impl MapPhaseSim {
                     }
                 }
                 Event::Requeue(task) => {
-                    self.telemetry.events_requeue.incr();
+                    self.telemetry.events_requeue += 1;
                     self.requeue(task, t);
                     self.dispatch_idle(t, &[task])?;
                 }
@@ -861,7 +871,7 @@ impl MapPhaseSim {
                     events: 1,
                     heap_ops: pushes + 1,
                     placements: 0,
-                    sim_us: sim_us(t).saturating_sub(sim_us(prev_event_time)),
+                    sim_us: micros(t).saturating_sub(micros(prev_event_time)),
                 });
                 hub.profiler.exit();
             }
@@ -876,7 +886,7 @@ impl MapPhaseSim {
             // Seal the series: emit any cadence boundaries still due,
             // then an end-of-run sample of the final state.
             self.scrape_engine_gauges(&mut hub.registry);
-            hub.finish(sim_us(elapsed));
+            hub.finish(micros(elapsed));
         }
         Ok(self.finalize(elapsed, completed, seed))
     }
@@ -899,11 +909,11 @@ impl MapPhaseSim {
             "engine.running_attempts",
             self.nodes.iter().filter(|n| n.running.is_some()).count(),
         );
-        registry.set_gauge("engine.attempts", self.attempts);
-        registry.set_gauge("engine.transfers", self.transfers);
-        registry.set_gauge("engine.rework_us", sim_us(self.rework));
-        registry.set_gauge("engine.migration_us", sim_us(self.migration));
-        registry.set_gauge("engine.dup_compute_us", sim_us(self.dup_compute));
+        registry.set_gauge("engine.attempts", self.telemetry.attempts_started);
+        registry.set_gauge("engine.transfers", self.telemetry.transfers_started);
+        registry.set_gauge("engine.rework_us", micros(self.rework));
+        registry.set_gauge("engine.migration_us", micros(self.migration));
+        registry.set_gauge("engine.dup_compute_us", micros(self.dup_compute));
     }
 
     // ------------------------------------------------------------------
@@ -960,7 +970,7 @@ impl MapPhaseSim {
             }
         }
         if let Some(task) = chosen {
-            self.telemetry.steals.incr();
+            self.telemetry.steals += 1;
             self.start_task(n, task, t)?;
             return Ok(true);
         }
@@ -1012,7 +1022,7 @@ impl MapPhaseSim {
                     && self.slowdown[n as usize] * STRAGGLER_ADVANTAGE <= best_copy_slowdown
             });
             if let Some(task) = candidate {
-                self.telemetry.speculative_attempts.incr();
+                self.telemetry.speculative_attempts += 1;
                 self.emit(TraceEvent::SpeculativeLaunched {
                     node: n,
                     task: task as u32,
@@ -1108,8 +1118,7 @@ impl MapPhaseSim {
     fn start_task(&mut self, n: u32, task: usize, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
         debug_assert!(self.nodes[ni].up && self.nodes[ni].running.is_none());
-        self.attempts += 1;
-        self.telemetry.attempts_started.incr();
+        self.telemetry.attempts_started += 1;
         self.idle.remove(ni);
 
         let local = self.tasks[task].replicas.contains(&n);
@@ -1168,14 +1177,14 @@ impl MapPhaseSim {
                 dest_seq: seq,
                 end,
             });
-            self.transfers += 1;
-            self.telemetry.transfers_started.incr();
+            self.telemetry.transfers_started += 1;
             self.telemetry
                 .transfer_bytes
                 .record(self.cfg.block_size.bytes());
             if cross_rack {
-                self.telemetry.transfers_cross_rack.incr();
-                self.telemetry.link_streams_hwm.record(streams as u64);
+                self.telemetry.transfers_cross_rack += 1;
+                self.telemetry.link_streams_hwm =
+                    self.telemetry.link_streams_hwm.max(streams as u64);
                 if streams > 1 {
                     self.emit(TraceEvent::LinkContention {
                         rack: self.cfg.topology.rack_of(source),
@@ -1224,7 +1233,7 @@ impl MapPhaseSim {
         self.queue.push(
             compute_start + self.cfg.gamma,
             Event::AttemptDone { node: n, epoch },
-        );
+        )?;
 
         // The task is no longer pending anywhere.
         if self.pending.remove(task) {
@@ -1294,10 +1303,10 @@ impl MapPhaseSim {
         // Kill losing duplicates and let their nodes move on.
         let losers = std::mem::take(&mut self.tasks[task].running_on);
         if !losers.is_empty() {
-            self.telemetry.speculative_wins.incr();
+            self.telemetry.speculative_wins += 1;
         }
         for loser in losers {
-            self.kill_attempt(loser, t, KillReason::DuplicateLost);
+            self.kill_attempt(loser, t, KillReason::DuplicateLost)?;
             self.try_assign(loser, t)?;
         }
         self.try_assign(n, t)?;
@@ -1307,10 +1316,10 @@ impl MapPhaseSim {
     }
 
     /// Kills the node's running attempt (if any), accounting the loss.
-    fn kill_attempt(&mut self, n: u32, t: f64, reason: KillReason) {
+    fn kill_attempt(&mut self, n: u32, t: f64, reason: KillReason) -> Result<(), SimError> {
         let ni = n as usize;
         let Some(attempt) = self.nodes[ni].running.take() else {
-            return;
+            return Ok(());
         };
         // Invalidate the scheduled AttemptDone.
         self.nodes[ni].epoch += 1;
@@ -1320,16 +1329,16 @@ impl MapPhaseSim {
         match reason {
             KillReason::Interruption => {
                 self.rework += compute_lost;
-                self.telemetry.kills_interruption.incr();
+                self.telemetry.kills_interruption += 1;
             }
             // A killed fetch has no compute to lose; both bucket to misc.
             KillReason::DuplicateLost => {
                 self.dup_compute += compute_lost;
-                self.telemetry.speculative_losses.incr();
+                self.telemetry.speculative_losses += 1;
             }
             KillReason::SourceLost => {
                 self.dup_compute += compute_lost;
-                self.telemetry.kills_source_lost.incr();
+                self.telemetry.kills_source_lost += 1;
             }
         }
         if !attempt.local {
@@ -1363,11 +1372,12 @@ impl MapPhaseSim {
                 // The JobTracker has not noticed yet; the task re-enters
                 // the pending pool only after the heartbeat timeout.
                 self.queue
-                    .push(t + self.cfg.detection_delay, Event::Requeue(task));
+                    .push(t + self.cfg.detection_delay, Event::Requeue(task))?;
             } else {
                 self.requeue(task, t);
             }
         }
+        Ok(())
     }
 
     /// Returns a killed task to the pending pool (immediately, or via a
@@ -1376,7 +1386,7 @@ impl MapPhaseSim {
         if self.tasks[task].done || !self.tasks[task].running_on.is_empty() {
             return; // resolved while the detection timer ran
         }
-        self.telemetry.requeues.incr();
+        self.telemetry.requeues += 1;
         self.emit(TraceEvent::TaskRequeued {
             task: task as u32,
             t,
@@ -1398,14 +1408,14 @@ impl MapPhaseSim {
     fn on_down(&mut self, n: u32, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
         debug_assert!(self.nodes[ni].up);
-        self.telemetry.interruptions.incr();
+        self.telemetry.interruptions += 1;
         self.emit(TraceEvent::NodeDown { node: n, t });
-        self.kill_attempt(n, t, KillReason::Interruption);
+        self.kill_attempt(n, t, KillReason::Interruption)?;
         self.nodes[ni].up = false;
         self.nodes[ni].down_since = Some(t);
         self.idle.remove(ni);
         let up_at = self.nodes[ni].pending_up_at.max(t);
-        self.queue.push(up_at, Event::Up(n));
+        self.queue.push(up_at, Event::Up(n))?;
 
         // Optionally, fetches being served by this node fail; the
         // fetchers notice immediately and their tasks re-queue without
@@ -1425,7 +1435,7 @@ impl MapPhaseSim {
                     .as_ref()
                     .is_some_and(|a| a.seq == o.dest_seq);
                 if still_same_attempt {
-                    self.kill_attempt(o.dest, t, KillReason::SourceLost);
+                    self.kill_attempt(o.dest, t, KillReason::SourceLost)?;
                     self.try_assign(o.dest, t)?;
                 }
             }
@@ -1491,7 +1501,7 @@ impl MapPhaseSim {
         // Schedule the next outage.
         if let Some(outage) = self.nodes[ni].process.next_outage(t, rng) {
             self.nodes[ni].pending_up_at = outage.up_at;
-            self.queue.push(outage.down_at, Event::Down(n));
+            self.queue.push(outage.down_at, Event::Down(n))?;
         }
         let result = self.try_assign(n, t).and_then(|_| {
             // This node returning may unblock idle nodes (new steal
@@ -1637,8 +1647,8 @@ impl MapPhaseSim {
             elapsed,
             tasks: self.tasks.len(),
             local_tasks: self.local_completions,
-            attempts: self.attempts,
-            transfers: self.transfers,
+            attempts: self.telemetry.attempts_started as usize,
+            transfers: self.telemetry.transfers_started as usize,
             base_work,
             rework: self.rework,
             recovery,
@@ -1646,11 +1656,11 @@ impl MapPhaseSim {
             misc: up_idle + self.dup_compute,
             completed,
         };
-        self.telemetry.rework.add_secs(report.rework);
-        self.telemetry.recovery.add_secs(report.recovery);
-        self.telemetry.migration.add_secs(report.migration);
-        self.telemetry.misc.add_secs(report.misc);
-        self.telemetry.elapsed.add_secs(report.elapsed);
+        self.telemetry.rework_us = micros(report.rework);
+        self.telemetry.recovery_us = micros(report.recovery);
+        self.telemetry.migration_us = micros(report.migration);
+        self.telemetry.misc_us = micros(report.misc);
+        self.telemetry.elapsed_us = micros(report.elapsed);
         let meta = TraceMeta {
             nodes: self.nodes.len() as u32,
             tasks: self.tasks.len() as u32,
@@ -1664,7 +1674,7 @@ impl MapPhaseSim {
             report,
             node_stats,
             winners: self.tasks.iter().map(|t| t.winner.map(NodeId)).collect(),
-            telemetry: self.telemetry.snapshot(),
+            telemetry: self.telemetry,
             trace: trace.map(|recorder| recorder.finish(meta)),
         }
     }
@@ -1688,6 +1698,29 @@ mod tests {
     /// `blocks[i] = node` places task i's single replica on that node.
     fn single_replica(blocks: &[u32]) -> Vec<Vec<NodeId>> {
         blocks.iter().map(|&n| vec![NodeId(n)]).collect()
+    }
+
+    #[test]
+    fn rejects_a_horizon_that_is_not_finite_and_positive() {
+        for horizon in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            let sim = MapPhaseSim::new(
+                reliable(1),
+                single_replica(&[0]),
+                cfg().with_horizon(horizon),
+            );
+            assert!(
+                matches!(
+                    sim,
+                    Err(SimError::InvalidConfig {
+                        name: "horizon",
+                        ..
+                    })
+                ),
+                "horizon {horizon}"
+            );
+        }
+        let sim = MapPhaseSim::new(reliable(1), single_replica(&[0]), cfg().with_horizon(5.0));
+        assert!(sim.is_ok());
     }
 
     #[test]

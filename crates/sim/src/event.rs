@@ -15,6 +15,8 @@ use std::cmp::Ordering;
 
 use adapt_ds::MinHeap4;
 
+use crate::SimError;
+
 #[derive(Debug, Clone, Copy)]
 struct Entry<E> {
     time: f64,
@@ -53,14 +55,17 @@ impl<E> Ord for Entry<E> {
 /// ```
 /// use adapt_sim::event::EventQueue;
 ///
+/// # fn main() -> Result<(), adapt_sim::SimError> {
 /// let mut q = EventQueue::new();
-/// q.push(2.0, "b");
-/// q.push(1.0, "a");
-/// q.push(2.0, "c");
+/// q.push(2.0, "b")?;
+/// q.push(1.0, "a")?;
+/// q.push(2.0, "c")?;
 /// assert_eq!(q.pop(), Some((1.0, "a")));
 /// assert_eq!(q.pop(), Some((2.0, "b"))); // FIFO among ties
 /// assert_eq!(q.pop(), Some((2.0, "c")));
 /// assert_eq!(q.pop(), None);
+/// # Ok(())
+/// # }
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
@@ -88,18 +93,25 @@ impl<E: Copy> EventQueue<E> {
 
     /// Schedules `event` at `time`.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `time` is NaN (a NaN timestamp would corrupt the heap
-    /// order).
-    pub fn push(&mut self, time: f64, event: E) {
-        assert!(!time.is_nan(), "event time must not be NaN");
+    /// [`SimError::InvariantViolation`] if `time` is NaN. The heap would
+    /// still order it (`f64::total_cmp` gives NaN a fixed place), but a
+    /// NaN reaching the simulation clock would poison every later
+    /// timestamp, so a NaN time signals an engine bug.
+    pub fn push(&mut self, time: f64, event: E) -> Result<(), SimError> {
+        if time.is_nan() {
+            return Err(SimError::InvariantViolation {
+                what: "event scheduled at a NaN time",
+            });
+        }
         self.heap.push(Entry {
             time,
             seq: self.seq,
             event,
         });
         self.seq += 1;
+        Ok(())
     }
 
     /// Removes and returns the earliest event.
@@ -132,9 +144,9 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(3.0, 3);
-        q.push(1.0, 1);
-        q.push(2.0, 2);
+        q.push(3.0, 3).unwrap();
+        q.push(1.0, 1).unwrap();
+        q.push(2.0, 2).unwrap();
         assert_eq!(q.pop(), Some((1.0, 1)));
         assert_eq!(q.pop(), Some((2.0, 2)));
         assert_eq!(q.pop(), Some((3.0, 3)));
@@ -144,7 +156,7 @@ mod tests {
     fn equal_times_pop_fifo() {
         let mut q = EventQueue::new();
         for i in 0..10 {
-            q.push(5.0, i);
+            q.push(5.0, i).unwrap();
         }
         for i in 0..10 {
             assert_eq!(q.pop(), Some((5.0, i)));
@@ -154,7 +166,7 @@ mod tests {
     #[test]
     fn len_tracks_push_and_pop() {
         let mut q = EventQueue::new();
-        q.push(1.5, "x");
+        q.push(1.5, "x").unwrap();
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.pop();
@@ -163,17 +175,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "must not be NaN")]
-    fn nan_time_panics() {
+    fn nan_time_is_an_error() {
         let mut q = EventQueue::new();
-        q.push(f64::NAN, 0);
+        assert!(matches!(
+            q.push(f64::NAN, 0),
+            Err(SimError::InvariantViolation { .. })
+        ));
+        // The rejected event was not scheduled, and the queue still works.
+        assert!(q.is_empty());
+        q.push(f64::INFINITY, 1).unwrap();
+        assert_eq!(q.pop(), Some((f64::INFINITY, 1)));
     }
 
     #[test]
     fn zero_and_negative_times_are_ordered() {
         let mut q = EventQueue::new();
-        q.push(0.0, "zero");
-        q.push(-1.0, "neg");
+        q.push(0.0, "zero").unwrap();
+        q.push(-1.0, "neg").unwrap();
         assert_eq!(q.pop(), Some((-1.0, "neg")));
     }
 
@@ -181,7 +199,7 @@ mod tests {
     fn with_capacity_behaves_like_new() {
         let mut q = EventQueue::with_capacity(100);
         assert!(q.is_empty());
-        q.push(1.0, "a");
+        q.push(1.0, "a").unwrap();
         assert_eq!(q.pop(), Some((1.0, "a")));
     }
 
@@ -190,7 +208,7 @@ mod tests {
         fn pop_sequence_is_sorted(times in prop::collection::vec(0.0f64..1e6, 0..200)) {
             let mut q = EventQueue::new();
             for (i, &t) in times.iter().enumerate() {
-                q.push(t, i);
+                q.push(t, i).unwrap();
             }
             let mut prev = f64::NEG_INFINITY;
             while let Some((t, _)) = q.pop() {
@@ -212,7 +230,7 @@ mod tests {
             let mut q = EventQueue::new();
             let mut model = BinaryHeap::new();
             for (i, &t) in times.iter().enumerate() {
-                q.push(f64::from(t), i);
+                q.push(f64::from(t), i).unwrap();
                 model.push(RefEntry(std::cmp::Reverse((t, i))));
             }
             while let Some(RefEntry(std::cmp::Reverse((t, i)))) = model.pop() {

@@ -42,13 +42,13 @@
 //! differential oracle extends to job streams — see DESIGN.md §14.
 
 use adapt_dfs::NodeId;
-use adapt_telemetry::Value;
+use adapt_telemetry::{micros, Value};
 use adapt_trace::{Trace, TraceEvent, TraceMeta, TraceRecorder};
 use adapt_workload::JobSpec;
 
 use adapt_metrics::{MetricsHub, MetricsRegistry, WorkCounts};
 
-use crate::engine::{sim_us, DetailedReport, MapPhaseSim, SimConfig};
+use crate::engine::{DetailedReport, MapPhaseSim, SimConfig};
 use crate::event::EventQueue;
 use crate::interrupt::InterruptionProcess;
 use crate::SimError;
@@ -589,7 +589,7 @@ impl JobTracker {
         let n = self.processes.len();
         let mut queue: EventQueue<StreamEvent> = EventQueue::with_capacity(jobs.len() * 2);
         for j in jobs {
-            queue.push(j.arrival, StreamEvent::Arrive(j.id));
+            queue.push(j.arrival, StreamEvent::Arrive(j.id))?;
         }
 
         let mut recorder = if traced {
@@ -616,7 +616,7 @@ impl JobTracker {
             // Scrape before the event: boundaries in (prev, t] sample
             // the admission state that held across the gap.
             if let Some(hub) = metrics.as_deref_mut() {
-                let t_us = sim_us(t);
+                let t_us = micros(t);
                 if hub.registry.due(t_us) {
                     scrape_tracker_gauges(
                         &mut hub.registry,
@@ -673,11 +673,11 @@ impl JobTracker {
                     }
                     if let Some(hub) = metrics.as_deref_mut() {
                         if let Some(rec) = records.get(run.record) {
-                            let t_us = sim_us(t);
+                            let t_us = micros(t);
                             hub.registry
-                                .observe("job_sojourn_us", t_us, sim_us(rec.sojourn()));
+                                .observe("job_sojourn_us", t_us, micros(rec.sojourn()));
                             hub.registry
-                                .observe("job_wait_us", t_us, sim_us(rec.wait()));
+                                .observe("job_wait_us", t_us, micros(rec.wait()));
                             hub.registry.incr("tracker.jobs_finished", 1);
                         }
                     }
@@ -710,13 +710,7 @@ impl JobTracker {
                 let admitted = records.len().saturating_sub(records_before_admit);
                 let engine_events: u64 = records[records_before_admit..]
                     .iter()
-                    .map(|r| {
-                        r.detailed.telemetry.events_kick
-                            + r.detailed.telemetry.events_down
-                            + r.detailed.telemetry.events_up
-                            + r.detailed.telemetry.events_attempt_done
-                            + r.detailed.telemetry.events_requeue
-                    })
+                    .map(|r| r.detailed.telemetry.events())
                     .sum();
                 if admitted > 0 {
                     hub.profiler.enter("admit");
@@ -733,7 +727,7 @@ impl JobTracker {
                     events: 1,
                     heap_ops: 2,
                     placements: 0,
-                    sim_us: sim_us(t).saturating_sub(sim_us(prev_event_time)),
+                    sim_us: micros(t).saturating_sub(micros(prev_event_time)),
                 });
                 hub.profiler.exit();
             }
@@ -748,7 +742,7 @@ impl JobTracker {
                 &running,
                 records.len(),
             );
-            hub.finish(sim_us(makespan));
+            hub.finish(micros(makespan));
         }
 
         let total_tasks: usize = jobs.iter().map(|j| j.tasks).sum();
@@ -841,18 +835,14 @@ impl JobTracker {
             } else {
                 telemetry.jobs_cut += 1;
             }
-            telemetry.engine_events += detailed.telemetry.events_kick
-                + detailed.telemetry.events_down
-                + detailed.telemetry.events_up
-                + detailed.telemetry.events_attempt_done
-                + detailed.telemetry.events_requeue;
+            telemetry.engine_events += detailed.telemetry.events();
             telemetry.engine_attempts += detailed.telemetry.attempts_started;
             telemetry.engine_queue_depth_hwm = telemetry
                 .engine_queue_depth_hwm
                 .max(detailed.telemetry.queue_depth_hwm);
 
             let finish = t + detailed.report.elapsed;
-            queue.push(finish, StreamEvent::Finish(id));
+            queue.push(finish, StreamEvent::Finish(id))?;
             if let Some(rec) = recorder.as_mut() {
                 rec.record(TraceEvent::JobStarted {
                     job: id,
@@ -1007,7 +997,7 @@ mod tests {
         let expected: Vec<u64> = with_metrics
             .records
             .iter()
-            .map(|r| sim_us(r.sojourn()))
+            .map(|r| micros(r.sojourn()))
             .collect();
         let mut got: Vec<u64> = sojourns
             .iter()

@@ -74,4 +74,4 @@ pub use jobtracker::{
 };
 pub use reduce::{slice_bytes, ReduceDetailed, ReducePhaseSim, ReduceReport};
 pub use strategy::{AdaptStrategy, NaiveStrategy, PlacementStrategy, RackAwareStrategy};
-pub use telemetry::{EngineTelemetry, EngineTelemetrySnapshot};
+pub use telemetry::EngineTelemetrySnapshot;

@@ -225,9 +225,10 @@ impl ReducePhaseSim {
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::InvalidConfig`] for an empty cluster, reducer
-    /// set, or map-output list, a holder/byte length mismatch, a task
-    /// with no holders, or a non-positive `reduce_gamma`;
+    /// Returns [`SimError::InvalidConfig`] for a horizon that is not
+    /// finite and positive, an empty cluster, reducer set, or map-output
+    /// list, a holder/byte length mismatch, a task with no holders, or a
+    /// non-positive `reduce_gamma`;
     /// [`SimError::PlacementOutOfRange`] if a holder or reducer host
     /// references a node outside the cluster.
     pub fn new(
@@ -238,6 +239,7 @@ impl ReducePhaseSim {
         cfg: SimConfig,
         reduce_gamma: f64,
     ) -> Result<Self, SimError> {
+        cfg.check_horizon()?;
         if processes.is_empty() {
             return Err(SimError::InvalidConfig {
                 name: "processes",
@@ -401,10 +403,10 @@ impl ReducePhaseSim {
         for (i, rng) in rngs.iter_mut().enumerate() {
             if let Some(outage) = self.hosts[i].process.next_outage(0.0, rng) {
                 self.hosts[i].pending_up_at = outage.up_at;
-                self.queue.push(outage.down_at, Event::Down(i as u32));
+                self.queue.push(outage.down_at, Event::Down(i as u32))?;
             }
         }
-        self.queue.push(0.0, Event::Kick);
+        self.queue.push(0.0, Event::Kick)?;
 
         let mut elapsed = None;
         while let Some((t, event)) = self.queue.pop() {
@@ -415,14 +417,14 @@ impl ReducePhaseSim {
                 Event::Kick => {
                     for r in 0..self.reducers.len() as u32 {
                         if self.hosts[self.reducers[r as usize].node as usize].up {
-                            self.start_attempt(r, t);
+                            self.start_attempt(r, t)?;
                         } else {
                             self.reducers[r as usize].phase = ReducerPhase::WaitingRecovery;
                         }
                     }
                 }
-                Event::Down(n) => self.on_down(n, t),
-                Event::Up(n) => self.on_up(n, t, &mut rngs[n as usize]),
+                Event::Down(n) => self.on_down(n, t)?,
+                Event::Up(n) => self.on_up(n, t, &mut rngs[n as usize])?,
                 Event::FetchDone { reducer, epoch } => {
                     if self.reducers[reducer as usize].epoch == epoch {
                         self.on_fetch_done(reducer, t)?;
@@ -449,7 +451,7 @@ impl ReducePhaseSim {
 
     /// Begins (or restarts) the reducer's attempt at `t`: emits
     /// `ReduceStarted` and advances into the fetch sequence.
-    fn start_attempt(&mut self, r: u32, t: f64) {
+    fn start_attempt(&mut self, r: u32, t: f64) -> Result<(), SimError> {
         let ri = r as usize;
         self.attempts += 1;
         let attempt = self.reducers[ri].attempt_seq;
@@ -461,13 +463,13 @@ impl ReducePhaseSim {
             t,
         });
         self.reducers[ri].next_task = 0;
-        self.advance(r, t);
+        self.advance(r, t)
     }
 
     /// Drives the reducer forward from `next_task`: consumes zero-byte
     /// and local slices instantly, commits the next network fetch, or
     /// starts the compute once every slice is in.
-    fn advance(&mut self, r: u32, t: f64) {
+    fn advance(&mut self, r: u32, t: f64) -> Result<(), SimError> {
         let ri = r as usize;
         let node = self.reducers[ri].node;
         loop {
@@ -475,11 +477,10 @@ impl ReducePhaseSim {
             if m == self.holders.len() {
                 self.reducers[ri].phase = ReducerPhase::Computing { start: t };
                 let epoch = self.reducers[ri].epoch;
-                self.queue.push(
+                return self.queue.push(
                     t + self.reduce_gamma,
                     Event::ReduceDone { reducer: r, epoch },
                 );
-                return;
             }
             let bytes = slice_bytes(self.output_bytes[m], ri, self.reducers.len());
             if bytes == 0 {
@@ -497,7 +498,7 @@ impl ReducePhaseSim {
             // fetch — with every holder down the reducer blocks.
             let Some(&source) = self.holders[m].iter().find(|&&h| self.hosts[h as usize].up) else {
                 self.reducers[ri].phase = ReducerPhase::Blocked;
-                return;
+                return Ok(());
             };
             let topo = self.cfg.topology();
             let cross_rack = !topo.same_rack(source, node);
@@ -527,8 +528,7 @@ impl ReducePhaseSim {
                 cross_rack,
             };
             let epoch = self.reducers[ri].epoch;
-            self.queue.push(end, Event::FetchDone { reducer: r, epoch });
-            return;
+            return self.queue.push(end, Event::FetchDone { reducer: r, epoch });
         }
     }
 
@@ -564,8 +564,7 @@ impl ReducePhaseSim {
             self.cross_rack_bytes += bytes;
         }
         self.reducers[ri].next_task = task + 1;
-        self.advance(r, t);
-        Ok(())
+        self.advance(r, t)
     }
 
     fn on_reduce_done(&mut self, r: u32, t: f64) -> Result<(), SimError> {
@@ -609,7 +608,7 @@ impl ReducePhaseSim {
         });
     }
 
-    fn on_down(&mut self, n: u32, t: f64) {
+    fn on_down(&mut self, n: u32, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
         debug_assert!(self.hosts[ni].up);
         self.interruptions += 1;
@@ -617,7 +616,7 @@ impl ReducePhaseSim {
         self.hosts[ni].up = false;
         self.hosts[ni].down_since = Some(t);
         let up_at = self.hosts[ni].pending_up_at.max(t);
-        self.queue.push(up_at, Event::Up(n));
+        self.queue.push(up_at, Event::Up(n))?;
 
         // Reducers hosted here lose everything shuffled so far —
         // equation (2)'s rework applied to the reduce phase.
@@ -653,11 +652,12 @@ impl ReducePhaseSim {
             }
             self.abort_fetch(r, t);
             self.reducers[ri].epoch += 1;
-            self.advance(r, t);
+            self.advance(r, t)?;
         }
+        Ok(())
     }
 
-    fn on_up(&mut self, n: u32, t: f64, rng: &mut StdRng) {
+    fn on_up(&mut self, n: u32, t: f64, rng: &mut StdRng) -> Result<(), SimError> {
         let ni = n as usize;
         debug_assert!(!self.hosts[ni].up);
         self.hosts[ni].up = true;
@@ -666,7 +666,7 @@ impl ReducePhaseSim {
         }
         if let Some(outage) = self.hosts[ni].process.next_outage(t, rng) {
             self.hosts[ni].pending_up_at = outage.up_at;
-            self.queue.push(outage.down_at, Event::Down(n));
+            self.queue.push(outage.down_at, Event::Down(n))?;
         }
         // Hosted reducers restart their attempt from scratch; blocked
         // reducers anywhere get another look (this node may now be the
@@ -676,10 +676,10 @@ impl ReducePhaseSim {
             let ri = r as usize;
             match self.reducers[ri].phase {
                 ReducerPhase::WaitingRecovery if self.reducers[ri].node == n => {
-                    self.start_attempt(r, t);
+                    self.start_attempt(r, t)?;
                 }
                 ReducerPhase::Blocked => {
-                    self.advance(r, t);
+                    self.advance(r, t)?;
                 }
                 ReducerPhase::Idle
                 | ReducerPhase::Fetching { .. }
@@ -688,6 +688,7 @@ impl ReducePhaseSim {
                 | ReducerPhase::Done => {}
             }
         }
+        Ok(())
     }
 
     fn finalize(mut self, elapsed: f64, completed: bool, seed: u64) -> ReduceDetailed {
@@ -1082,6 +1083,33 @@ mod tests {
             0.0
         )
         .is_err());
+    }
+
+    #[test]
+    fn rejects_a_horizon_that_is_not_finite_and_positive() {
+        let build = |horizon: f64| {
+            ReducePhaseSim::new(
+                vec![InterruptionProcess::none(); 2],
+                vec![vec![NodeId(0)]],
+                vec![MB],
+                vec![NodeId(1)],
+                cfg().with_horizon(horizon),
+                1.0,
+            )
+        };
+        for horizon in [-1.0, 0.0, f64::NAN, f64::INFINITY] {
+            assert!(
+                matches!(
+                    build(horizon),
+                    Err(SimError::InvalidConfig {
+                        name: "horizon",
+                        ..
+                    })
+                ),
+                "horizon {horizon}"
+            );
+        }
+        assert!(build(5.0).is_ok());
     }
 
     #[test]

@@ -1,124 +1,25 @@
-//! Engine observability: counters and histograms the map-phase simulator
-//! maintains while it runs.
+//! Engine observability: the counters and histograms the map-phase
+//! simulator updates in place while it runs.
 //!
-//! [`EngineTelemetry`] holds the live (atomic) instruments embedded in
-//! [`MapPhaseSim`]; [`finalize`](crate::engine::MapPhaseSim::run_detailed) snapshots it
-//! into the plain-integer [`EngineTelemetrySnapshot`] carried by
-//! [`DetailedReport`]. Snapshots from repeated runs [`merge`] exactly
-//! (integer sums / max), so aggregating many seeds is deterministic
-//! regardless of the order threads finish.
+//! [`MapPhaseSim`] owns one [`EngineTelemetrySnapshot`] and hands it out
+//! in [`DetailedReport`] when the run finishes. Snapshots from repeated
+//! runs [`merge`] exactly (integer sums / max), so aggregating many seeds
+//! is deterministic regardless of the order threads finish.
 //!
 //! [`MapPhaseSim`]: crate::engine::MapPhaseSim
 //! [`DetailedReport`]: crate::engine::DetailedReport
 //! [`merge`]: EngineTelemetrySnapshot::merge
 
-use adapt_telemetry::{Counter, HighWater, Histogram, HistogramSnapshot, SecondsAccum, Value};
-
-/// Live instruments the engine updates during a run. All operations are
-/// relaxed atomics on preallocated storage — nothing here allocates or
-/// locks on the event path.
-#[derive(Debug, Default)]
-pub struct EngineTelemetry {
-    /// `Kick` events dispatched.
-    pub events_kick: Counter,
-    /// `Down` events dispatched.
-    pub events_down: Counter,
-    /// `Up` events dispatched.
-    pub events_up: Counter,
-    /// `AttemptDone` events dispatched (including stale epochs).
-    pub events_attempt_done: Counter,
-    /// `Requeue` events dispatched.
-    pub events_requeue: Counter,
-    /// Peak event-queue depth, sampled at every dispatch.
-    pub queue_depth_hwm: HighWater,
-    /// Non-local task starts (straggler steals, case 2 of `try_assign`).
-    pub steals: Counter,
-    /// Speculative duplicate attempts started (case 3 of `try_assign`).
-    pub speculative_attempts: Counter,
-    /// Completions that raced at least one concurrent duplicate and won.
-    pub speculative_wins: Counter,
-    /// Attempts killed because another copy of the task finished first.
-    pub speculative_losses: Counter,
-    /// Node outages that began during the run (`Down` handled).
-    pub interruptions: Counter,
-    /// Attempts killed by an interruption of their host.
-    pub kills_interruption: Counter,
-    /// Attempts killed because the block fetch's source host died.
-    pub kills_source_lost: Counter,
-    /// Tasks returned to the pending pool after losing every attempt.
-    pub requeues: Counter,
-    /// Attempts started (equals `SimReport::attempts`).
-    pub attempts_started: Counter,
-    /// Block transfers started (equals `SimReport::transfers`).
-    pub transfers_started: Counter,
-    /// Of the transfers started, how many crossed a rack boundary
-    /// (always zero under the flat topology).
-    pub transfers_cross_rack: Counter,
-    /// Peak concurrent cross-rack flows on any one rack uplink, sampled
-    /// at each cross-rack commit (includes the committing flow).
-    pub link_streams_hwm: HighWater,
-    /// Wall (simulated) duration of each completed attempt, µs.
-    pub attempt_duration_us: Histogram,
-    /// Bytes moved per block transfer.
-    pub transfer_bytes: Histogram,
-    /// Per-node busy seconds at the end of the run, µs (one observation
-    /// per node; `sum` is cluster-total busy time).
-    pub node_busy_us: Histogram,
-    /// Per-node down seconds, µs.
-    pub node_down_us: Histogram,
-    /// Per-node up-idle seconds, µs.
-    pub node_idle_us: Histogram,
-    /// Overhead decomposition (paper Figure 5), exact microseconds.
-    pub rework: SecondsAccum,
-    /// Recovery seconds (down while holding pending local work).
-    pub recovery: SecondsAccum,
-    /// Migration seconds (assignment-to-compute gap of remote attempts).
-    pub migration: SecondsAccum,
-    /// Misc seconds (up-idle plus losing-duplicate compute).
-    pub misc: SecondsAccum,
-    /// Map-phase elapsed simulated time, µs.
-    pub elapsed: SecondsAccum,
-}
-
-impl EngineTelemetry {
-    /// Snapshots every instrument into plain integers.
-    pub fn snapshot(&self) -> EngineTelemetrySnapshot {
-        EngineTelemetrySnapshot {
-            events_kick: self.events_kick.get(),
-            events_down: self.events_down.get(),
-            events_up: self.events_up.get(),
-            events_attempt_done: self.events_attempt_done.get(),
-            events_requeue: self.events_requeue.get(),
-            queue_depth_hwm: self.queue_depth_hwm.get(),
-            steals: self.steals.get(),
-            speculative_attempts: self.speculative_attempts.get(),
-            speculative_wins: self.speculative_wins.get(),
-            speculative_losses: self.speculative_losses.get(),
-            interruptions: self.interruptions.get(),
-            kills_interruption: self.kills_interruption.get(),
-            kills_source_lost: self.kills_source_lost.get(),
-            requeues: self.requeues.get(),
-            attempts_started: self.attempts_started.get(),
-            transfers_started: self.transfers_started.get(),
-            transfers_cross_rack: self.transfers_cross_rack.get(),
-            link_streams_hwm: self.link_streams_hwm.get(),
-            attempt_duration_us: self.attempt_duration_us.snapshot(),
-            transfer_bytes: self.transfer_bytes.snapshot(),
-            node_busy_us: self.node_busy_us.snapshot(),
-            node_down_us: self.node_down_us.snapshot(),
-            node_idle_us: self.node_idle_us.snapshot(),
-            rework_us: self.rework.micros(),
-            recovery_us: self.recovery.micros(),
-            migration_us: self.migration.micros(),
-            misc_us: self.misc.micros(),
-            elapsed_us: self.elapsed.micros(),
-            runs: 1,
-        }
-    }
-}
+use adapt_telemetry::{HistogramSnapshot, Value};
 
 /// Plain-integer engine telemetry: one run's worth, or the exact sum of
 /// several runs after [`merge`](EngineTelemetrySnapshot::merge).
+///
+/// The engine counts into it directly; the map-phase [`SimReport`]'s
+/// `attempts` and `transfers` are read from `attempts_started` and
+/// `transfers_started`.
+///
+/// [`SimReport`]: crate::engine::SimReport
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct EngineTelemetrySnapshot {
     /// `Kick` events dispatched.
@@ -131,50 +32,55 @@ pub struct EngineTelemetrySnapshot {
     pub events_attempt_done: u64,
     /// `Requeue` events dispatched.
     pub events_requeue: u64,
-    /// Peak event-queue depth (max across merged runs).
+    /// Peak event-queue depth, sampled at every dispatch (max across
+    /// merged runs).
     pub queue_depth_hwm: u64,
-    /// Non-local task starts.
+    /// Non-local task starts (straggler steals, case 2 of `try_assign`).
     pub steals: u64,
-    /// Speculative duplicate attempts started.
+    /// Speculative duplicate attempts started (case 3 of `try_assign`).
     pub speculative_attempts: u64,
-    /// Completions that beat at least one concurrent duplicate.
+    /// Completions that raced at least one concurrent duplicate and won.
     pub speculative_wins: u64,
-    /// Attempts killed by a faster copy.
+    /// Attempts killed because another copy of the task finished first.
     pub speculative_losses: u64,
-    /// Node outages during the run(s).
+    /// Node outages that began during the run(s) (`Down` handled).
     pub interruptions: u64,
-    /// Attempts killed by host interruptions.
+    /// Attempts killed by an interruption of their host.
     pub kills_interruption: u64,
-    /// Attempts killed by mid-transfer source death.
+    /// Attempts killed because the block fetch's source host died.
     pub kills_source_lost: u64,
-    /// Tasks returned to the pending pool.
+    /// Tasks returned to the pending pool after losing every attempt.
     pub requeues: u64,
-    /// Attempts started.
+    /// Attempts started, including killed and duplicate attempts.
     pub attempts_started: u64,
     /// Block transfers started.
     pub transfers_started: u64,
-    /// Transfers that crossed a rack boundary (zero on flat networks).
+    /// Of the transfers started, how many crossed a rack boundary
+    /// (always zero under the flat topology).
     pub transfers_cross_rack: u64,
-    /// Peak concurrent cross-rack flows on any one rack uplink (max
+    /// Peak concurrent cross-rack flows on any one rack uplink, sampled
+    /// at each cross-rack commit including the committing flow (max
     /// across merged runs).
     pub link_streams_hwm: u64,
-    /// Completed-attempt durations, µs.
+    /// Wall (simulated) duration of each completed attempt, µs.
     pub attempt_duration_us: HistogramSnapshot,
-    /// Bytes per block transfer.
+    /// Bytes moved per block transfer.
     pub transfer_bytes: HistogramSnapshot,
-    /// Per-node busy time, µs.
+    /// Per-node busy time at the end of the run, µs (one observation
+    /// per node; `sum` is cluster-total busy time).
     pub node_busy_us: HistogramSnapshot,
     /// Per-node down time, µs.
     pub node_down_us: HistogramSnapshot,
     /// Per-node up-idle time, µs.
     pub node_idle_us: HistogramSnapshot,
-    /// Rework overhead, µs.
+    /// Rework overhead (paper Figure 5), µs.
     pub rework_us: u64,
-    /// Recovery overhead, µs.
+    /// Recovery overhead (down while holding pending local work), µs.
     pub recovery_us: u64,
-    /// Migration overhead, µs.
+    /// Migration overhead (assignment-to-compute gap of remote
+    /// attempts), µs.
     pub migration_us: u64,
-    /// Misc overhead, µs.
+    /// Misc overhead (up-idle plus losing-duplicate compute), µs.
     pub misc_us: u64,
     /// Elapsed simulated time, µs (summed across merged runs).
     pub elapsed_us: u64,
@@ -183,6 +89,15 @@ pub struct EngineTelemetrySnapshot {
 }
 
 impl EngineTelemetrySnapshot {
+    /// Events dispatched, over all five event kinds.
+    pub fn events(&self) -> u64 {
+        self.events_kick
+            + self.events_down
+            + self.events_up
+            + self.events_attempt_done
+            + self.events_requeue
+    }
+
     /// Adds `other`'s run(s) into `self`. Pure integer sums (max for the
     /// queue high-water mark), so merge order cannot change the result.
     pub fn merge(&mut self, other: &EngineTelemetrySnapshot) {
@@ -271,18 +186,21 @@ mod tests {
 
     #[test]
     fn merge_sums_counts_and_maxes_hwm() {
-        let t = EngineTelemetry::default();
-        t.steals.add(3);
-        t.queue_depth_hwm.record(10);
-        t.rework.add_secs(1.5);
-        t.attempt_duration_us.record(100);
-        let a = t.snapshot();
-
-        let u = EngineTelemetry::default();
-        u.steals.add(4);
-        u.queue_depth_hwm.record(7);
-        u.rework.add_secs(0.25);
-        let b = u.snapshot();
+        let mut a = EngineTelemetrySnapshot {
+            steals: 3,
+            queue_depth_hwm: 10,
+            rework_us: 1_500_000,
+            runs: 1,
+            ..EngineTelemetrySnapshot::default()
+        };
+        a.attempt_duration_us.record(100);
+        let b = EngineTelemetrySnapshot {
+            steals: 4,
+            queue_depth_hwm: 7,
+            rework_us: 250_000,
+            runs: 1,
+            ..EngineTelemetrySnapshot::default()
+        };
 
         let mut ab = a.clone();
         ab.merge(&b);
@@ -297,11 +215,25 @@ mod tests {
     }
 
     #[test]
+    fn events_sums_every_kind() {
+        let t = EngineTelemetrySnapshot {
+            events_kick: 1,
+            events_down: 2,
+            events_up: 4,
+            events_attempt_done: 8,
+            events_requeue: 16,
+            ..EngineTelemetrySnapshot::default()
+        };
+        assert_eq!(t.events(), 31);
+    }
+
+    #[test]
     fn to_value_is_deterministic() {
-        let t = EngineTelemetry::default();
-        t.events_kick.incr();
-        t.interruptions.add(2);
-        let snap = t.snapshot();
+        let snap = EngineTelemetrySnapshot {
+            events_kick: 1,
+            interruptions: 2,
+            ..EngineTelemetrySnapshot::default()
+        };
         assert_eq!(snap.to_value().to_json(), snap.to_value().to_json());
         let json = snap.to_value().to_json();
         assert!(json.contains("\"interruptions\":2"));

@@ -3,12 +3,9 @@
 //! The crate provides three layers, kept deliberately small so every other
 //! crate in the workspace can embed them without pulling in dependencies:
 //!
-//! - [`metrics`] — lock-free instruments for hot paths: [`Counter`]
-//!   (relaxed atomic add), [`HighWater`] (atomic max), [`SecondsAccum`]
-//!   (simulated-time accumulation in integer microseconds, so merging is
-//!   exact and order-independent), and [`Histogram`] (65 fixed log2
-//!   buckets covering the full `u64` range, preallocated — recording is
-//!   two relaxed atomic adds and never allocates).
+//! - [`metrics`] — [`micros`], the one seconds→microseconds
+//!   conversion, and [`HistogramSnapshot`] (65 fixed log2 buckets
+//!   covering the full `u64` range, inline — recording never allocates).
 //! - [`json`] — a tiny JSON value model whose serializer is
 //!   deterministic: object keys are stored in a `BTreeMap` and emitted in
 //!   sorted order, numbers use Rust's shortest-roundtrip formatting, and
@@ -24,15 +21,14 @@
 //!   experiments crate's `baselines` test relies on this: it diffs a
 //!   fresh report against a checked-in baseline byte for byte.
 //!
-//! Instruments are embedded per component (the sim engine, the NameNode,
-//! the predictor) rather than registered globally; each component exposes
-//! a cheap `snapshot()` of plain integers, and snapshots [`merge`] pairwise
-//! so parallel runs aggregate deterministically in input order.
+//! Each component (the sim engine, the NameNode, the ADAPT policy) owns
+//! one `*TelemetrySnapshot` struct of plain integers and updates it in
+//! place as it runs; a run is single-threaded, so nothing is atomic.
+//! Engine snapshots [`merge`] pairwise, so parallel runs aggregate
+//! exactly in input order.
 //!
-//! [`Counter`]: metrics::Counter
-//! [`HighWater`]: metrics::HighWater
-//! [`SecondsAccum`]: metrics::SecondsAccum
-//! [`Histogram`]: metrics::Histogram
+//! [`micros`]: metrics::micros
+//! [`HistogramSnapshot`]: metrics::HistogramSnapshot
 //! [`RunReport`]: report::RunReport
 //! [`merge`]: metrics::HistogramSnapshot::merge
 
@@ -50,5 +46,5 @@ pub mod metrics;
 pub mod report;
 
 pub use json::{parse_value, Value};
-pub use metrics::{Counter, HighWater, Histogram, HistogramSnapshot, SecondsAccum};
+pub use metrics::{micros, HistogramSnapshot};
 pub use report::RunReport;

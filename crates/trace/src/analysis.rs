@@ -18,14 +18,14 @@
 //! * per-node remainders (open downtime at the horizon) and the final
 //!   per-node sweep run in node-id order, mirroring the engine's
 //!   `finalize`;
-//! * each total is quantized once with the same rounding as
-//!   `adapt_telemetry::SecondsAccum` ([`micros`]).
+//! * each total is quantized once with the engine's rounding,
+//!   [`adapt_telemetry::micros`].
 
 use std::collections::BTreeSet;
 
-use adapt_telemetry::Value;
+use adapt_telemetry::{micros, Value};
 
-use crate::event::{micros, KillCause, TraceEvent};
+use crate::event::{KillCause, TraceEvent};
 use crate::recorder::Trace;
 
 /// Grows `v` as needed and returns the slot for node `i`.

@@ -9,9 +9,9 @@
 //! [`Value`] serializer, so it is byte-stable for a fixed seed like every
 //! other artifact in this workspace.
 
-use adapt_telemetry::Value;
+use adapt_telemetry::{micros, Value};
 
-use crate::event::{micros, TraceEvent};
+use crate::event::TraceEvent;
 use crate::recorder::Trace;
 
 /// One complete-span record.

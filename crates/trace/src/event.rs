@@ -4,27 +4,15 @@
 //! are carried as the exact `f64` seconds the emitting component computed
 //! with, so analyses can re-derive the engine's floating-point totals
 //! bit-for-bit; the integer-microsecond view used by the JSONL/Chrome
-//! exporters is derived through [`micros`], the same quantization as
-//! `adapt_telemetry::SecondsAccum`.
+//! exporters is derived through [`micros`], the quantization every
+//! telemetry counter uses.
 //!
 //! Ordering: events are appended in emission order, which the simulator
 //! guarantees is non-decreasing in time (its event queue releases events
 //! monotonically); the recorder's sequence number breaks ties, so a trace
 //! is totally ordered by `(time, seq)` with `seq` simply the vector index.
 
-use adapt_telemetry::Value;
-
-/// Converts exact simulated seconds to integer microseconds — the same
-/// quantization as `adapt_telemetry::SecondsAccum::add_secs` (negative,
-/// NaN, and non-finite durations map to 0).
-#[inline]
-pub fn micros(secs: f64) -> u64 {
-    if secs.is_finite() && secs > 0.0 {
-        (secs * 1e6).round() as u64
-    } else {
-        0
-    }
-}
+use adapt_telemetry::{micros, Value};
 
 /// Why a running attempt was killed (mirrors the engine's kill paths).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -632,13 +620,20 @@ mod tests {
 
     #[test]
     fn micros_matches_seconds_accum_quantization() {
-        assert_eq!(micros(0.1), 100_000);
-        assert_eq!(micros(0.0), 0);
-        assert_eq!(micros(-3.0), 0);
-        assert_eq!(micros(f64::NAN), 0);
-        assert_eq!(micros(f64::INFINITY), 0);
-        assert_eq!(micros(1.000_000_4), 1_000_000);
-        assert_eq!(micros(1.000_000_6), 1_000_001);
+        // Trace timestamps quantize exactly as the telemetry counters do.
+        for (t, us) in [
+            (0.1, 100_000),
+            (0.0, 0),
+            (-3.0, 0),
+            (f64::NAN, 0),
+            (f64::INFINITY, 0),
+            (1.000_000_4, 1_000_000),
+            (1.000_000_6, 1_000_001),
+        ] {
+            let event = TraceEvent::NodeDown { node: 0, t };
+            assert_eq!((event.start_us(), event.end_us()), (us, us), "{t}");
+            assert_eq!(micros(t), us, "{t}");
+        }
     }
 
     #[test]

@@ -22,8 +22,8 @@
 //! Nothing here reads wall-clock time, draws entropy, or iterates an
 //! unordered map; events carry *simulated* time only, as the exact `f64`
 //! seconds the emitter computed with (integer-µs views derive via
-//! [`micros`], the same quantization as `adapt_telemetry`'s
-//! `SecondsAccum`). The recorder is single-owner append — the vector
+//! [`adapt_telemetry::micros`], the telemetry counters' quantization).
+//! The recorder is single-owner append — the vector
 //! index is the `(time, seq)` tie-breaker — so a fixed seed yields a
 //! byte-identical trace file.
 //!
@@ -51,6 +51,6 @@ pub use analysis::{
     Segment, SegmentKind,
 };
 pub use chrome::write_chrome;
-pub use event::{micros, KillCause, TraceEvent};
+pub use event::{KillCause, TraceEvent};
 pub use jsonl::{parse_jsonl, parse_value, write_jsonl, TraceError};
 pub use recorder::{Trace, TraceMeta, TraceRecorder, FORMAT_TAG};

@@ -39,6 +39,7 @@
 #![warn(missing_debug_implementations)]
 
 mod error;
+mod naive_queue;
 
 pub mod generator;
 pub mod jobstream;

@@ -150,7 +150,7 @@ fn view(specs: &[NodeAvailability]) -> ClusterView {
 }
 
 fn normalized_rates(gamma: f64, specs: &[NodeAvailability]) -> Result<Vec<f64>, VerifyError> {
-    let predictor = PerformancePredictor::new(gamma)?;
+    let mut predictor = PerformancePredictor::new(gamma)?;
     let rates = predictor.rates(&view(specs));
     let total: f64 = rates.rates().iter().sum();
     if total <= 0.0 {
@@ -273,7 +273,7 @@ pub fn threshold_cap_holds(
     let cap = Threshold::PaperDefault
         .cap(blocks, replication, n)
         .unwrap_or(usize::MAX);
-    let relaxations = namenode.telemetry().threshold_rejections.get() as usize;
+    let relaxations = namenode.telemetry_snapshot().threshold_rejections as usize;
     let excess: usize = distribution
         .iter()
         .map(|&count| count.saturating_sub(cap))

@@ -34,9 +34,12 @@ use rand::SeedableRng;
 use adapt_dfs::NodeId;
 use adapt_sim::engine::{DetailedReport, NodeStat, SchedulingMode, SimConfig, SimReport};
 use adapt_sim::interrupt::InterruptionProcess;
-use adapt_sim::telemetry::EngineTelemetry;
+use adapt_sim::telemetry::EngineTelemetrySnapshot;
 use adapt_sim::SimError;
+use adapt_telemetry::micros;
 use adapt_trace::{KillCause, TraceEvent, TraceMeta, TraceRecorder};
+
+use crate::naive_queue::NaiveQueue;
 
 /// Bound on how many stealable tasks one scheduling decision examines
 /// (must match the engine's `MAX_STEAL_SCAN`).
@@ -58,6 +61,20 @@ fn mix_seed(seed: u64, node: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The engines' horizon rule, restated for the references: finite and
+/// positive.
+pub(crate) fn check_horizon(cfg: &SimConfig) -> Result<(), SimError> {
+    let horizon = cfg.horizon();
+    if horizon.is_finite() && horizon > 0.0 {
+        Ok(())
+    } else {
+        Err(SimError::InvalidConfig {
+            name: "horizon",
+            reason: format!("{horizon} must be finite and > 0"),
+        })
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 enum Event {
     Kick,
@@ -65,50 +82,6 @@ enum Event {
     Up(u32),
     AttemptDone { node: u32, epoch: u64 },
     Requeue(usize),
-}
-
-/// The naive event queue: an unsorted `Vec` scanned linearly for the
-/// entry minimal under `(time, seq)` — the same total order the engine's
-/// heap pops in, arrived at the slow, obvious way.
-#[derive(Debug, Default)]
-struct NaiveQueue {
-    entries: Vec<(f64, u64, Event)>,
-    next_seq: u64,
-}
-
-impl NaiveQueue {
-    fn push(&mut self, time: f64, event: Event) {
-        assert!(!time.is_nan(), "event time must not be NaN");
-        self.entries.push((time, self.next_seq, event));
-        self.next_seq += 1;
-    }
-
-    fn pop(&mut self) -> Option<(f64, Event)> {
-        let mut best: Option<usize> = None;
-        for (i, &(time, seq, _)) in self.entries.iter().enumerate() {
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    let (bt, bs, _) = self.entries[b];
-                    matches!(
-                        time.total_cmp(&bt).then_with(|| seq.cmp(&bs)),
-                        std::cmp::Ordering::Less
-                    )
-                }
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        best.map(|i| {
-            let (time, _, event) = self.entries.remove(i);
-            (time, event)
-        })
-    }
-
-    fn len(&self) -> usize {
-        self.entries.len()
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -171,7 +144,7 @@ pub struct ReferenceSim {
     nodes: Vec<RefNode>,
     slowdown: Vec<f64>,
     tasks: Vec<RefTask>,
-    queue: NaiveQueue,
+    queue: NaiveQueue<Event>,
     pending: BTreeSet<usize>,
     stealable: BTreeSet<usize>,
     spec_candidates: BTreeSet<usize>,
@@ -183,7 +156,7 @@ pub struct ReferenceSim {
     attempts: usize,
     transfers: usize,
     local_completions: usize,
-    telemetry: EngineTelemetry,
+    telemetry: EngineTelemetrySnapshot,
     trace: Option<TraceRecorder>,
 }
 
@@ -194,7 +167,8 @@ impl ReferenceSim {
     ///
     /// # Errors
     ///
-    /// [`SimError::InvalidConfig`] for an empty cluster or task list and
+    /// [`SimError::InvalidConfig`] for a horizon that is not finite and
+    /// positive or an empty cluster or task list, and
     /// [`SimError::PlacementOutOfRange`] if a replica references a node
     /// outside the cluster.
     pub fn new(
@@ -202,6 +176,7 @@ impl ReferenceSim {
         placement: Vec<Vec<NodeId>>,
         cfg: SimConfig,
     ) -> Result<Self, SimError> {
+        check_horizon(&cfg)?;
         if processes.is_empty() {
             return Err(SimError::InvalidConfig {
                 name: "processes",
@@ -305,7 +280,10 @@ impl ReferenceSim {
             attempts: 0,
             transfers: 0,
             local_completions: 0,
-            telemetry: EngineTelemetry::default(),
+            telemetry: EngineTelemetrySnapshot {
+                runs: 1,
+                ..EngineTelemetrySnapshot::default()
+            },
             trace: None,
         })
     }
@@ -368,17 +346,16 @@ impl ReferenceSim {
         for (i, rng) in rngs.iter_mut().enumerate() {
             if let Some(outage) = self.nodes[i].process.next_outage(0.0, rng) {
                 self.nodes[i].pending_up_at = outage.up_at;
-                self.queue.push(outage.down_at, Event::Down(i as u32));
+                self.queue.push(outage.down_at, Event::Down(i as u32))?;
             }
         }
-        self.queue.push(0.0, Event::Kick);
+        self.queue.push(0.0, Event::Kick)?;
 
         let mut elapsed = None;
         let mut last_event_time = 0.0f64;
         loop {
-            self.telemetry
-                .queue_depth_hwm
-                .record(self.queue.len() as u64);
+            self.telemetry.queue_depth_hwm =
+                self.telemetry.queue_depth_hwm.max(self.queue.len() as u64);
             let Some((t, event)) = self.queue.pop() else {
                 break;
             };
@@ -392,21 +369,21 @@ impl ReferenceSim {
             }
             match event {
                 Event::Kick => {
-                    self.telemetry.events_kick.incr();
+                    self.telemetry.events_kick += 1;
                     for i in 0..self.nodes.len() as u32 {
                         self.try_assign(i, t)?;
                     }
                 }
                 Event::Down(n) => {
-                    self.telemetry.events_down.incr();
+                    self.telemetry.events_down += 1;
                     self.on_down(n, t)?;
                 }
                 Event::Up(n) => {
-                    self.telemetry.events_up.incr();
+                    self.telemetry.events_up += 1;
                     self.on_up(n, t, &mut rngs[n as usize])?;
                 }
                 Event::AttemptDone { node, epoch } => {
-                    self.telemetry.events_attempt_done.incr();
+                    self.telemetry.events_attempt_done += 1;
                     if self.nodes[node as usize].epoch == epoch {
                         self.on_attempt_done(node, t)?;
                         if self.done_count == self.tasks.len() {
@@ -416,7 +393,7 @@ impl ReferenceSim {
                     }
                 }
                 Event::Requeue(task) => {
-                    self.telemetry.events_requeue.incr();
+                    self.telemetry.events_requeue += 1;
                     self.requeue(task, t);
                     self.dispatch_idle(t, &[task])?;
                 }
@@ -464,7 +441,7 @@ impl ReferenceSim {
             }
         }
         if let Some(task) = chosen {
-            self.telemetry.steals.incr();
+            self.telemetry.steals += 1;
             self.start_task(n, task, t)?;
             return Ok(true);
         }
@@ -503,7 +480,7 @@ impl ReferenceSim {
                     && self.slowdown[n as usize] * STRAGGLER_ADVANTAGE <= best_copy_slowdown
             });
             if let Some(task) = candidate {
-                self.telemetry.speculative_attempts.incr();
+                self.telemetry.speculative_attempts += 1;
                 self.emit(TraceEvent::SpeculativeLaunched {
                     node: n,
                     task: task as u32,
@@ -578,7 +555,7 @@ impl ReferenceSim {
         let ni = n as usize;
         debug_assert!(self.nodes[ni].up && self.nodes[ni].running.is_none());
         self.attempts += 1;
-        self.telemetry.attempts_started.incr();
+        self.telemetry.attempts_started += 1;
         self.idle.remove(&ni);
 
         let local = self.tasks[task].replicas.contains(&n);
@@ -631,13 +608,14 @@ impl ReferenceSim {
                 end,
             });
             self.transfers += 1;
-            self.telemetry.transfers_started.incr();
+            self.telemetry.transfers_started += 1;
             self.telemetry
                 .transfer_bytes
                 .record(self.cfg.block_size().bytes());
             if cross_rack {
-                self.telemetry.transfers_cross_rack.incr();
-                self.telemetry.link_streams_hwm.record(streams as u64);
+                self.telemetry.transfers_cross_rack += 1;
+                self.telemetry.link_streams_hwm =
+                    self.telemetry.link_streams_hwm.max(streams as u64);
                 if streams > 1 {
                     self.emit(TraceEvent::LinkContention {
                         rack: self.cfg.topology().rack_of(source),
@@ -686,7 +664,7 @@ impl ReferenceSim {
         self.queue.push(
             compute_start + self.cfg.gamma(),
             Event::AttemptDone { node: n, epoch },
-        );
+        )?;
 
         if self.pending.remove(&task) {
             self.stealable.remove(&task);
@@ -745,20 +723,20 @@ impl ReferenceSim {
 
         let losers = std::mem::take(&mut self.tasks[task].running_on);
         if !losers.is_empty() {
-            self.telemetry.speculative_wins.incr();
+            self.telemetry.speculative_wins += 1;
         }
         for loser in losers {
-            self.kill_attempt(loser, t, KillReason::DuplicateLost);
+            self.kill_attempt(loser, t, KillReason::DuplicateLost)?;
             self.try_assign(loser, t)?;
         }
         self.try_assign(n, t)?;
         self.dispatch_idle(t, &[])
     }
 
-    fn kill_attempt(&mut self, n: u32, t: f64, reason: KillReason) {
+    fn kill_attempt(&mut self, n: u32, t: f64, reason: KillReason) -> Result<(), SimError> {
         let ni = n as usize;
         let Some(attempt) = self.nodes[ni].running.take() else {
-            return;
+            return Ok(());
         };
         self.nodes[ni].epoch += 1;
         self.nodes[ni].busy += (t - attempt.reserve_start).max(0.0);
@@ -767,15 +745,15 @@ impl ReferenceSim {
         match reason {
             KillReason::Interruption => {
                 self.rework += compute_lost;
-                self.telemetry.kills_interruption.incr();
+                self.telemetry.kills_interruption += 1;
             }
             KillReason::DuplicateLost => {
                 self.dup_compute += compute_lost;
-                self.telemetry.speculative_losses.incr();
+                self.telemetry.speculative_losses += 1;
             }
             KillReason::SourceLost => {
                 self.dup_compute += compute_lost;
-                self.telemetry.kills_source_lost.incr();
+                self.telemetry.kills_source_lost += 1;
             }
         }
         if !attempt.local {
@@ -806,18 +784,19 @@ impl ReferenceSim {
             self.spec_candidates.remove(&task);
             if reason == KillReason::Interruption && self.cfg.detection_delay() > 0.0 {
                 self.queue
-                    .push(t + self.cfg.detection_delay(), Event::Requeue(task));
+                    .push(t + self.cfg.detection_delay(), Event::Requeue(task))?;
             } else {
                 self.requeue(task, t);
             }
         }
+        Ok(())
     }
 
     fn requeue(&mut self, task: usize, t: f64) {
         if self.tasks[task].done || !self.tasks[task].running_on.is_empty() {
             return;
         }
-        self.telemetry.requeues.incr();
+        self.telemetry.requeues += 1;
         self.emit(TraceEvent::TaskRequeued {
             task: task as u32,
             t,
@@ -839,14 +818,14 @@ impl ReferenceSim {
     fn on_down(&mut self, n: u32, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
         debug_assert!(self.nodes[ni].up);
-        self.telemetry.interruptions.incr();
+        self.telemetry.interruptions += 1;
         self.emit(TraceEvent::NodeDown { node: n, t });
-        self.kill_attempt(n, t, KillReason::Interruption);
+        self.kill_attempt(n, t, KillReason::Interruption)?;
         self.nodes[ni].up = false;
         self.nodes[ni].down_since = Some(t);
         self.idle.remove(&ni);
         let up_at = self.nodes[ni].pending_up_at.max(t);
-        self.queue.push(up_at, Event::Up(n));
+        self.queue.push(up_at, Event::Up(n))?;
 
         if self.cfg.fetch_failure() {
             let failed_fetches: Vec<Outbound> = self.nodes[ni]
@@ -862,7 +841,7 @@ impl ReferenceSim {
                     .as_ref()
                     .is_some_and(|a| a.seq == o.dest_seq);
                 if still_same_attempt {
-                    self.kill_attempt(o.dest, t, KillReason::SourceLost);
+                    self.kill_attempt(o.dest, t, KillReason::SourceLost)?;
                     self.try_assign(o.dest, t)?;
                 }
             }
@@ -915,7 +894,7 @@ impl ReferenceSim {
         }
         if let Some(outage) = self.nodes[ni].process.next_outage(t, rng) {
             self.nodes[ni].pending_up_at = outage.up_at;
-            self.queue.push(outage.down_at, Event::Down(n));
+            self.queue.push(outage.down_at, Event::Down(n))?;
         }
         self.try_assign(n, t)?;
         self.dispatch_idle(t, &freed)
@@ -1053,11 +1032,11 @@ impl ReferenceSim {
             misc: up_idle + self.dup_compute,
             completed,
         };
-        self.telemetry.rework.add_secs(report.rework);
-        self.telemetry.recovery.add_secs(report.recovery);
-        self.telemetry.migration.add_secs(report.migration);
-        self.telemetry.misc.add_secs(report.misc);
-        self.telemetry.elapsed.add_secs(report.elapsed);
+        self.telemetry.rework_us = micros(report.rework);
+        self.telemetry.recovery_us = micros(report.recovery);
+        self.telemetry.migration_us = micros(report.migration);
+        self.telemetry.misc_us = micros(report.misc);
+        self.telemetry.elapsed_us = micros(report.elapsed);
         let meta = TraceMeta {
             nodes: self.nodes.len() as u32,
             tasks: self.tasks.len() as u32,
@@ -1071,7 +1050,7 @@ impl ReferenceSim {
             report,
             node_stats,
             winners: self.tasks.iter().map(|t| t.winner.map(NodeId)).collect(),
-            telemetry: self.telemetry.snapshot(),
+            telemetry: self.telemetry,
             trace: trace.map(|recorder| recorder.finish(meta)),
         }
     }
@@ -1084,11 +1063,33 @@ mod tests {
     use adapt_dfs::BlockSize;
 
     #[test]
+    fn rejects_a_horizon_that_is_not_finite_and_positive() {
+        use adapt_sim::engine::MapPhaseSim;
+        let cfg = SimConfig::new(8.0, BlockSize::DEFAULT, 12.0).unwrap();
+        let placement = || vec![vec![NodeId(0)]];
+        for (horizon, valid) in [
+            (-1.0, false),
+            (0.0, false),
+            (f64::NAN, false),
+            (f64::INFINITY, false),
+            (5.0, true),
+        ] {
+            let cfg = cfg.with_horizon(horizon);
+            let reference =
+                ReferenceSim::new(vec![InterruptionProcess::none()], placement(), cfg).map(drop);
+            let engine =
+                MapPhaseSim::new(vec![InterruptionProcess::none()], placement(), cfg).map(drop);
+            assert_eq!(reference, engine, "horizon {horizon}");
+            assert_eq!(reference.is_ok(), valid, "horizon {horizon}");
+        }
+    }
+
+    #[test]
     fn naive_queue_pops_by_time_then_fifo() {
         let mut q = NaiveQueue::default();
-        q.push(2.0, Event::Kick);
-        q.push(1.0, Event::Down(0));
-        q.push(2.0, Event::Up(1));
+        q.push(2.0, Event::Kick).unwrap();
+        q.push(1.0, Event::Down(0)).unwrap();
+        q.push(2.0, Event::Up(1)).unwrap();
         let (t1, e1) = q.pop().unwrap();
         assert_eq!(t1, 1.0);
         assert!(matches!(e1, Event::Down(0)));

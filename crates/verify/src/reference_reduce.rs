@@ -19,6 +19,9 @@ use adapt_sim::reduce::{slice_bytes, ReduceDetailed, ReduceReport};
 use adapt_sim::SimError;
 use adapt_trace::{TraceEvent, TraceMeta, TraceRecorder};
 
+use crate::naive_queue::NaiveQueue;
+use crate::reference::check_horizon;
+
 /// Bytes in one megabyte (pinned alongside the engine's constant).
 const BYTES_PER_MB: f64 = 1_048_576.0;
 
@@ -38,45 +41,6 @@ enum Event {
     Up(u32),
     FetchDone { reducer: u32, epoch: u64 },
     ReduceDone { reducer: u32, epoch: u64 },
-}
-
-/// Unsorted-`Vec` event queue popping the `(time, seq)` minimum — the
-/// same total order as the engine's heap, arrived at the obvious way.
-#[derive(Debug, Default)]
-struct NaiveQueue {
-    entries: Vec<(f64, u64, Event)>,
-    next_seq: u64,
-}
-
-impl NaiveQueue {
-    fn push(&mut self, time: f64, event: Event) {
-        assert!(!time.is_nan(), "event time must not be NaN");
-        self.entries.push((time, self.next_seq, event));
-        self.next_seq += 1;
-    }
-
-    fn pop(&mut self) -> Option<(f64, Event)> {
-        let mut best: Option<usize> = None;
-        for (i, &(time, seq, _)) in self.entries.iter().enumerate() {
-            let better = match best {
-                None => true,
-                Some(b) => {
-                    let (bt, bs, _) = self.entries[b];
-                    matches!(
-                        time.total_cmp(&bt).then_with(|| seq.cmp(&bs)),
-                        std::cmp::Ordering::Less
-                    )
-                }
-            };
-            if better {
-                best = Some(i);
-            }
-        }
-        best.map(|i| {
-            let (time, _, event) = self.entries.remove(i);
-            (time, event)
-        })
-    }
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -134,7 +98,7 @@ pub struct ReferenceReduce {
     output_bytes: Vec<u64>,
     hosts: Vec<RefHost>,
     reducers: Vec<RefReducer>,
-    queue: NaiveQueue,
+    queue: NaiveQueue<Event>,
     done_count: usize,
     attempts: usize,
     fetches: usize,
@@ -162,6 +126,7 @@ impl ReferenceReduce {
         cfg: SimConfig,
         reduce_gamma: f64,
     ) -> Result<Self, SimError> {
+        check_horizon(&cfg)?;
         if processes.is_empty() {
             return Err(SimError::InvalidConfig {
                 name: "processes",
@@ -315,10 +280,10 @@ impl ReferenceReduce {
         for (i, rng) in rngs.iter_mut().enumerate() {
             if let Some(outage) = self.hosts[i].process.next_outage(0.0, rng) {
                 self.hosts[i].pending_up_at = outage.up_at;
-                self.queue.push(outage.down_at, Event::Down(i as u32));
+                self.queue.push(outage.down_at, Event::Down(i as u32))?;
             }
         }
-        self.queue.push(0.0, Event::Kick);
+        self.queue.push(0.0, Event::Kick)?;
 
         let mut elapsed = None;
         while let Some((t, event)) = self.queue.pop() {
@@ -329,14 +294,14 @@ impl ReferenceReduce {
                 Event::Kick => {
                     for r in 0..self.reducers.len() as u32 {
                         if self.hosts[self.reducers[r as usize].node as usize].up {
-                            self.start_attempt(r, t);
+                            self.start_attempt(r, t)?;
                         } else {
                             self.reducers[r as usize].phase = Phase::WaitingRecovery;
                         }
                     }
                 }
-                Event::Down(n) => self.on_down(n, t),
-                Event::Up(n) => self.on_up(n, t, &mut rngs[n as usize]),
+                Event::Down(n) => self.on_down(n, t)?,
+                Event::Up(n) => self.on_up(n, t, &mut rngs[n as usize])?,
                 Event::FetchDone { reducer, epoch } => {
                     if self.reducers[reducer as usize].epoch == epoch {
                         self.on_fetch_done(reducer, t)?;
@@ -361,7 +326,7 @@ impl ReferenceReduce {
         Ok(self.finalize(elapsed, completed, seed))
     }
 
-    fn start_attempt(&mut self, r: u32, t: f64) {
+    fn start_attempt(&mut self, r: u32, t: f64) -> Result<(), SimError> {
         let ri = r as usize;
         self.attempts += 1;
         let attempt = self.reducers[ri].attempt_seq;
@@ -373,10 +338,10 @@ impl ReferenceReduce {
             t,
         });
         self.reducers[ri].next_task = 0;
-        self.advance(r, t);
+        self.advance(r, t)
     }
 
-    fn advance(&mut self, r: u32, t: f64) {
+    fn advance(&mut self, r: u32, t: f64) -> Result<(), SimError> {
         let ri = r as usize;
         let node = self.reducers[ri].node;
         loop {
@@ -384,11 +349,10 @@ impl ReferenceReduce {
             if m == self.holders.len() {
                 self.reducers[ri].phase = Phase::Computing { start: t };
                 let epoch = self.reducers[ri].epoch;
-                self.queue.push(
+                return self.queue.push(
                     t + self.reduce_gamma,
                     Event::ReduceDone { reducer: r, epoch },
                 );
-                return;
             }
             let bytes = slice_bytes(self.output_bytes[m], ri, self.reducers.len());
             if bytes == 0 {
@@ -402,7 +366,7 @@ impl ReferenceReduce {
             }
             let Some(&source) = self.holders[m].iter().find(|&&h| self.hosts[h as usize].up) else {
                 self.reducers[ri].phase = Phase::Blocked;
-                return;
+                return Ok(());
             };
             let topo = self.cfg.topology();
             let cross_rack = !topo.same_rack(source, node);
@@ -432,8 +396,7 @@ impl ReferenceReduce {
                 cross_rack,
             };
             let epoch = self.reducers[ri].epoch;
-            self.queue.push(end, Event::FetchDone { reducer: r, epoch });
-            return;
+            return self.queue.push(end, Event::FetchDone { reducer: r, epoch });
         }
     }
 
@@ -469,8 +432,7 @@ impl ReferenceReduce {
             self.cross_rack_bytes += bytes;
         }
         self.reducers[ri].next_task = task + 1;
-        self.advance(r, t);
-        Ok(())
+        self.advance(r, t)
     }
 
     fn on_reduce_done(&mut self, r: u32, t: f64) -> Result<(), SimError> {
@@ -511,7 +473,7 @@ impl ReferenceReduce {
         });
     }
 
-    fn on_down(&mut self, n: u32, t: f64) {
+    fn on_down(&mut self, n: u32, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
         debug_assert!(self.hosts[ni].up);
         self.interruptions += 1;
@@ -519,7 +481,7 @@ impl ReferenceReduce {
         self.hosts[ni].up = false;
         self.hosts[ni].down_since = Some(t);
         let up_at = self.hosts[ni].pending_up_at.max(t);
-        self.queue.push(up_at, Event::Up(n));
+        self.queue.push(up_at, Event::Up(n))?;
 
         for r in 0..self.reducers.len() as u32 {
             let ri = r as usize;
@@ -549,11 +511,12 @@ impl ReferenceReduce {
             }
             self.abort_fetch(r, t);
             self.reducers[ri].epoch += 1;
-            self.advance(r, t);
+            self.advance(r, t)?;
         }
+        Ok(())
     }
 
-    fn on_up(&mut self, n: u32, t: f64, rng: &mut StdRng) {
+    fn on_up(&mut self, n: u32, t: f64, rng: &mut StdRng) -> Result<(), SimError> {
         let ni = n as usize;
         debug_assert!(!self.hosts[ni].up);
         self.hosts[ni].up = true;
@@ -562,16 +525,16 @@ impl ReferenceReduce {
         }
         if let Some(outage) = self.hosts[ni].process.next_outage(t, rng) {
             self.hosts[ni].pending_up_at = outage.up_at;
-            self.queue.push(outage.down_at, Event::Down(n));
+            self.queue.push(outage.down_at, Event::Down(n))?;
         }
         for r in 0..self.reducers.len() as u32 {
             let ri = r as usize;
             match self.reducers[ri].phase {
                 Phase::WaitingRecovery if self.reducers[ri].node == n => {
-                    self.start_attempt(r, t);
+                    self.start_attempt(r, t)?;
                 }
                 Phase::Blocked => {
-                    self.advance(r, t);
+                    self.advance(r, t)?;
                 }
                 Phase::Idle
                 | Phase::Fetching { .. }
@@ -580,6 +543,7 @@ impl ReferenceReduce {
                 | Phase::Done => {}
             }
         }
+        Ok(())
     }
 
     fn finalize(mut self, elapsed: f64, completed: bool, seed: u64) -> ReduceDetailed {
@@ -635,6 +599,29 @@ mod tests {
 
     fn cfg() -> SimConfig {
         SimConfig::new(8.0, BlockSize::DEFAULT, 12.0).unwrap()
+    }
+
+    #[test]
+    fn rejects_a_horizon_that_is_not_finite_and_positive() {
+        let processes = || vec![InterruptionProcess::none(); 2];
+        for (horizon, valid) in [
+            (-1.0, false),
+            (0.0, false),
+            (f64::NAN, false),
+            (f64::INFINITY, false),
+            (5.0, true),
+        ] {
+            let cfg = cfg().with_horizon(horizon);
+            let args = || (vec![vec![NodeId(0)]], vec![MB], vec![NodeId(1)]);
+            let (holders, bytes, reducers) = args();
+            let reference =
+                ReferenceReduce::new(processes(), holders, bytes, reducers, cfg, 1.0).map(drop);
+            let (holders, bytes, reducers) = args();
+            let engine =
+                ReducePhaseSim::new(processes(), holders, bytes, reducers, cfg, 1.0).map(drop);
+            assert_eq!(reference, engine, "horizon {horizon}");
+            assert_eq!(reference.is_ok(), valid, "horizon {horizon}");
+        }
     }
 
     fn outage(start: f64, duration: f64) -> InterruptionProcess {
