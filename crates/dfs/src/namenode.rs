@@ -111,7 +111,29 @@ impl BlockMeta {
 struct NodeEntry {
     spec: NodeSpec,
     alive: bool,
-    stored: BTreeSet<BlockId>,
+    /// The blocks stored here, ascending. One vector per node: block ids
+    /// grow as files are created, so placement appends, and a namespace
+    /// of 10⁵ blocks frees in thousands of deallocations, not a B-tree
+    /// node per dozen blocks.
+    stored: Vec<BlockId>,
+}
+
+impl NodeEntry {
+    fn store(&mut self, block: BlockId) {
+        if let Err(at) = self.stored.binary_search(&block) {
+            self.stored.insert(at, block);
+        }
+    }
+
+    fn unstore(&mut self, block: BlockId) {
+        if let Ok(at) = self.stored.binary_search(&block) {
+            self.stored.remove(at);
+        }
+    }
+
+    fn holds(&self, block: BlockId) -> bool {
+        self.stored.binary_search(&block).is_ok()
+    }
 }
 
 /// The centralized metadata manager.
@@ -140,7 +162,7 @@ impl NameNode {
                 .map(|spec| NodeEntry {
                     spec,
                     alive: true,
-                    stored: BTreeSet::new(),
+                    stored: Vec::new(),
                 })
                 .collect(),
             files: BTreeMap::new(),
@@ -512,7 +534,7 @@ impl NameNode {
             let block_id = BlockId(self.next_block);
             self.next_block += 1;
             for node in &replicas {
-                self.nodes[node.0 as usize].stored.insert(block_id);
+                self.nodes[node.0 as usize].store(block_id);
                 if let Some(recorder) = self.trace.as_mut() {
                     recorder.record(TraceEvent::BlockPlaced {
                         block: block_id.0,
@@ -554,7 +576,7 @@ impl NameNode {
         for block in meta.blocks {
             if let Some(bm) = self.blocks.remove(&block) {
                 for node in bm.replicas {
-                    self.nodes[node.0 as usize].stored.remove(&block);
+                    self.nodes[node.0 as usize].unstore(block);
                 }
             }
         }
@@ -593,12 +615,12 @@ impl NameNode {
         Ok(self.entry(node)?.stored.len())
     }
 
-    /// The blocks stored on a node.
+    /// The blocks stored on a node, ascending.
     ///
     /// # Errors
     ///
     /// Returns [`DfsError::UnknownNode`] for an unregistered node.
-    pub fn node_blocks(&self, node: NodeId) -> Result<&BTreeSet<BlockId>, DfsError> {
+    pub fn node_blocks(&self, node: NodeId) -> Result<&[BlockId], DfsError> {
         Ok(&self.entry(node)?.stored)
     }
 
@@ -660,8 +682,8 @@ impl NameNode {
             });
         }
         meta.replicas[pos] = to;
-        self.nodes[from.0 as usize].stored.remove(&block);
-        self.nodes[to.0 as usize].stored.insert(block);
+        self.nodes[from.0 as usize].unstore(block);
+        self.nodes[to.0 as usize].store(block);
         if let Some(recorder) = self.trace.as_mut() {
             recorder.record(TraceEvent::BlockRebalanced {
                 block: block.0,
@@ -709,7 +731,7 @@ impl NameNode {
             });
         }
         meta.replicas.push(node);
-        self.nodes[node.0 as usize].stored.insert(block);
+        self.nodes[node.0 as usize].store(block);
         if let Some(hub) = self.metrics.as_mut() {
             hub.registry.incr("dfs.replicas_rereplicated", 1);
             hub.profiler.add_placements(1);
@@ -746,7 +768,7 @@ impl NameNode {
             });
         }
         meta.replicas.remove(pos);
-        self.nodes[node.0 as usize].stored.remove(&block);
+        self.nodes[node.0 as usize].unstore(block);
         if let Some(hub) = self.metrics.as_mut() {
             hub.registry.incr("dfs.replicas_trimmed", 1);
         }
@@ -779,7 +801,7 @@ impl NameNode {
                         reason: format!("{id} has duplicate replica on {node}"),
                     });
                 }
-                if !self.nodes[node.0 as usize].stored.contains(id) {
+                if !self.nodes[node.0 as usize].holds(*id) {
                     return Err(DfsError::CorruptMetadata {
                         reason: format!("{id} lists {node} but node does not store it"),
                     });

@@ -14,6 +14,10 @@
 //! * [`SortedVecSet`] — a sorted vector for small sets (a node's local
 //!   pending tasks) with binary-search insert/remove and index access,
 //!   so callers can iterate without cloning the set;
+//! * [`ThresholdIndex`] — ids carrying two keys, with O(log n) "lowest
+//!   id at or after `start` whose keys clear a pair of thresholds"
+//!   queries over a max-tree of 64-id words (the engine's speculation
+//!   candidates);
 //! * [`MinHeap4`] — a 4-ary min-heap: same pop order as
 //!   `std::collections::BinaryHeap` with reversed ordering (a total
 //!   order makes arity unobservable), but a shallower tree, flatter
@@ -37,7 +41,9 @@
 mod heap;
 mod idset;
 mod sorted;
+mod threshold;
 
 pub use heap::MinHeap4;
 pub use idset::{IdSet, IdSetIter};
 pub use sorted::SortedVecSet;
+pub use threshold::ThresholdIndex;

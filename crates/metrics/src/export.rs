@@ -334,6 +334,21 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_typed_error_on_any_line() {
+        let text = sample_hub().to_jsonl("test", 8, 1);
+        let header = text.lines().next().unwrap();
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(100_000);
+            let err = parse_jsonl(&deep).unwrap_err();
+            assert_eq!(err.line, 1);
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+            let err = parse_jsonl(&format!("{header}\n{deep}\n")).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+        }
+    }
+
+    #[test]
     fn rejects_foreign_and_malformed_input() {
         assert!(parse_jsonl("").is_err());
         assert!(parse_jsonl("{\"format\":\"other/9\"}\n").is_err());

@@ -34,7 +34,7 @@
 //!   at the end of the map phase) plus compute burned by losing
 //!   speculative duplicates.
 
-use adapt_ds::{IdSet, SortedVecSet};
+use adapt_ds::{IdSet, SortedVecSet, ThresholdIndex};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -479,8 +479,13 @@ struct NodeState {
     epoch: u64,
     running: Option<Attempt>,
     local_pending: SortedVecSet,
+    /// Speculation candidates with a block replica here. This node
+    /// checks them with its local ETA, and its outages and new outbound
+    /// transfers re-key them in the speculation index.
+    held_candidates: SortedVecSet,
     /// End times of in-flight outbound block transfers served by this
-    /// node (per-flow shaped; capacity bounded by `max_source_streams`).
+    /// node, ascending (per-flow shaped; capacity bounded by
+    /// `max_source_streams`).
     serving: Vec<f64>,
     /// The fetchers currently reading from this node, so their attempts
     /// can be failed if this node dies mid-transfer.
@@ -526,6 +531,15 @@ pub struct MapPhaseSim {
     /// incrementally so the speculation scan never walks every running
     /// task.
     spec_candidates: IdSet,
+    /// The speculation candidates a node holding no replica could
+    /// duplicate — fewer than `max_copies` running copies and an up
+    /// replica with a spare outbound stream — keyed by
+    /// [`spec_keys`](MapPhaseSim::spec_keys), so an idle node finds its
+    /// first acceptable candidate without testing each one.
+    spec_index: ThresholdIndex,
+    /// Saturated sources, queued at the time one of their streams
+    /// frees: the candidates they hold may become eligible then.
+    spec_wake: EventQueue<u32>,
     /// Idle up nodes, by node id (ascending scan = FIFO-by-id, matching
     /// the Hadoop-0.20 behaviour the engine models).
     idle: IdSet,
@@ -628,6 +642,7 @@ impl MapPhaseSim {
                 epoch: 0,
                 running: None,
                 local_pending: SortedVecSet::new(),
+                held_candidates: SortedVecSet::new(),
                 serving: Vec::new(),
                 outbound: Vec::new(),
                 attempt_seq: 0,
@@ -656,6 +671,7 @@ impl MapPhaseSim {
         // preallocating ~2n avoids every mid-run heap growth.
         let queue = EventQueue::with_capacity(n * 2 + 16);
         let spec_candidates = IdSet::new(tasks.len());
+        let spec_index = ThresholdIndex::new(tasks.len());
         Ok(MapPhaseSim {
             cfg,
             nodes,
@@ -665,6 +681,8 @@ impl MapPhaseSim {
             pending,
             stealable,
             spec_candidates,
+            spec_index,
+            spec_wake: EventQueue::new(),
             idle: IdSet::new(n),
             freed_buf: Vec::new(),
             done_count: 0,
@@ -944,7 +962,10 @@ impl MapPhaseSim {
         // after the loop (inside `start_task`), so the ascending bitset
         // iterator can be consumed in place with no scratch collection.
         for task in self.stealable.iter().take(MAX_STEAL_SCAN) {
-            if self.admissible_source(task, t).is_none() {
+            if self
+                .least_loaded_source(task, t, self.cfg.max_source_streams)
+                .is_none()
+            {
                 continue;
             }
             match self.cfg.scheduling {
@@ -980,48 +1001,7 @@ impl MapPhaseSim {
         // stuck behind a slow block transfer. (A copy on a host that went
         // down is not "running": the task returned to pending.)
         if self.cfg.speculation {
-            let candidate = self.spec_candidates.iter().find(|&task| {
-                let state = &self.tasks[task];
-                if state.running_on.len() >= self.cfg.max_copies || state.running_on.contains(&n) {
-                    return false;
-                }
-                let Some(candidate_eta) = self.attempt_eta(n, task, t) else {
-                    return false;
-                };
-                // Expected finish of each running copy, inflated by its
-                // host's equation-(5) slowdown: a copy on a volatile host
-                // is expected to crash-restart and take E[T], not γ.
-                let best_running_eta = state
-                    .running_on
-                    .iter()
-                    .filter_map(|&r| {
-                        let a = self.nodes[r as usize].running.as_ref()?;
-                        (a.task == task)
-                            .then(|| a.compute_start + self.cfg.gamma * self.slowdown[r as usize])
-                    })
-                    .fold(f64::INFINITY, f64::min);
-                // The candidate's own ETA is inflated the same way.
-                let inflated_candidate_eta =
-                    t + (candidate_eta - t) * self.slowdown[n as usize].min(1e6);
-                if inflated_candidate_eta + 1e-9 < best_running_eta {
-                    return true;
-                }
-                // LATE-style straggler rescue: Hadoop duplicates a task
-                // whose progress lags badly without pricing the block
-                // fetch. Expected finish times hide restart *variance* —
-                // a task yo-yoing on a volatile host occasionally takes
-                // many times E[T] — so an idle, clearly more reliable
-                // node duplicates it even when the mean comparison says
-                // otherwise.
-                let best_copy_slowdown = state
-                    .running_on
-                    .iter()
-                    .map(|&r| self.slowdown[r as usize])
-                    .fold(f64::INFINITY, f64::min);
-                best_copy_slowdown > STRAGGLER_SLOWDOWN
-                    && self.slowdown[n as usize] * STRAGGLER_ADVANTAGE <= best_copy_slowdown
-            });
-            if let Some(task) = candidate {
+            if let Some(task) = self.speculative_task(n, t) {
                 self.telemetry.speculative_attempts += 1;
                 self.emit(TraceEvent::SpeculativeLaunched {
                     node: n,
@@ -1034,6 +1014,194 @@ impl MapPhaseSim {
         }
         self.idle.insert(n as usize);
         Ok(false)
+    }
+
+    /// Whether idle node `n` should duplicate running candidate `task` at
+    /// `t` — the speculation rule of [`try_assign`](Self::try_assign).
+    fn accepts_duplicate(&self, n: u32, task: usize, t: f64) -> bool {
+        let state = &self.tasks[task];
+        if state.running_on.len() >= self.cfg.max_copies || state.running_on.contains(&n) {
+            return false;
+        }
+        let Some(candidate_eta) = self.attempt_eta(n, task, t) else {
+            return false;
+        };
+        // The candidate's ETA is inflated the way `best_running_eta`
+        // inflates each running copy's.
+        if self.eta_bar(n, candidate_eta, t) < self.best_running_eta(task) {
+            return true;
+        }
+        // LATE-style straggler rescue: Hadoop duplicates a task whose
+        // progress lags badly without pricing the block fetch. Expected
+        // finish times hide restart *variance* — a task yo-yoing on a
+        // volatile host occasionally takes many times E[T] — so an idle,
+        // clearly more reliable node duplicates it even when the mean
+        // comparison says otherwise.
+        let best_copy_slowdown = self.best_copy_slowdown(task);
+        best_copy_slowdown > STRAGGLER_SLOWDOWN
+            && self.slowdown[n as usize] * STRAGGLER_ADVANTAGE <= best_copy_slowdown
+    }
+
+    /// Expected finish of `task`'s best running copy, each inflated by
+    /// its host's equation-(5) slowdown: a copy on a volatile host is
+    /// expected to crash-restart and take E\[T\], not γ.
+    fn best_running_eta(&self, task: usize) -> f64 {
+        self.tasks[task]
+            .running_on
+            .iter()
+            .filter_map(|&r| {
+                let a = self.nodes[r as usize].running.as_ref()?;
+                (a.task == task)
+                    .then(|| a.compute_start + self.cfg.gamma * self.slowdown[r as usize])
+            })
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// The lowest slowdown among the hosts running `task`.
+    fn best_copy_slowdown(&self, task: usize) -> f64 {
+        self.tasks[task]
+            .running_on
+            .iter()
+            .map(|&r| self.slowdown[r as usize])
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// What the best running copy's ETA must exceed for a new copy on
+    /// `n` with plain ETA `eta` to win: `eta` inflated by `n`'s
+    /// slowdown, plus a 1 ns tie margin.
+    fn eta_bar(&self, n: u32, eta: f64, t: f64) -> f64 {
+        t + (eta - t) * self.slowdown[n as usize].min(1e6) + 1e-9
+    }
+
+    /// The keys of candidate `task` in `spec_index`: the best running
+    /// copy's ETA, and the best copy's slowdown when that marks a
+    /// straggler (−∞ when it does not). [`accepts_duplicate`] accepts a
+    /// candidate `n` holds no replica of, with a free source, exactly
+    /// when the first key exceeds `n`'s [`eta_bar`] for a remote copy or
+    /// the second reaches `n`'s slowdown times `STRAGGLER_ADVANTAGE`.
+    ///
+    /// [`accepts_duplicate`]: Self::accepts_duplicate
+    /// [`eta_bar`]: Self::eta_bar
+    fn spec_keys(&self, task: usize) -> (f64, f64) {
+        let slowdown = self.best_copy_slowdown(task);
+        let rescue = if slowdown > STRAGGLER_SLOWDOWN {
+            slowdown
+        } else {
+            f64::NEG_INFINITY
+        };
+        (self.best_running_eta(task), rescue)
+    }
+
+    /// The lowest-id candidate in `spec_candidates` that
+    /// [`accepts_duplicate`](Self::accepts_duplicate) accepts for idle
+    /// node `n` at `t`, found without testing every candidate. The ones
+    /// `n` holds no replica of come from `spec_index`; the ones it holds
+    /// (local ETA, no source needed) are few and are tested in turn.
+    fn speculative_task(&mut self, n: u32, t: f64) -> Option<usize> {
+        // Sources with a stream freed by `t` make their candidates
+        // eligible again.
+        while self.spec_wake.peek_time().is_some_and(|wake| wake <= t) {
+            if let Some((_, r)) = self.spec_wake.pop() {
+                self.rekey_held(r, t);
+            }
+        }
+        let eta_bar = self.eta_bar(n, self.remote_eta(t), t);
+        let rescue_bar = self.slowdown[n as usize] * STRAGGLER_ADVANTAGE;
+        let mut from = 0;
+        let mut remote = None;
+        while let Some(task) = self
+            .spec_index
+            .first(from, eta_bar, rescue_bar, |id| self.spec_keys(id))
+        {
+            // Every live entry is eligible, so over NaN-free bars the
+            // predicate accepts every hit; it still decides.
+            debug_assert!(
+                self.tasks[task].running_on.len() < self.cfg.max_copies
+                    && self
+                        .least_loaded_source(task, t, self.cfg.max_source_streams)
+                        .is_some(),
+                "stale speculation index entry: task {task} at t={t}"
+            );
+            if self.accepts_duplicate(n, task, t) {
+                remote = Some(task);
+                break;
+            }
+            from = task + 1;
+        }
+        let local = self.nodes[n as usize]
+            .held_candidates
+            .iter()
+            .take_while(|&task| remote.is_none_or(|r| task < r))
+            .find(|&task| self.accepts_duplicate(n, task, t));
+        local.or(remote)
+    }
+
+    /// Re-derives `task`'s entry in `spec_index` at `t`: live for a
+    /// candidate below `max_copies` with an up replica that has a spare
+    /// stream, and re-keyed either way.
+    fn rekey(&mut self, task: usize, t: f64) {
+        if !self.cfg.speculation {
+            return;
+        }
+        let state = &self.tasks[task];
+        let has_source = state
+            .replicas
+            .iter()
+            .any(|&r| self.nodes[r as usize].up && self.free_at(r) <= t);
+        debug_assert_eq!(
+            has_source,
+            self.least_loaded_source(task, t, self.cfg.max_source_streams)
+                .is_some()
+        );
+        let live = has_source
+            && state.running_on.len() < self.cfg.max_copies
+            && self.spec_candidates.contains(task);
+        let mut index = std::mem::take(&mut self.spec_index);
+        index.update(task, live, |id| self.spec_keys(id));
+        self.spec_index = index;
+    }
+
+    /// Re-keys the candidates with a replica on node `r`, after `r` went
+    /// down, came up, or started or stopped saturating its streams.
+    fn rekey_held(&mut self, r: u32, t: f64) {
+        for i in 0..self.nodes[r as usize].held_candidates.len() {
+            let task = self.nodes[r as usize].held_candidates.as_slice()[i];
+            self.rekey(task, t);
+        }
+    }
+
+    /// Makes `task` a speculation candidate, listed with every replica
+    /// holder. The caller re-keys it.
+    fn add_spec_candidate(&mut self, task: usize) {
+        if self.spec_candidates.insert(task) {
+            for &r in &self.tasks[task].replicas {
+                self.nodes[r as usize].held_candidates.insert(task);
+            }
+        }
+    }
+
+    /// Drops `task` from the speculation candidates. The caller re-keys
+    /// it.
+    fn remove_spec_candidate(&mut self, task: usize) {
+        if self.spec_candidates.remove(task) {
+            for &r in &self.tasks[task].replicas {
+                self.nodes[r as usize].held_candidates.remove(task);
+            }
+        }
+    }
+
+    /// The time from which node `r` serves fewer than
+    /// `max_source_streams` transfers: of its `m` ascending `serving`
+    /// end times, the (m − cap + 1)-th, or −∞ when m < cap. So
+    /// `active_streams(r, t') < cap` exactly when `free_at(r) <= t'`, and
+    /// the value moves only when `r` starts serving a transfer — which
+    /// is when `start_task` queues `r` in `spec_wake` if it saturated.
+    fn free_at(&self, r: u32) -> f64 {
+        let serving = &self.nodes[r as usize].serving;
+        match serving.len().checked_sub(self.cfg.max_source_streams) {
+            Some(i) => serving[i],
+            None => f64::NEG_INFINITY,
+        }
     }
 
     /// Number of outbound transfers node `r` is serving at time `t`.
@@ -1065,11 +1233,11 @@ impl MapPhaseSim {
         count
     }
 
-    /// The least-loaded alive replica of `task` with a spare outbound
-    /// stream, or `None` if every alive source is saturated (or down).
-    /// (Completed-transfer entries are ignored by the count and pruned
-    /// when the next transfer starts on the node.)
-    fn admissible_source(&self, task: usize, t: f64) -> Option<u32> {
+    /// The least-loaded alive replica of `task` serving fewer than `cap`
+    /// streams at `t`, or `None` if there is none. (Completed-transfer
+    /// entries are ignored by the count and pruned when the next
+    /// transfer starts on the node.)
+    fn least_loaded_source(&self, task: usize, t: f64, cap: usize) -> Option<u32> {
         // Single pass, counting each replica's streams once. Ties keep
         // the *last* minimal replica — `Iterator::min_by_key` semantics,
         // which the deterministic baselines were recorded under.
@@ -1079,7 +1247,7 @@ impl MapPhaseSim {
                 continue;
             }
             let streams = self.active_streams(r, t);
-            if streams >= self.cfg.max_source_streams {
+            if streams >= cap {
                 continue;
             }
             if best.is_none_or(|(s, _)| streams <= s) {
@@ -1099,13 +1267,14 @@ impl MapPhaseSim {
         if state.replicas.contains(&n) {
             return Some(t + self.cfg.gamma);
         }
-        let has_source = state.replicas.iter().any(|&r| {
-            self.nodes[r as usize].up && self.active_streams(r, t) < self.cfg.max_source_streams
-        });
-        if !has_source {
-            return None;
-        }
-        Some(t + self.cfg.transfer_seconds() + self.cfg.gamma)
+        self.least_loaded_source(task, t, self.cfg.max_source_streams)?;
+        Some(self.remote_eta(t))
+    }
+
+    /// The plain ETA of a remote attempt started at `t`: one uncontended
+    /// block fetch, then γ of compute.
+    fn remote_eta(&self, t: f64) -> f64 {
+        t + self.cfg.transfer_seconds() + self.cfg.gamma
     }
 
     /// Starts one attempt of `task` on node `n` at time `t`.
@@ -1128,29 +1297,15 @@ impl MapPhaseSim {
         let compute_start = if local {
             t
         } else {
-            // Prefer an admissible (spare-stream) source; fall back to
-            // the least-loaded alive replica (speculative attempts pass
-            // an ETA guard instead of the admission check).
-            let source = self
-                .admissible_source(task, t)
-                .or_else(|| {
-                    // Least-loaded alive replica, admission bound waived;
-                    // `<=` keeps `min_by_key`'s last-wins tie order.
-                    let mut best: Option<(usize, u32)> = None;
-                    for &r in &self.tasks[task].replicas {
-                        if !self.nodes[r as usize].up {
-                            continue;
-                        }
-                        let streams = self.active_streams(r, t);
-                        if best.is_none_or(|(s, _)| streams <= s) {
-                            best = Some((streams, r));
-                        }
-                    }
-                    best.map(|(_, r)| r)
-                })
-                .ok_or(SimError::InvariantViolation {
+            // The least-loaded alive replica, with the stream cap waived:
+            // speculative attempts pass an ETA guard instead of the
+            // admission check. When some replica has a spare stream, the
+            // least-loaded one is among them.
+            let source = self.least_loaded_source(task, t, usize::MAX).ok_or(
+                SimError::InvariantViolation {
                     what: "remote attempt started without an alive source replica",
-                })?;
+                },
+            )?;
             // Cross-rack fetches pay the oversubscribed uplink,
             // fair-shared over the cross-rack flows active right now
             // (committed at start, like the flat window always was).
@@ -1170,7 +1325,8 @@ impl MapPhaseSim {
             );
             let src = &mut self.nodes[source as usize];
             src.serving.retain(|&e| e > t);
-            src.serving.push(end);
+            let at = src.serving.partition_point(|&e| e <= end);
+            src.serving.insert(at, end);
             src.outbound.retain(|o| o.end > t);
             src.outbound.push(Outbound {
                 dest: n,
@@ -1247,7 +1403,17 @@ impl MapPhaseSim {
         // Speculation bookkeeping: this attempt is rescue-worthy if its
         // host is volatile or its transfer dominates its compute.
         if self.slowdown[n as usize] > STRAGGLER_SLOWDOWN || compute_start - t > self.cfg.gamma {
-            self.spec_candidates.insert(task);
+            self.add_spec_candidate(task);
+        }
+        // The new copy re-keys the task, and a transfer moves its
+        // source's free time.
+        self.rekey(task, t);
+        if let Some(source) = transfer_source {
+            self.rekey_held(source, t);
+            let free = self.free_at(source);
+            if self.cfg.speculation && free > t {
+                self.spec_wake.push(free, source)?;
+            }
         }
         Ok(())
     }
@@ -1297,7 +1463,8 @@ impl MapPhaseSim {
         self.tasks[task].winner = Some(n);
         self.tasks[task].done = true;
         self.done_count += 1;
-        self.spec_candidates.remove(task);
+        self.remove_spec_candidate(task);
+        self.rekey(task, t);
         self.tasks[task].running_on.retain(|&r| r != n);
 
         // Kill losing duplicates and let their nodes move on.
@@ -1367,7 +1534,7 @@ impl MapPhaseSim {
         let task = attempt.task;
         self.tasks[task].running_on.retain(|&r| r != n);
         if !self.tasks[task].done && self.tasks[task].running_on.is_empty() {
-            self.spec_candidates.remove(task);
+            self.remove_spec_candidate(task);
             if reason == KillReason::Interruption && self.cfg.detection_delay > 0.0 {
                 // The JobTracker has not noticed yet; the task re-enters
                 // the pending pool only after the heartbeat timeout.
@@ -1377,6 +1544,7 @@ impl MapPhaseSim {
                 self.requeue(task, t);
             }
         }
+        self.rekey(task, t);
         Ok(())
     }
 
@@ -1412,6 +1580,7 @@ impl MapPhaseSim {
         self.emit(TraceEvent::NodeDown { node: n, t });
         self.kill_attempt(n, t, KillReason::Interruption)?;
         self.nodes[ni].up = false;
+        self.rekey_held(n, t);
         self.nodes[ni].down_since = Some(t);
         self.idle.remove(ni);
         let up_at = self.nodes[ni].pending_up_at.max(t);
@@ -1474,6 +1643,7 @@ impl MapPhaseSim {
         let ni = n as usize;
         debug_assert!(!self.nodes[ni].up);
         self.nodes[ni].up = true;
+        self.rekey_held(n, t);
         if let Some(since) = self.nodes[ni].down_since.take() {
             self.nodes[ni].downtime += t - since;
             self.emit(TraceEvent::NodeUp { node: n, since, t });
@@ -2405,6 +2575,79 @@ mod tests {
         // single 13 s round.
         assert!(report.elapsed < 108.0, "elapsed {}", report.elapsed);
         assert!(report.elapsed > 13.0 + 1e-9, "elapsed {}", report.elapsed);
+    }
+
+    /// The speculation rule's answer by the linear scan the index
+    /// replaces: the first candidate the predicate accepts.
+    fn linear_speculative_task(sim: &MapPhaseSim, n: u32, t: f64) -> Option<usize> {
+        sim.spec_candidates
+            .iter()
+            .find(|&task| sim.accepts_duplicate(n, task, t))
+    }
+
+    /// Nodes 0–2 reliable, node 3 volatile enough to mark a straggler.
+    fn three_reliable_one_volatile() -> Vec<InterruptionProcess> {
+        let mut processes = reliable(3);
+        processes.push(InterruptionProcess::synthetic(
+            20.0,
+            Dist::exponential_from_mean(10.0).unwrap(),
+        ));
+        processes
+    }
+
+    #[test]
+    fn speculation_prefers_a_held_candidate_the_remote_index_rejects() {
+        // 512 s fetches. Node 2 fetches task 0 from node 0, volatile node
+        // 3 fetches task 1 from node 1. At t = 12 idle node 0 holds task
+        // 0's block: locally its copy (ETA 24) beats the running one
+        // (524), though a remote copy (ETA 536) would not, so the index
+        // passes it over. Task 1 clears the index by straggler rescue.
+        // The held task has the lower id and wins.
+        let slow = SimConfig::new(1.0, BlockSize::DEFAULT, 12.0).unwrap();
+        let mut sim =
+            MapPhaseSim::new(three_reliable_one_volatile(), single_replica(&[0, 1]), slow).unwrap();
+        assert!(sim.slowdown[3] >= STRAGGLER_ADVANTAGE);
+        sim.start_task(2, 0, 0.0).unwrap();
+        sim.start_task(3, 1, 0.0).unwrap();
+        let t = 12.0;
+        let remote_bar = sim.eta_bar(0, sim.remote_eta(t), t);
+        let rescue_bar = sim.slowdown[0] * STRAGGLER_ADVANTAGE;
+        assert_eq!(
+            sim.spec_index
+                .first(0, remote_bar, rescue_bar, |id| sim.spec_keys(id)),
+            Some(1)
+        );
+        assert_eq!(sim.speculative_task(0, t), Some(0));
+        assert_eq!(linear_speculative_task(&sim, 0, t), Some(0));
+        // Node 1 holds task 1 and cannot rescue task 0 from a reliable
+        // host: its answer is its own held task.
+        assert_eq!(sim.speculative_task(1, t), Some(1));
+        assert_eq!(linear_speculative_task(&sim, 1, t), Some(1));
+    }
+
+    #[test]
+    fn speculation_sees_a_source_that_frees_exactly_at_the_query_time() {
+        // One stream per source. Volatile node 3 fetches task 0 from its
+        // only holder, node 0, over [0, 512]. Node 2 may rescue it only
+        // once node 0 has a free stream: an end time of exactly t counts
+        // as free, because `active_streams` counts only `end > t`.
+        let slow = SimConfig::new(1.0, BlockSize::DEFAULT, 12.0)
+            .unwrap()
+            .with_max_source_streams(1)
+            .unwrap();
+        let mut sim =
+            MapPhaseSim::new(three_reliable_one_volatile(), single_replica(&[0, 0]), slow).unwrap();
+        sim.start_task(3, 0, 0.0).unwrap();
+        let end = sim.nodes[0].serving[0];
+        assert_eq!(end, 512.0);
+        assert_eq!(sim.free_at(0), end);
+        for t in [end - 1.0, end.next_down()] {
+            assert_eq!(sim.speculative_task(2, t), None, "t {t}");
+            assert_eq!(linear_speculative_task(&sim, 2, t), None, "t {t}");
+        }
+        assert_eq!(sim.active_streams(0, end), 0);
+        assert_eq!(sim.speculative_task(2, end), Some(0));
+        assert_eq!(linear_speculative_task(&sim, 2, end), Some(0));
     }
 
     #[test]

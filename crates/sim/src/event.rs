@@ -119,6 +119,11 @@ impl<E: Copy> EventQueue<E> {
         self.heap.pop().map(|e| (e.time, e.event))
     }
 
+    /// The time of the earliest event, without removing it.
+    pub fn peek_time(&self) -> Option<f64> {
+        self.heap.peek().map(|e| e.time)
+    }
+
     /// Number of scheduled events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -147,6 +152,8 @@ mod tests {
         q.push(3.0, 3).unwrap();
         q.push(1.0, 1).unwrap();
         q.push(2.0, 2).unwrap();
+        assert_eq!(q.peek_time(), Some(1.0));
+        assert_eq!(q.len(), 3, "peeking removes nothing");
         assert_eq!(q.pop(), Some((1.0, 1)));
         assert_eq!(q.pop(), Some((2.0, 2)));
         assert_eq!(q.pop(), Some((3.0, 3)));

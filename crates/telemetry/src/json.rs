@@ -216,16 +216,23 @@ impl From<Vec<Value>> for Value {
 // JSON parsing (recursive descent over one document)
 // ---------------------------------------------------------------------
 
+/// The deepest array/object nesting [`parse_value`] accepts. Every
+/// artifact the workspace writes nests a few levels; the parser recurses
+/// once per level, so the bound keeps hostile input off the stack limit.
+pub const MAX_JSON_DEPTH: usize = 128;
+
 /// Parses a single JSON value. Integer tokens without `.`/`e` parse as
 /// `U64`/`I64` so 64-bit seeds survive exactly (no `f64` round-trip).
 ///
 /// # Errors
 ///
-/// Returns a human-readable message on malformed input or trailing data.
+/// Returns a human-readable message on malformed input, trailing data,
+/// or arrays and objects nested deeper than [`MAX_JSON_DEPTH`].
 pub fn parse_value(input: &str) -> Result<Value, String> {
     let mut p = Parser {
         chars: input.chars().collect(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -239,6 +246,8 @@ pub fn parse_value(input: &str) -> Result<Value, String> {
 struct Parser {
     chars: Vec<char>,
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl Parser {
@@ -281,8 +290,22 @@ impl Parser {
     fn value(&mut self) -> Result<Value, String> {
         self.skip_ws();
         match self.peek() {
-            Some('{') => self.object(),
-            Some('[') => self.array(),
+            Some(open @ ('{' | '[')) => {
+                if self.depth == MAX_JSON_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_JSON_DEPTH} at offset {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == '{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some('"') => Ok(Value::Str(self.string()?)),
             Some('t') => {
                 self.eat_keyword("true")?;
@@ -459,6 +482,23 @@ mod tests {
         );
         assert!(parse_value("{\"a\":1} extra").is_err());
         assert!(parse_value("{\"a\"").is_err());
+    }
+
+    /// `depth` openers around a scalar, closed again.
+    fn nested(open: &str, close: &str, depth: usize) -> String {
+        format!("{}0{}", open.repeat(depth), close.repeat(depth))
+    }
+
+    #[test]
+    fn nesting_past_the_bound_is_a_typed_error() {
+        for (open, close) in [("[", "]"), ("{\"a\":", "}")] {
+            assert!(parse_value(&nested(open, close, MAX_JSON_DEPTH)).is_ok());
+            let err = parse_value(&nested(open, close, MAX_JSON_DEPTH + 1)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+            // Far past any stack: an error, not an overflow.
+            let err = parse_value(&open.repeat(100_000)).unwrap_err();
+            assert!(err.contains("nesting deeper than"), "{err}");
+        }
     }
 
     #[test]

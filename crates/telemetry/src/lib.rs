@@ -45,6 +45,6 @@ pub mod json;
 pub mod metrics;
 pub mod report;
 
-pub use json::{parse_value, Value};
+pub use json::{parse_value, Value, MAX_JSON_DEPTH};
 pub use metrics::{micros, HistogramSnapshot};
 pub use report::RunReport;

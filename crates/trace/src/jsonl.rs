@@ -529,6 +529,21 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_typed_error_on_any_line() {
+        let text = write_jsonl(&sample());
+        let header = text.lines().next().unwrap();
+        for open in ["[", "{\"a\":"] {
+            let deep = open.repeat(100_000);
+            let err = parse_jsonl(&deep).unwrap_err();
+            assert_eq!(err.line, 1);
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+            let err = parse_jsonl(&format!("{header}\n{deep}\n")).unwrap_err();
+            assert_eq!(err.line, 2);
+            assert!(err.message.contains("nesting deeper than"), "{err}");
+        }
+    }
+
+    #[test]
     fn parse_value_reexport_reads_trace_lines() {
         // The shared telemetry parser stays reachable under the old name.
         let v = parse_value(r#"{"kind":"node_down","node":3,"t":5.5}"#).unwrap();

@@ -13,6 +13,10 @@
 //!   attempt races its host's next interruption;
 //! * scheduled outages at t = 0 and whole-cluster blackout windows,
 //!   which exercise the stranded-task and recovery bookkeeping.
+//!
+//! [`generate`] keeps clusters small (at most 12 nodes and 40 tasks), so
+//! every set the engine keeps fits in one 64-id word. [`generate_wide`]
+//! draws hundreds of tasks on dozens of nodes instead.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -221,9 +225,9 @@ pub fn generate_reduce_heavy(seed: u64) -> Scenario {
     scenario
 }
 
-/// Generates one node's interruption behaviour for a multi-job cluster,
-/// drawing from the same adversarial regimes as [`generate`].
-fn jobstream_node(rng: &mut StdRng, horizon: f64) -> NodeKind {
+/// Generates one node's interruption behaviour, drawing from the same
+/// adversarial regimes as [`generate`].
+fn adversarial_node(rng: &mut StdRng, horizon: f64) -> NodeKind {
     match pick(rng, 3) {
         0 => NodeKind::Reliable,
         1 => {
@@ -240,6 +244,104 @@ fn jobstream_node(rng: &mut StdRng, horizon: f64) -> NodeKind {
                 outages: scheduled_windows(rng, horizon, down_at_zero),
             }
         }
+    }
+}
+
+/// A scheduled host whose outage windows estimate ρ = λμ above 1, so the
+/// engine prices it with an equation-(5) slowdown of +∞. (A synthetic
+/// M/G/1 process at ρ ≥ 1 would never end its busy period.) Windows of
+/// length `d` start `d + g` apart and the last lasts `2d + k·g`, so the
+/// mean duration exceeds the mean spacing `d + g`.
+fn unstable_node(rng: &mut StdRng, horizon: f64) -> NodeKind {
+    let k = 2 + pick(rng, 3) as usize;
+    let d = uniform_open01(rng) * (horizon * 0.02);
+    let g = d * 0.1;
+    let mut start = uniform_open01(rng) * (horizon * 0.2);
+    let mut outages = Vec::with_capacity(k);
+    for i in 0..k {
+        let duration = if i + 1 == k {
+            2.0 * d + k as f64 * g
+        } else {
+            d
+        };
+        outages.push((start, duration));
+        start += duration + g;
+    }
+    NodeKind::Scheduled { outages }
+}
+
+/// Deterministically generates a wide scenario for `seed`: 65–700 tasks
+/// on 16–96 nodes, so the engine's task and node sets span several
+/// 64-id words, under the regimes that work speculation hardest —
+/// speculation on, one or two outbound streams per source (sources
+/// saturate and free up mid-run), one to three copies per task, and
+/// about one host in eight scheduled so that its estimated ρ = λμ
+/// exceeds 1, which the engine prices with a +∞ slowdown. It draws from
+/// its own RNG stream, so [`generate`]'s corpus is unchanged.
+pub fn generate_wide(seed: u64) -> Scenario {
+    // A fixed xor keeps this stream apart from the other corpora's.
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5749_4445_5749_4445);
+    let n_nodes = 16 + pick(&mut rng, 81) as usize;
+    let n_tasks = 65 + pick(&mut rng, 636) as usize;
+    let replication = 1 + pick(&mut rng, 2) as usize;
+    let gamma = choose_f64(&mut rng, &GAMMA_REGIMES);
+    let bandwidth_mbps = choose_f64(&mut rng, &BANDWIDTH_REGIMES);
+    let block_bytes = BLOCK_REGIMES[pick(&mut rng, BLOCK_REGIMES.len() as u64) as usize];
+    let horizon = choose_f64(&mut rng, &HORIZON_REGIMES);
+    let max_copies = 1 + pick(&mut rng, 3) as usize;
+    let max_source_streams = 1 + pick(&mut rng, 2) as usize;
+    let availability_aware = chance(&mut rng, 1, 2);
+    let detection_delay = if chance(&mut rng, 1, 4) { 5.0 } else { 0.0 };
+    let fetch_failure = chance(&mut rng, 1, 3);
+    let racks = if chance(&mut rng, 1, 2) {
+        2 + pick(&mut rng, 3) as u32
+    } else {
+        1
+    };
+    let oversubscription = if racks > 1 {
+        choose_f64(&mut rng, &OVERSUB_REGIMES)
+    } else {
+        1.0
+    };
+    let mut nodes = Vec::with_capacity(n_nodes);
+    for _ in 0..n_nodes {
+        nodes.push(if chance(&mut rng, 1, 8) {
+            unstable_node(&mut rng, horizon)
+        } else {
+            adversarial_node(&mut rng, horizon)
+        });
+    }
+    let mut placement = Vec::with_capacity(n_tasks);
+    for _ in 0..n_tasks {
+        let mut replicas: Vec<u32> = Vec::with_capacity(replication);
+        while replicas.len() < replication {
+            let candidate = pick(&mut rng, n_nodes as u64) as u32;
+            if !replicas.contains(&candidate) {
+                replicas.push(candidate);
+            }
+        }
+        placement.push(replicas);
+    }
+    Scenario {
+        seed,
+        nodes,
+        placement,
+        bandwidth_mbps,
+        block_bytes,
+        gamma,
+        speculation: true,
+        max_copies,
+        max_source_streams,
+        availability_aware,
+        detection_delay,
+        fetch_failure,
+        horizon,
+        // Only the map oracle runs on this corpus.
+        reducers: 1,
+        reduce_gamma: gamma,
+        shuffle_skew: 1,
+        racks,
+        oversubscription,
     }
 }
 
@@ -277,7 +379,7 @@ pub fn generate_jobstream(seed: u64) -> JobStreamScenario {
 
     let mut nodes = Vec::with_capacity(n_nodes);
     for _ in 0..n_nodes {
-        nodes.push(jobstream_node(&mut rng, horizon));
+        nodes.push(adversarial_node(&mut rng, horizon));
     }
 
     let mut jobs = Vec::with_capacity(n_jobs);
@@ -327,6 +429,7 @@ pub fn generate_jobstream(seed: u64) -> JobStreamScenario {
 #[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
+    use adapt_sim::interrupt::InterruptionProcess;
 
     #[test]
     fn generation_is_deterministic() {
@@ -437,6 +540,41 @@ mod tests {
             assert_eq!(s.placement, base.placement);
             assert_eq!(s.seed, base.seed);
         }
+    }
+
+    #[test]
+    fn wide_corpus_spans_words_and_unstable_hosts() {
+        let mut saw_unstable = false;
+        let mut saw_saturating = false;
+        let mut saw_single_copy = false;
+        for seed in 0..64 {
+            let s = generate_wide(seed);
+            assert_eq!(s, generate_wide(seed));
+            assert!((65..=700).contains(&s.placement.len()));
+            assert!((16..=96).contains(&s.nodes.len()));
+            assert!(s.speculation);
+            assert!((1..=2).contains(&s.max_source_streams));
+            assert!((1..=3).contains(&s.max_copies));
+            s.sim_config().expect("valid config");
+            s.topology().expect("valid topology");
+            for replicas in &s.placement {
+                assert!((1..=2).contains(&replicas.len()));
+                assert!(replicas.iter().all(|&r| (r as usize) < s.nodes.len()));
+            }
+            let processes = s.processes().expect("valid processes");
+            saw_unstable |= processes
+                .iter()
+                .filter_map(InterruptionProcess::mean_params)
+                .any(|(lambda, mu)| lambda * mu >= 1.0);
+            saw_saturating |= s.max_source_streams == 1;
+            saw_single_copy |= s.max_copies == 1;
+        }
+        assert!(saw_unstable, "wide corpus never generated a rho >= 1 host");
+        assert!(
+            saw_saturating,
+            "wide corpus never capped sources at 1 stream"
+        );
+        assert!(saw_single_copy, "wide corpus never capped copies at 1");
     }
 
     #[test]

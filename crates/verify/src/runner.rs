@@ -12,7 +12,7 @@
 use adapt_dfs::cluster::{NodeAvailability, NodeSpec};
 use adapt_telemetry::Value;
 
-use crate::generator::{generate, generate_jobstream, generate_reduce_heavy};
+use crate::generator::{generate, generate_jobstream, generate_reduce_heavy, generate_wide};
 use crate::jobstream::{check_jobstream, JobStreamScenario};
 use crate::metamorphic::{
     monte_carlo_check, reduce_monotone_in_bandwidth, shuffle_bytes_conserved, threshold_cap_holds,
@@ -239,6 +239,35 @@ fn check_placement_layer(report: &mut FuzzReport, seed: u64, scenario: &Scenario
     }
 }
 
+/// Runs the map-phase differential oracle on one scenario of `corpus`,
+/// shrinking any failure to a minimal reproducer.
+fn check_map_layer(report: &mut FuzzReport, seed: u64, scenario: &Scenario, corpus: &str) {
+    match check_scenario(scenario) {
+        Ok(None) => {}
+        Ok(Some(_)) => {
+            let minimized = shrink(scenario.clone(), |c| {
+                matches!(check_scenario(c), Ok(Some(_)))
+            });
+            // Re-derive the divergence on the minimized scenario so the
+            // artifact's explanation matches its reproducer.
+            if let Ok(Some(divergence)) = check_scenario(&minimized) {
+                report.failures.push(FailureArtifact {
+                    seed,
+                    divergence,
+                    minimized,
+                });
+            } else {
+                report.errors.push(format!(
+                    "seed {seed}: {corpus} divergence vanished while shrinking"
+                ));
+            }
+        }
+        Err(e) => report
+            .errors
+            .push(format!("seed {seed}: {corpus} oracle error: {e}")),
+    }
+}
+
 /// Runs the reduce-phase lockstep oracle on one scenario, shrinking any
 /// failure to its kernel across every dimension — tasks, nodes, failure
 /// processes, scheduler flags, reducers, skew, and topology.
@@ -290,9 +319,10 @@ fn check_reduce_metamorphic(report: &mut FuzzReport, seed: u64, scenario: &Scena
 }
 
 /// Runs the full verification sweep: `count` generated scenarios from
-/// `base_seed` through the differential oracle (shrinking any failure),
-/// the reduce-phase lockstep oracle on both the plain corpus and its
-/// reduce-heavy re-draw, the reduce/shuffle metamorphic properties, the
+/// `base_seed` through the differential oracle (shrinking any failure)
+/// on the plain, reduce-heavy and wide corpora, the reduce-phase
+/// lockstep oracle on both the plain corpus and its reduce-heavy
+/// re-draw, the reduce/shuffle metamorphic properties, the
 /// placement-layer metamorphic checks per scenario, and the Monte-Carlo
 /// regime gate.
 pub fn run_corpus(base_seed: u64, count: usize) -> FuzzReport {
@@ -311,29 +341,7 @@ pub fn run_corpus(base_seed: u64, count: usize) -> FuzzReport {
     for offset in 0..count {
         let seed = base_seed.wrapping_add(offset as u64);
         let scenario = generate(seed);
-        match check_scenario(&scenario) {
-            Ok(None) => {}
-            Ok(Some(_)) => {
-                let minimized = shrink(scenario, |c| matches!(check_scenario(c), Ok(Some(_))));
-                // Re-derive the divergence on the minimized scenario so
-                // the artifact's explanation matches its reproducer.
-                if let Ok(Some(divergence)) = check_scenario(&minimized) {
-                    report.failures.push(FailureArtifact {
-                        seed,
-                        divergence,
-                        minimized,
-                    });
-                } else {
-                    report
-                        .errors
-                        .push(format!("seed {seed}: divergence vanished while shrinking"));
-                }
-            }
-            Err(e) => report
-                .errors
-                .push(format!("seed {seed}: oracle error: {e}")),
-        }
-        let scenario = generate(seed);
+        check_map_layer(&mut report, seed, &scenario, "plain");
         check_placement_layer(&mut report, seed, &scenario);
         // The reduce-phase lockstep oracle on the plain corpus, then on
         // its reduce-heavy re-draw (same map inputs, shuffle-dominant
@@ -341,28 +349,13 @@ pub fn run_corpus(base_seed: u64, count: usize) -> FuzzReport {
         // multi-rack topology changes map-phase transfers too.
         check_reduce_layer(&mut report, seed, &scenario);
         let heavy = generate_reduce_heavy(seed);
-        match check_scenario(&heavy) {
-            Ok(None) => {}
-            Ok(Some(_)) => {
-                let minimized = shrink(heavy.clone(), |c| matches!(check_scenario(c), Ok(Some(_))));
-                if let Ok(Some(divergence)) = check_scenario(&minimized) {
-                    report.failures.push(FailureArtifact {
-                        seed,
-                        divergence,
-                        minimized,
-                    });
-                } else {
-                    report.errors.push(format!(
-                        "seed {seed}: reduce-heavy divergence vanished while shrinking"
-                    ));
-                }
-            }
-            Err(e) => report
-                .errors
-                .push(format!("seed {seed}: reduce-heavy oracle error: {e}")),
-        }
+        check_map_layer(&mut report, seed, &heavy, "reduce-heavy");
         check_reduce_layer(&mut report, seed, &heavy);
         check_reduce_metamorphic(&mut report, seed, &heavy);
+        // The wide corpus: task and node sets across many 64-id words,
+        // saturated sources and +∞-slowdown hosts, through the map
+        // oracle.
+        check_map_layer(&mut report, seed, &generate_wide(seed), "wide");
         // The multi-job lockstep check: both trackers, all three
         // scheduling policies, full-outcome equality.
         let stream = generate_jobstream(seed);

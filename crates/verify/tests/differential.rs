@@ -9,11 +9,15 @@
 //! `adapt_verify::generate(seed)` and shrink with
 //! `adapt_verify::shrink`.
 
-use adapt_verify::{check_scenario, generate, shrink, Scenario};
+use adapt_verify::{check_scenario, generate, generate_wide, shrink, Scenario};
 
 /// How many generated scenarios the gate sweeps. The acceptance
 /// criterion requires at least 100.
 const CORPUS: u64 = 128;
+
+/// How many wide scenarios the gate sweeps; `verify` runs one per seed
+/// of its corpus.
+const WIDE_CORPUS: u64 = 64;
 
 fn explain(seed: u64, scenario: Scenario) -> String {
     let minimized = shrink(scenario, |c| matches!(check_scenario(c), Ok(Some(_))));
@@ -36,6 +40,21 @@ fn engines_agree_on_the_full_corpus() {
             Ok(None) => {}
             Ok(Some(_)) => panic!("{}", explain(seed, generate(seed))),
             Err(e) => panic!("seed {seed}: oracle error: {e}"),
+        }
+    }
+}
+
+/// Hundreds of tasks on dozens of nodes: every engine set spans several
+/// 64-id words, sources saturate and free up mid-run, and some hosts
+/// carry a +∞ slowdown — the speculation index's edge cases.
+#[test]
+fn engines_agree_on_the_wide_corpus() {
+    for seed in 0..WIDE_CORPUS {
+        let scenario = generate_wide(seed);
+        match check_scenario(&scenario) {
+            Ok(None) => {}
+            Ok(Some(_)) => panic!("{}", explain(seed, scenario)),
+            Err(e) => panic!("seed {seed}: wide oracle error: {e}"),
         }
     }
 }
