@@ -12,11 +12,9 @@
 //! objects, and all are implemented from first principles (inverse-CDF
 //! where tractable, Box–Muller for normals, Marsaglia–Tsang for gamma).
 
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-
 use crate::error::require_positive;
 use crate::AvailabilityError;
+use rand::Rng;
 
 /// Draws a `f64` uniformly from the open interval `(0, 1)`.
 ///
@@ -72,7 +70,7 @@ pub trait Sample: std::fmt::Debug + Send + Sync {
 /// The paper assumes interruption inter-arrival times are exponential; the
 /// memorylessness of this distribution is what makes equations (2)–(5)
 /// closed-form.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
     rate: f64,
 }
@@ -127,7 +125,7 @@ impl Sample for Exponential {
 /// `k < 1` yields a decreasing hazard rate, the empirically observed shape
 /// for desktop-grid host failures; the synthetic trace generator uses it
 /// for per-host availability periods.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Weibull {
     shape: f64,
     scale: f64,
@@ -181,7 +179,7 @@ impl Sample for Weibull {
 /// Log-normals reproduce the "CoV several-fold above 1" heterogeneity of
 /// the SETI@home data in Table 1 and are the default hyper-distribution of
 /// the synthetic trace generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
     mu: f64,
     sigma: f64,
@@ -259,7 +257,7 @@ impl Sample for LogNormal {
 /// The heaviest-tailed option for interruption durations; with `α ≤ 2` the
 /// variance is infinite, matching the extreme CoV values of production
 /// desktop-grid traces.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pareto {
     xm: f64,
     alpha: f64,
@@ -318,7 +316,7 @@ impl Sample for Pareto {
 /// Serves as the tunable-CoV "G" in M/G/1 service-time ablations:
 /// `CoV = 1/√k`, so `k > 1` is *less* variable than exponential and
 /// `k < 1` more.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gamma {
     shape: f64,
     scale: f64,
@@ -403,7 +401,7 @@ impl Sample for Gamma {
 }
 
 /// Continuous uniform distribution on `[low, high)`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Uniform {
     low: f64,
     high: f64,
@@ -465,7 +463,7 @@ impl Sample for Uniform {
 ///
 /// Used for failure-free task lengths (the paper's `γ` is deterministic:
 /// "12 s per 64 MB block") and for the threshold ablation's control runs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Deterministic {
     value: f64,
 }
@@ -523,7 +521,7 @@ impl Sample for Deterministic {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum Dist {
     /// See [`Exponential`].

@@ -11,8 +11,6 @@
 //! * [`HeartbeatMonitor`] — converts a stream of heartbeat arrivals and
 //!   timeouts into up/down intervals feeding the estimator.
 
-use serde::{Deserialize, Serialize};
-
 /// Exact running estimates of `(λ, μ)` from observed intervals.
 ///
 /// `λ` is estimated as `interruptions / total observed uptime` (the MLE for
@@ -33,7 +31,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((est.lambda().unwrap() - 2.0 / 200.0).abs() < 1e-12);
 /// assert!((est.mu().unwrap() - 20.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct IntervalEstimator {
     total_uptime: f64,
     total_downtime: f64,
@@ -111,7 +109,7 @@ impl IntervalEstimator {
 }
 
 /// The state of a monitored node as inferred from heartbeats.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeState {
     /// Heartbeats arriving on schedule.
     Up,
@@ -127,7 +125,7 @@ pub enum NodeState {
 /// heartbeat collector declares the node missing. Down-time is measured
 /// from the *last seen* heartbeat, which is the only information the
 /// NameNode actually has.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeartbeatMonitor {
     state: NodeState,
     last_transition: f64,

@@ -14,8 +14,6 @@
 //! (utilization, Pollaczek–Khinchine waiting time, busy-period second-order
 //! behaviour) used by the service-time-sensitivity ablation.
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::require_positive;
 use crate::AvailabilityError;
 
@@ -36,7 +34,7 @@ use crate::AvailabilityError;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mg1 {
     lambda: f64,
     service_mean: f64,

@@ -6,8 +6,6 @@
 //! computes the sample mean, variance, standard deviation, and coefficient
 //! of variation in a single numerically stable pass.
 
-use serde::{Deserialize, Serialize};
-
 /// A single-pass, numerically stable accumulator of sample moments.
 ///
 /// Uses Welford's online algorithm; two accumulators can be [merged]
@@ -29,7 +27,7 @@ use serde::{Deserialize, Serialize};
 /// ```
 ///
 /// [merged]: Moments::merge
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Moments {
     count: u64,
     mean: f64,

@@ -15,20 +15,18 @@
 //! (equations (2)–(5)) are implemented here, together with a Monte-Carlo
 //! reference simulator used to validate them.
 
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-
 use crate::dist::{uniform_open01, Sample};
 use crate::error::{require_non_negative, require_positive};
 use crate::mg1::Mg1;
 use crate::AvailabilityError;
+use rand::Rng;
 
 /// Steady-state host availability in `[0, 1]`.
 ///
 /// The paper's naive baseline policy weighs hosts by
 /// `(MTBI − μ)/MTBI = 1 − λμ` (Section V-C); this newtype carries that
 /// quantity and clamps it into `[0, 1]`.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Availability(f64);
 
 impl Availability {
@@ -84,7 +82,7 @@ impl Availability {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskModel {
     lambda: f64,
     mu: f64,

@@ -21,14 +21,12 @@
     reason = "hash-slot arithmetic: u32 node ids and slot counts converted for Algorithm 1 range mapping, all values bounded by the table size"
 )]
 
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-
 use adapt_dfs::placement::uniform_index;
 use adapt_dfs::DfsError;
+use rand::Rng;
 
 /// How a collision chain distributes probability among its members.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ChainWeighting {
     /// The paper's rule: member `i` is chosen with probability
     /// `rateᵢ / Σ_chain rate`.

@@ -4,12 +4,8 @@
 //! paper's Hadoop 0.20.2) replicated across DataNodes. These newtypes keep
 //! the three id spaces — nodes, blocks, files — statically distinct.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a DataNode (also the TaskTracker on the same host).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl std::fmt::Display for NodeId {
@@ -19,9 +15,7 @@ impl std::fmt::Display for NodeId {
 }
 
 /// Identifier of one HDFS block.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockId(pub u64);
 
 impl std::fmt::Display for BlockId {
@@ -31,9 +25,7 @@ impl std::fmt::Display for BlockId {
 }
 
 /// Identifier of one HDFS file.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FileId(pub u64);
 
 impl std::fmt::Display for FileId {
@@ -55,9 +47,7 @@ impl std::fmt::Display for FileId {
 /// let seconds = b.transfer_seconds(8.0);
 /// assert!((seconds - 64.0 * 8.0 / 8.0).abs() < 1e-9);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct BlockSize(u64);
 
 impl BlockSize {

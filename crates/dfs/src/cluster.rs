@@ -6,8 +6,6 @@
 //! the heartbeat collector — the paper stresses this is deliberately tiny
 //! state ("a data structure with two double data types").
 
-use serde::{Deserialize, Serialize};
-
 use adapt_availability::{AvailabilityError, TaskModel};
 
 /// Interruption parameters of one host as known to the NameNode.
@@ -15,7 +13,7 @@ use adapt_availability::{AvailabilityError, TaskModel};
 /// `lambda == 0` denotes a host never observed to fail (e.g. a dedicated
 /// server in a MOON-style deployment); the predictor treats its expected
 /// task time as exactly the failure-free length.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeAvailability {
     /// Interruption arrival rate (`1/MTBI`), `>= 0`.
     pub lambda: f64,
@@ -110,7 +108,7 @@ impl Default for NodeAvailability {
 }
 
 /// Static description of one DataNode.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeSpec {
     availability: NodeAvailability,
     capacity_blocks: Option<usize>,

@@ -11,19 +11,17 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
-use adapt_metrics::MetricsHub;
-use adapt_trace::{TraceEvent, TraceRecorder};
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-
 use crate::block::{BlockId, FileId, NodeId};
 use crate::cluster::{NodeAvailability, NodeSpec};
 use crate::placement::{ClusterView, Eligible, NodeView, PlacementPolicy};
 use crate::telemetry::NameNodeTelemetrySnapshot;
 use crate::DfsError;
+use adapt_metrics::MetricsHub;
+use adapt_trace::{TraceEvent, TraceRecorder};
+use rand::Rng;
 
 /// Per-node block cap for one file's placement session.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Threshold {
     /// No cap: a policy may pile arbitrarily many blocks on one node.
     None,
@@ -58,7 +56,7 @@ impl Threshold {
 }
 
 /// Metadata of one file.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FileMeta {
     name: String,
     replication: usize,
@@ -83,7 +81,7 @@ impl FileMeta {
 }
 
 /// Metadata of one block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BlockMeta {
     file: FileId,
     index: usize,

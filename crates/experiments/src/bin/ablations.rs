@@ -2,7 +2,11 @@
 //! ablation (see `DESIGN.md` §7).
 //!
 //! Usage: `ablations [emu|sched] [--paper] [--runs N] [--nodes N] [--seed N]
-//! [--trace-out PATH]`
+//! [--report-json PATH] [--trace-out PATH] [--metrics-out PATH]
+//! [--metrics-interval SECS] [--racks N] [--oversubscription X]`
+//!
+//! The last six flags write the outputs of one probe run
+//! (`adapt_experiments::run_report`) of `--nodes` hosts (default 256).
 //!
 //! * `emu` — only the emulated-cluster ablations (policies, threshold,
 //!   speculation, chain weighting, detection latency);
@@ -106,20 +110,7 @@ fn main() {
         eprintln!("ablations failed: {e}");
         std::process::exit(1);
     }
-    if let Some(path) = &opts.trace_out {
-        let nodes = opts.nodes.unwrap_or(256);
-        let seed = opts.seed.unwrap_or(2012);
-        adapt_experiments::run_report::write_probe_trace("ablations", path, nodes, seed);
-    }
-    if let Some(path) = &opts.metrics_out {
-        let nodes = opts.nodes.unwrap_or(256);
-        let seed = opts.seed.unwrap_or(2012);
-        adapt_experiments::run_report::write_probe_metrics(
-            "ablations",
-            path,
-            nodes,
-            seed,
-            opts.metrics_interval,
-        );
-    }
+    let nodes = opts.nodes.unwrap_or(256);
+    let seed = opts.seed.unwrap_or(2012);
+    adapt_experiments::run_report::write_probe("ablations", &opts, nodes, seed, None);
 }

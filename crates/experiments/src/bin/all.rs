@@ -1,7 +1,12 @@
 //! Runs every paper reproduction (Table 1, Figures 3–5) at the chosen
 //! scale and prints all tables — the input to `EXPERIMENTS.md`.
 //!
-//! Usage: `all [--paper] [--runs N] [--seed N] [--trace-out PATH]`
+//! Usage: `all [--paper] [--runs N] [--nodes N] [--seed N]
+//! [--report-json PATH] [--trace-out PATH] [--metrics-out PATH]
+//! [--metrics-interval SECS] [--racks N] [--oversubscription X]`
+//!
+//! The last six flags write the outputs of one probe run
+//! (`adapt_experiments::run_report`) of `--nodes` hosts (default 256).
 
 use adapt_experiments::cli::Options;
 use adapt_experiments::config::{EmulatedConfig, LargeScaleConfig};
@@ -106,20 +111,7 @@ fn main() {
         eprintln!("all failed: {e}");
         std::process::exit(1);
     }
-    if let Some(path) = &opts.trace_out {
-        let nodes = opts.nodes.unwrap_or(256);
-        let seed = opts.seed.unwrap_or(2012);
-        adapt_experiments::run_report::write_probe_trace("all", path, nodes, seed);
-    }
-    if let Some(path) = &opts.metrics_out {
-        let nodes = opts.nodes.unwrap_or(256);
-        let seed = opts.seed.unwrap_or(2012);
-        adapt_experiments::run_report::write_probe_metrics(
-            "all",
-            path,
-            nodes,
-            seed,
-            opts.metrics_interval,
-        );
-    }
+    let nodes = opts.nodes.unwrap_or(256);
+    let seed = opts.seed.unwrap_or(2012);
+    adapt_experiments::run_report::write_probe("all", &opts, nodes, seed, None);
 }

@@ -3,7 +3,10 @@
 //!
 //! Usage: `fig3 [a|b|c] [--paper] [--runs N] [--nodes N] [--seed N] [--csv]
 //! [--report-json PATH] [--trace-out PATH] [--metrics-out PATH]
-//! [--metrics-interval SECS]`
+//! [--metrics-interval SECS] [--racks N] [--oversubscription X]`
+//!
+//! The last six flags write the outputs of one probe run
+//! (`adapt_experiments::run_report`) at the same node count and seed.
 //!
 //! * `a` — sweep the interrupted-node ratio {¼, ½, ¾};
 //! * `b` — sweep the bandwidth {4, 8, 16, 32 Mb/s};
@@ -83,22 +86,6 @@ fn main() {
         eprintln!("fig3 failed: {e}");
         std::process::exit(1);
     }
-    if let Some(path) = &opts.report_json {
-        let base = base_config(&opts);
-        adapt_experiments::run_report::write_probe_report("fig3", path, base.nodes, base.seed);
-    }
-    if let Some(path) = &opts.trace_out {
-        let base = base_config(&opts);
-        adapt_experiments::run_report::write_probe_trace("fig3", path, base.nodes, base.seed);
-    }
-    if let Some(path) = &opts.metrics_out {
-        let base = base_config(&opts);
-        adapt_experiments::run_report::write_probe_metrics(
-            "fig3",
-            path,
-            base.nodes,
-            base.seed,
-            opts.metrics_interval,
-        );
-    }
+    let base = base_config(&opts);
+    adapt_experiments::run_report::write_probe("fig3", &opts, base.nodes, base.seed, None);
 }

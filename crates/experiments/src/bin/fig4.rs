@@ -2,7 +2,11 @@
 //! cluster (same sweeps as Figure 3).
 //!
 //! Usage: `fig4 [a|b|c] [--paper] [--runs N] [--nodes N] [--seed N] [--csv]
-//! [--report-json PATH]`
+//! [--report-json PATH] [--trace-out PATH] [--metrics-out PATH]
+//! [--metrics-interval SECS] [--racks N] [--oversubscription X]`
+//!
+//! The last six flags write the outputs of one probe run
+//! (`adapt_experiments::run_report`) at the same node count and seed.
 
 use adapt_experiments::cli::Options;
 use adapt_experiments::config::EmulatedConfig;
@@ -77,22 +81,6 @@ fn main() {
         eprintln!("fig4 failed: {e}");
         std::process::exit(1);
     }
-    if let Some(path) = &opts.report_json {
-        let base = base_config(&opts);
-        adapt_experiments::run_report::write_probe_report("fig4", path, base.nodes, base.seed);
-    }
-    if let Some(path) = &opts.trace_out {
-        let base = base_config(&opts);
-        adapt_experiments::run_report::write_probe_trace("fig4", path, base.nodes, base.seed);
-    }
-    if let Some(path) = &opts.metrics_out {
-        let base = base_config(&opts);
-        adapt_experiments::run_report::write_probe_metrics(
-            "fig4",
-            path,
-            base.nodes,
-            base.seed,
-            opts.metrics_interval,
-        );
-    }
+    let base = base_config(&opts);
+    adapt_experiments::run_report::write_probe("fig4", &opts, base.nodes, base.seed, None);
 }

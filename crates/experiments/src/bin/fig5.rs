@@ -2,7 +2,11 @@
 //! trace-driven simulation.
 //!
 //! Usage: `fig5 [a|b|c] [--paper] [--runs N] [--nodes N] [--seed N] [--csv]
-//! [--report-json PATH]`
+//! [--report-json PATH] [--trace-out PATH] [--metrics-out PATH]
+//! [--metrics-interval SECS] [--racks N] [--oversubscription X]`
+//!
+//! The last six flags write the outputs of one probe run
+//! (`adapt_experiments::run_report`) at the same node count and seed.
 //!
 //! * `a` — sweep the bandwidth {4, 8, 16, 32 Mb/s};
 //! * `b` — sweep the block size {32, 64, 128, 256 MB};
@@ -84,22 +88,6 @@ fn main() {
         eprintln!("fig5 failed: {e}");
         std::process::exit(1);
     }
-    if let Some(path) = &opts.report_json {
-        let base = base_config(&opts);
-        adapt_experiments::run_report::write_probe_report("fig5", path, base.nodes, base.seed);
-    }
-    if let Some(path) = &opts.trace_out {
-        let base = base_config(&opts);
-        adapt_experiments::run_report::write_probe_trace("fig5", path, base.nodes, base.seed);
-    }
-    if let Some(path) = &opts.metrics_out {
-        let base = base_config(&opts);
-        adapt_experiments::run_report::write_probe_metrics(
-            "fig5",
-            path,
-            base.nodes,
-            base.seed,
-            opts.metrics_interval,
-        );
-    }
+    let base = base_config(&opts);
+    adapt_experiments::run_report::write_probe("fig5", &opts, base.nodes, base.seed, None);
 }

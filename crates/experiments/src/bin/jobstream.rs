@@ -14,7 +14,9 @@
 use std::io::Write;
 
 use adapt_experiments::cli::Options;
-use adapt_experiments::jobstream::{render_csv, render_table, report_value, JobStreamConfig};
+use adapt_experiments::jobstream::{
+    render_csv, render_table, report_value, run_jobstream_metrics, JobStreamConfig,
+};
 use adapt_sim::SchedPolicy;
 
 fn main() {
@@ -62,8 +64,16 @@ fn main() {
         config.seed
     );
 
-    let points = match adapt_experiments::jobstream::run_jobstream(&config) {
-        Ok(points) => points,
+    // With `--metrics-out`, the sweep's saturated ADAPT cell runs with a
+    // metrics hub carrying the declared p99-sojourn SLO.
+    let interval_us = opts.metrics_out.as_ref().map(|_| {
+        adapt_telemetry::micros(
+            opts.metrics_interval
+                .unwrap_or(adapt_experiments::run_report::DEFAULT_METRICS_INTERVAL_SECS),
+        )
+    });
+    let (points, hub) = match run_jobstream_metrics(&config, interval_us) {
+        Ok(swept) => swept,
         Err(e) => {
             eprintln!("jobstream: {e}");
             std::process::exit(1);
@@ -87,20 +97,7 @@ fn main() {
         }
     }
 
-    // The metrics cell: the saturated load level under ADAPT placement,
-    // instrumented with the declared p99-sojourn SLO.
-    if let Some(path) = &opts.metrics_out {
-        let interval_us = adapt_telemetry::micros(
-            opts.metrics_interval
-                .unwrap_or(adapt_experiments::run_report::DEFAULT_METRICS_INTERVAL_SECS),
-        );
-        let hub = match adapt_experiments::jobstream::run_jobstream_metrics(&config, interval_us) {
-            Ok(hub) => hub,
-            Err(e) => {
-                eprintln!("jobstream: metrics cell failed: {e}");
-                std::process::exit(1);
-            }
-        };
+    if let (Some(path), Some(hub)) = (&opts.metrics_out, hub) {
         let doc = hub.to_jsonl("jobstream", config.nodes as u64, config.seed);
         if let Err(e) = std::fs::write(path, doc) {
             eprintln!("jobstream: cannot write metrics to {path}: {e}");

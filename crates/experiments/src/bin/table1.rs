@@ -2,23 +2,22 @@
 //! (measured vs paper).
 //!
 //! Usage: `table1 [--paper] [--nodes N] [--seed N] [--report-json PATH]
-//! [--trace-out PATH] [--racks N] [--oversubscription X]`
+//! [--trace-out PATH] [--metrics-out PATH] [--metrics-interval SECS]
+//! [--racks N] [--oversubscription X]`
 //! `--paper` uses the archive's full 226 208-host population size;
 //! the default uses 20 000 hosts (statistically equivalent, much faster).
-//! `--report-json` additionally runs the telemetry probe pipeline at the
-//! same host count and writes a deterministic JSON run report;
-//! `--trace-out` runs the traced probe and writes its event trace as
-//! JSONL (explore with the `trace` binary). `--racks`/`--oversubscription`
-//! install a rack topology in the probe's engine — `--racks 1
-//! --oversubscription 1` reproduces the flat report byte-identically
-//! (the degeneracy contract CI pins).
+//! The other flags write the outputs of one probe run at the same host
+//! count: `--report-json` a deterministic JSON run report with the
+//! population statistics added, `--trace-out` its event trace as JSONL
+//! (explore with the `trace` binary) and `--metrics-out` its metrics
+//! document (explore with the `metrics` binary).
+//! `--racks`/`--oversubscription` install a rack topology in the probe's
+//! engine — `--racks 1 --oversubscription 1` reproduces the flat report
+//! byte-identically (the degeneracy contract CI pins).
 
 use adapt_experiments::cli::Options;
-use adapt_experiments::run_report::{
-    build_run_report, build_run_report_topo, finish_report, table1_section,
-};
+use adapt_experiments::run_report::{table1_section, write_probe};
 use adapt_experiments::table1::{render_comparison, run_table1};
-use adapt_sim::Topology;
 
 fn main() {
     let opts = match Options::from_env() {
@@ -46,43 +45,6 @@ fn main() {
         }
     };
 
-    if let Some(path) = &opts.report_json {
-        let built = if opts.racks.is_some() || opts.oversubscription.is_some() {
-            let topology = match Topology::new(
-                opts.racks.unwrap_or(1),
-                opts.oversubscription.unwrap_or(1.0),
-            ) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("table1: invalid topology: {e}");
-                    std::process::exit(2);
-                }
-            };
-            build_run_report_topo("table1", hosts, seed, topology)
-        } else {
-            build_run_report("table1", hosts, seed)
-        };
-        match built {
-            Ok(mut report) => {
-                report.set_section("table1", table1_section(&summary));
-                finish_report(&report, path);
-            }
-            Err(e) => {
-                eprintln!("table1: run report failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    }
-    if let Some(path) = &opts.trace_out {
-        adapt_experiments::run_report::write_probe_trace("table1", path, hosts, seed);
-    }
-    if let Some(path) = &opts.metrics_out {
-        adapt_experiments::run_report::write_probe_metrics(
-            "table1",
-            path,
-            hosts,
-            seed,
-            opts.metrics_interval,
-        );
-    }
+    let section = ("table1", table1_section(&summary));
+    write_probe("table1", &opts, hosts, seed, Some(section));
 }

@@ -59,24 +59,9 @@ impl Options {
                 "--runs" => opts.runs = Some(parse_value(&arg, args.next())?),
                 "--nodes" => opts.nodes = Some(parse_value(&arg, args.next())?),
                 "--seed" => opts.seed = Some(parse_value(&arg, args.next())?),
-                "--report-json" => {
-                    let path = args
-                        .next()
-                        .ok_or_else(|| format!("flag `{arg}` needs a value"))?;
-                    opts.report_json = Some(path);
-                }
-                "--trace-out" => {
-                    let path = args
-                        .next()
-                        .ok_or_else(|| format!("flag `{arg}` needs a value"))?;
-                    opts.trace_out = Some(path);
-                }
-                "--metrics-out" => {
-                    let path = args
-                        .next()
-                        .ok_or_else(|| format!("flag `{arg}` needs a value"))?;
-                    opts.metrics_out = Some(path);
-                }
+                "--report-json" => opts.report_json = Some(parse_value(&arg, args.next())?),
+                "--trace-out" => opts.trace_out = Some(parse_value(&arg, args.next())?),
+                "--metrics-out" => opts.metrics_out = Some(parse_value(&arg, args.next())?),
                 "--metrics-interval" => {
                     let secs: f64 = parse_value(&arg, args.next())?;
                     if !(secs.is_finite() && secs > 0.0) {

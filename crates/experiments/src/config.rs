@@ -1,11 +1,9 @@
 //! Typed experiment parameters — the paper's Tables 2, 3, and 4.
 
-use serde::{Deserialize, Serialize};
-
 use adapt_dfs::BlockSize;
 
 /// One row of Table 2: an interrupted-node group's injection parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InterruptionGroup {
     /// Mean time between interruptions (seconds).
     pub mtbi: f64,
@@ -38,7 +36,7 @@ pub const TABLE2_GROUPS: [InterruptionGroup; 4] = [
 ///
 /// Defaults reproduce Table 3: 64 MB blocks, half the nodes interrupted,
 /// 8 Mb/s, 128 nodes, 20 blocks per node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmulatedConfig {
     /// Total cluster size.
     pub nodes: usize,
@@ -115,7 +113,7 @@ impl EmulatedConfig {
 /// heterogeneity that ADAPT exploits. Use
 /// [`LargeScaleConfig::with_table1_time_constants`] for the unfiltered
 /// archive profile; `EXPERIMENTS.md` documents both.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LargeScaleConfig {
     /// Cluster size (Table 4 default 8 196).
     pub nodes: usize,

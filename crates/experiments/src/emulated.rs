@@ -10,7 +10,6 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use adapt_availability::dist::Dist;
 use adapt_dfs::cluster::{NodeAvailability, NodeSpec};
 use adapt_dfs::namenode::{NameNode, Threshold};
 use adapt_sim::engine::{MapPhaseSim, SimConfig};
@@ -145,17 +144,10 @@ fn run_once(
     let placement = placement_from_namenode(&namenode, file)?;
 
     // Interruption injection per Table 2.
-    let processes: Vec<InterruptionProcess> = layout
+    let processes = layout
         .iter()
-        .map(|a| {
-            if a.is_reliable() {
-                Ok(InterruptionProcess::none())
-            } else {
-                let service = Dist::exponential_from_mean(a.mu)?;
-                Ok(InterruptionProcess::synthetic(1.0 / a.lambda, service))
-            }
-        })
-        .collect::<Result<_, adapt_availability::AvailabilityError>>()?;
+        .map(|&a| InterruptionProcess::from_availability(a))
+        .collect::<Result<_, _>>()?;
 
     let cfg = tweak(SimConfig::new(
         config.bandwidth_mbps,

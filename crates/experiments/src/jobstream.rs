@@ -18,10 +18,9 @@
 //! (load, policy) cell, so the comparison is paired exactly as in the
 //! paper's single-job experiments. The report is integer-only
 //! (microseconds, per-mille) with sorted keys, and CI byte-diffs it
-//! against `results/ci-baseline-jobstream.json`.
-
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+//! against `results/ci-baseline-jobstream.json`. With a metrics hub
+//! ([`run_jobstream_metrics`]) the same sweep also records its
+//! saturated ADAPT cell against the declared sojourn SLO.
 
 use adapt_dfs::cluster::NodeSpec;
 use adapt_dfs::namenode::{NameNode, Threshold};
@@ -29,24 +28,25 @@ use adapt_dfs::{BlockSize, DfsError, FileId, NodeId};
 use adapt_metrics::window::nearest_rank;
 use adapt_metrics::{MetricsHub, SloTarget};
 use adapt_sim::engine::SimConfig;
-use adapt_sim::interrupt::InterruptionProcess;
 use adapt_sim::runner::placement_from_namenode;
 use adapt_sim::{
     JobPlacer, JobStreamOutcome, JobTracker, JobTrackerConfig, OptimizedEngine, SchedPolicy,
     SimError,
 };
 use adapt_telemetry::{micros, Value};
-use adapt_traces::replay::InterruptionSchedule;
 use adapt_workload::{generate, JobSpec, WorkloadConfig};
 
 use crate::config::LargeScaleConfig;
-use crate::largescale::World;
+use crate::largescale::{placement_rng, World};
 use crate::policies::PolicyKind;
 use crate::ExperimentError;
 
 /// Offered-load levels swept, in per-mille of cluster capacity
 /// (`ρ = 0.5, 1.0, 2.0` — underloaded, critically loaded, saturated).
 pub const LOAD_LEVELS_PM: [u64; 3] = [500, 1_000, 2_000];
+
+/// The saturated load level, whose ADAPT cell carries the SLO.
+const SATURATED_PM: u64 = LOAD_LEVELS_PM[LOAD_LEVELS_PM.len() - 1];
 
 /// The job-slowdown CDF's evaluation grid (sojourn over contention-free
 /// ideal time).
@@ -157,6 +157,33 @@ impl JobStreamConfig {
         }
     }
 
+    /// The host population, and the tracker over its one trace rotation:
+    /// every (load, policy) cell faces the same failure realization. Each
+    /// cell places its jobs through a NameNode of its own.
+    fn tracker(&self) -> Result<(World, JobTracker), ExperimentError> {
+        let world = World::generate(&self.world_config())?;
+        let processes = world.trial(self.seed)?.processes;
+        let sim = SimConfig::new(self.bandwidth_mbps, self.block_size, self.gamma)?
+            .with_horizon(JOB_HORIZON);
+        let tracker_cfg = JobTrackerConfig::new(sim, self.sched)?
+            .with_max_nodes_per_job(self.max_nodes_per_job.min(self.nodes))?;
+        let tracker = JobTracker::new(processes, tracker_cfg)?;
+        Ok((world, tracker))
+    }
+
+    /// The job stream offered at `load_pm`. Its seed depends on the load
+    /// only: the *same* stream is replayed under every policy, so within
+    /// a load the comparison is job-for-job.
+    fn jobs(&self, load_pm: u64) -> Result<Vec<JobSpec>, ExperimentError> {
+        let workload = WorkloadConfig::fb2010_like(self.jobs, self.mean_gap(load_pm));
+        generate(&workload, self.seed ^ (load_pm << 16)).map_err(|e| {
+            ExperimentError::InvalidConfig {
+                name: "workload",
+                reason: e.to_string(),
+            }
+        })
+    }
+
     /// Mean inter-arrival gap that offers load `ρ = load_pm / 1000`:
     /// each job brings `E[tasks] · γ` node-seconds of work against
     /// `nodes` node-seconds of capacity per second.
@@ -233,7 +260,7 @@ impl JobPlacer for NameNodePlacer {
     ) -> Result<Vec<Vec<NodeId>>, SimError> {
         // Same paired-seed discipline as the single-job harnesses: the
         // placement RNG stream is independent of the engine's.
-        let mut rng = StdRng::seed_from_u64(seed ^ 0x70AC_E5EED);
+        let mut rng = placement_rng(seed);
         let mut policy = self.policy.build(self.gamma);
         let replication = self.replication.min(alloc.len()).max(1);
         let file = self
@@ -359,114 +386,45 @@ fn summarize(
 /// Returns [`ExperimentError`] for invalid configuration or substrate
 /// failures.
 pub fn run_jobstream(config: &JobStreamConfig) -> Result<Vec<LoadPoint>, ExperimentError> {
-    config.validate()?;
-    let world = World::generate(&config.world_config())?;
-
-    // One trace rotation for the whole sweep: every (load, policy) cell
-    // faces the same failure realization.
-    let mut rotate_rng = StdRng::seed_from_u64(config.seed ^ 0x0FF5_E715);
-    let schedules: Vec<InterruptionSchedule> = world
-        .traces()
-        .iter()
-        .map(|host| InterruptionSchedule::rotated_random(host, &mut rotate_rng))
-        .collect();
-    let processes: Vec<InterruptionProcess> = schedules
-        .into_iter()
-        .map(InterruptionProcess::trace)
-        .collect();
-
-    let sim = SimConfig::new(config.bandwidth_mbps, config.block_size, config.gamma)?
-        .with_horizon(JOB_HORIZON);
-    let tracker_cfg = JobTrackerConfig::new(sim, config.sched)?
-        .with_max_nodes_per_job(config.max_nodes_per_job.min(config.nodes))?;
-    let tracker = JobTracker::new(processes, tracker_cfg)?;
-
-    let mut points = Vec::with_capacity(LOAD_LEVELS_PM.len() * PolicyKind::ALL.len());
-    for load_pm in LOAD_LEVELS_PM {
-        let workload = WorkloadConfig::fb2010_like(config.jobs, config.mean_gap(load_pm));
-        // Per-load stream seed; the *same* stream is replayed under every
-        // policy, so within a load the comparison is job-for-job.
-        let jobs = generate(&workload, config.seed ^ (load_pm << 16)).map_err(|e| {
-            ExperimentError::InvalidConfig {
-                name: "workload",
-                reason: e.to_string(),
-            }
-        })?;
-        for policy in PolicyKind::ALL {
-            let specs: Vec<NodeSpec> = world
-                .availability()
-                .iter()
-                .map(|&a| NodeSpec::new(a))
-                .collect();
-            let mut placer = NameNodePlacer::new(specs, policy, config.gamma, config.replication)?;
-            let outcome =
-                tracker.run_with(&jobs, config.seed, &OptimizedEngine, &mut placer, false)?;
-            points.push(summarize(load_pm, policy, config, &outcome));
-        }
-    }
-    Ok(points)
+    Ok(run_jobstream_metrics(config, None)?.0)
 }
 
-/// Runs the *metrics cell* of the sweep: the saturated load level under
-/// the ADAPT placement, instrumented with a [`MetricsHub`] scraping
-/// every `interval_us` of simulated time and carrying the declared
-/// p99-sojourn [`slo_target`]. The hub records tracker gauges on the
-/// cadence, per-job `job_sojourn_us` / `job_wait_us` observations, and
-/// admission work spans; the cell's outcome is byte-identical to the
-/// same cell inside [`run_jobstream`] (observation changes nothing).
+/// [`run_jobstream`], with its *metrics cell* instrumented when
+/// `interval_us` is given: the saturated load level under the ADAPT
+/// placement runs with a [`MetricsHub`] scraping every `interval_us` of
+/// simulated time and carrying the declared p99-sojourn [`slo_target`].
+/// The hub records tracker gauges on the cadence, per-job
+/// `job_sojourn_us` / `job_wait_us` observations, and admission work
+/// spans. Observation changes nothing: the points are
+/// [`run_jobstream`]'s.
 ///
 /// # Errors
 ///
-/// Returns [`ExperimentError`] for invalid configuration or substrate
-/// failures.
+/// Same as [`run_jobstream`].
 pub fn run_jobstream_metrics(
     config: &JobStreamConfig,
-    interval_us: u64,
-) -> Result<MetricsHub, ExperimentError> {
+    interval_us: Option<u64>,
+) -> Result<(Vec<LoadPoint>, Option<MetricsHub>), ExperimentError> {
     config.validate()?;
-    let world = World::generate(&config.world_config())?;
-    let mut rotate_rng = StdRng::seed_from_u64(config.seed ^ 0x0FF5_E715);
-    let schedules: Vec<InterruptionSchedule> = world
-        .traces()
-        .iter()
-        .map(|host| InterruptionSchedule::rotated_random(host, &mut rotate_rng))
-        .collect();
-    let processes: Vec<InterruptionProcess> = schedules
-        .into_iter()
-        .map(InterruptionProcess::trace)
-        .collect();
-
-    let sim = SimConfig::new(config.bandwidth_mbps, config.block_size, config.gamma)?
-        .with_horizon(JOB_HORIZON);
-    let tracker_cfg = JobTrackerConfig::new(sim, config.sched)?
-        .with_max_nodes_per_job(config.max_nodes_per_job.min(config.nodes))?;
-    let tracker = JobTracker::new(processes, tracker_cfg)?;
-
-    let load_pm = LOAD_LEVELS_PM[LOAD_LEVELS_PM.len() - 1];
-    let workload = WorkloadConfig::fb2010_like(config.jobs, config.mean_gap(load_pm));
-    let jobs = generate(&workload, config.seed ^ (load_pm << 16)).map_err(|e| {
-        ExperimentError::InvalidConfig {
-            name: "workload",
-            reason: e.to_string(),
+    let mut hub = interval_us.map(|us| MetricsHub::new(us).with_slo(slo_target()));
+    let (world, tracker) = config.tracker()?;
+    let mut points = Vec::with_capacity(LOAD_LEVELS_PM.len() * PolicyKind::ALL.len());
+    for load_pm in LOAD_LEVELS_PM {
+        let jobs = config.jobs(load_pm)?;
+        for policy in PolicyKind::ALL {
+            let mut placer =
+                NameNodePlacer::new(world.node_specs(), policy, config.gamma, config.replication)?;
+            let (seed, engine) = (config.seed, &OptimizedEngine);
+            let outcome = match hub.as_mut() {
+                Some(hub) if load_pm == SATURATED_PM && policy == PolicyKind::Adapt => {
+                    tracker.run_with_metrics(&jobs, seed, engine, &mut placer, false, hub)?
+                }
+                _ => tracker.run_with(&jobs, seed, engine, &mut placer, false)?,
+            };
+            points.push(summarize(load_pm, policy, config, &outcome));
         }
-    })?;
-    let specs: Vec<NodeSpec> = world
-        .availability()
-        .iter()
-        .map(|&a| NodeSpec::new(a))
-        .collect();
-    let mut placer =
-        NameNodePlacer::new(specs, PolicyKind::Adapt, config.gamma, config.replication)?;
-    let mut hub = MetricsHub::new(interval_us).with_slo(slo_target());
-    tracker.run_with_metrics(
-        &jobs,
-        config.seed,
-        &OptimizedEngine,
-        &mut placer,
-        false,
-        &mut hub,
-    )?;
-    Ok(hub)
+    }
+    Ok((points, hub))
 }
 
 /// Serializes the sweep as the `adapt-jobstream/1` report: the config,
@@ -583,7 +541,8 @@ mod tests {
     fn sweep_is_deterministic() {
         let config = small();
         let a = run_jobstream(&config).unwrap();
-        let b = run_jobstream(&config).unwrap();
+        // Observing the saturated cell changes no point.
+        let b = run_jobstream_metrics(&config, Some(60_000_000)).unwrap().0;
         assert_eq!(a, b);
         assert_eq!(
             report_value(&config, &a).to_json(),
@@ -664,13 +623,21 @@ mod tests {
     #[test]
     fn metrics_cell_is_deterministic_and_carries_the_slo() {
         let config = small();
-        let hub_a = run_jobstream_metrics(&config, 60_000_000).unwrap();
-        let doc_a = hub_a.to_jsonl("jobstream", config.nodes as u64, config.seed);
-        let hub_b = run_jobstream_metrics(&config, 60_000_000).unwrap();
-        assert_eq!(
-            doc_a,
-            hub_b.to_jsonl("jobstream", config.nodes as u64, config.seed)
-        );
+        let (nodes, seed) = (config.nodes as u64, config.seed);
+        let (_, hub) = run_jobstream_metrics(&config, Some(60_000_000)).unwrap();
+        let doc_a = hub.unwrap().to_jsonl("jobstream", nodes, seed);
+        // The saturated ADAPT cell run on its own, on a fresh tracker,
+        // records the same document as inside the sweep.
+        let (world, tracker) = config.tracker().unwrap();
+        let jobs = config.jobs(SATURATED_PM).unwrap();
+        let (gamma, replication) = (config.gamma, config.replication);
+        let mut placer =
+            NameNodePlacer::new(world.node_specs(), PolicyKind::Adapt, gamma, replication).unwrap();
+        let mut cell = MetricsHub::new(60_000_000).with_slo(slo_target());
+        tracker
+            .run_with_metrics(&jobs, seed, &OptimizedEngine, &mut placer, false, &mut cell)
+            .unwrap();
+        assert_eq!(doc_a, cell.to_jsonl("jobstream", nodes, seed));
         let doc = adapt_metrics::export::parse_jsonl(&doc_a).unwrap();
         assert_eq!(doc.slo.as_ref(), Some(&slo_target()));
         // Every job contributes exactly one sojourn observation.

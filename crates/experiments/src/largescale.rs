@@ -16,6 +16,8 @@ use rand::SeedableRng;
 
 use adapt_dfs::cluster::{NodeAvailability, NodeSpec};
 use adapt_dfs::namenode::{NameNode, Threshold};
+use adapt_dfs::placement::PlacementPolicy;
+use adapt_dfs::NodeId;
 use adapt_sim::engine::{MapPhaseSim, SimConfig};
 use adapt_sim::interrupt::InterruptionProcess;
 use adapt_sim::runner::{aggregate, placement_from_namenode, AggregateReport};
@@ -90,6 +92,94 @@ impl World {
     /// The whole population as a [`Trace`] (for statistics).
     pub fn as_trace(&self) -> Trace {
         Trace::new(self.hosts.clone())
+    }
+
+    /// One NameNode spec per host, carrying its availability estimate.
+    pub(crate) fn node_specs(&self) -> Vec<NodeSpec> {
+        self.availability
+            .iter()
+            .map(|&a| NodeSpec::new(a))
+            .collect()
+    }
+
+    /// Sets up the paired trial of `seed`: every host's trace replayed
+    /// from a random offset, and a NameNode that knows which hosts are
+    /// down at ingest time. A real NameNode never places blocks on
+    /// DataNodes that are not heartbeating, so the offsets are drawn
+    /// before placement.
+    ///
+    /// # Errors
+    ///
+    /// Propagates NameNode failures as [`ExperimentError`].
+    pub fn trial(&self, seed: u64) -> Result<Trial, ExperimentError> {
+        let mut rotate_rng = StdRng::seed_from_u64(seed ^ 0x0FF5_E715);
+        let schedules: Vec<InterruptionSchedule> = self
+            .hosts
+            .iter()
+            .map(|host| InterruptionSchedule::rotated_random(host, &mut rotate_rng))
+            .collect();
+        let mut namenode = NameNode::new(self.node_specs());
+        for (i, schedule) in schedules.iter().enumerate() {
+            if schedule.is_down_at(0.0) {
+                namenode.mark_down(NodeId(i as u32))?;
+            }
+        }
+        Ok(Trial {
+            namenode,
+            processes: schedules
+                .into_iter()
+                .map(InterruptionProcess::trace)
+                .collect(),
+            place_rng: placement_rng(seed),
+        })
+    }
+}
+
+/// The placement randomness of the trial or job seeded with `seed`.
+///
+/// Placement and trace rotation draw from independent streams, so every
+/// policy placed under the same seed faces the *same* failure
+/// realization (the paper's paired comparison on one trace).
+pub(crate) fn placement_rng(seed: u64) -> StdRng {
+    StdRng::seed_from_u64(seed ^ 0x70AC_E5EED)
+}
+
+/// One paired trial over a [`World`], from [`World::trial`]: the
+/// NameNode at ingest time and each host's interruption process.
+#[derive(Debug)]
+pub struct Trial {
+    /// The NameNode, with the hosts that are down at t = 0 marked down.
+    /// Attach a recorder or metrics hub before [`Trial::place`] to
+    /// observe the placement.
+    pub namenode: NameNode,
+    /// Each host's trace, replayed from the trial's random offset.
+    pub processes: Vec<InterruptionProcess>,
+    place_rng: StdRng,
+}
+
+impl Trial {
+    /// Places the trial's input, `blocks` blocks at `replication`,
+    /// through `policy` under the paper's threshold, and returns each
+    /// block's replica nodes (the map phase's input).
+    ///
+    /// # Errors
+    ///
+    /// Propagates placement failures as [`ExperimentError`].
+    pub fn place(
+        &mut self,
+        blocks: usize,
+        replication: usize,
+        policy: &mut dyn PlacementPolicy,
+    ) -> Result<Vec<Vec<NodeId>>, ExperimentError> {
+        let file = self.namenode.create_file(
+            "input",
+            blocks,
+            replication,
+            policy,
+            Threshold::PaperDefault,
+            &mut self.place_rng,
+        )?;
+        Ok(placement_from_namenode(&self.namenode, file)?)
     }
 }
 
@@ -170,53 +260,16 @@ fn run_once(
     tweak: &(dyn Fn(SimConfig) -> SimConfig + Sync),
     seed: u64,
 ) -> Result<adapt_sim::SimReport, ExperimentError> {
-    // Placement and trace-rotation randomness use independent streams so
-    // that every policy faces the *same* failure realization for a given
-    // seed (paired comparison on one trace, as in the paper).
-    let mut place_rng = StdRng::seed_from_u64(seed ^ 0x70AC_E5EED);
-    let mut rotate_rng = StdRng::seed_from_u64(seed ^ 0x0FF5_E715);
     let gamma = config.gamma();
-
-    // Each run replays every host's trace from a fresh random offset.
-    // Schedules are fixed *before* placement so hosts that are down at
-    // ingest time can be excluded: a real NameNode never places blocks on
-    // DataNodes that are not heartbeating.
-    let schedules: Vec<InterruptionSchedule> = world
-        .traces()
-        .iter()
-        .map(|host| InterruptionSchedule::rotated_random(host, &mut rotate_rng))
-        .collect();
-
-    let specs: Vec<NodeSpec> = world
-        .availability()
-        .iter()
-        .map(|&a| NodeSpec::new(a))
-        .collect();
-    let mut namenode = NameNode::new(specs);
-    for (i, schedule) in schedules.iter().enumerate() {
-        if schedule.is_down_at(0.0) {
-            namenode.mark_down(adapt_dfs::NodeId(i as u32))?;
-        }
-    }
-    let mut placement_policy = policy.build(gamma);
-    let file = namenode.create_file(
-        "large-input",
+    let mut trial = world.trial(seed)?;
+    let placement = trial.place(
         config.total_blocks(),
         config.replication,
-        placement_policy.as_mut(),
-        Threshold::PaperDefault,
-        &mut place_rng,
+        policy.build(gamma).as_mut(),
     )?;
-    let placement = placement_from_namenode(&namenode, file)?;
-
-    let processes: Vec<InterruptionProcess> = schedules
-        .into_iter()
-        .map(InterruptionProcess::trace)
-        .collect();
-
     let cfg =
         tweak(SimConfig::new(config.bandwidth_mbps, config.block_size, gamma)?.with_horizon(1e7));
-    Ok(MapPhaseSim::new(processes, placement, cfg)?.run(seed)?)
+    Ok(MapPhaseSim::new(trial.processes, placement, cfg)?.run(seed)?)
 }
 
 /// The policy/replication series of Figure 5.

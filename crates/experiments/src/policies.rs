@@ -1,12 +1,10 @@
 //! The placement-policy lineup every experiment compares.
 
-use serde::{Deserialize, Serialize};
-
 use adapt_core::{AdaptPolicy, NaivePolicy};
 use adapt_dfs::placement::{PlacementPolicy, RandomPolicy};
 
 /// Which placement policy a scenario uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PolicyKind {
     /// Stock HDFS uniform-random placement ("existing" in the paper).
     Random,

@@ -1,11 +1,15 @@
-//! Deterministic telemetry run reports — the `--report-json` flag.
+//! The probe run behind every experiment binary's `--report-json`,
+//! `--trace-out` and `--metrics-out` flags.
 //!
-//! Every experiment binary can emit a machine-readable [`RunReport`]
-//! alongside its human-readable output. The report is built by a *probe
-//! run*: one compact end-to-end pass through the whole stack — synthetic
-//! trace generation, per-host availability estimation, NameNode placement
-//! under [`AdaptPolicy`], and the map-phase discrete-event simulation —
-//! with the telemetry of every layer collected into one JSON document.
+//! A *probe run* is one compact end-to-end pass through the whole stack
+//! — synthetic trace generation, per-host availability estimation,
+//! NameNode placement under [`AdaptPolicy`], and the map-phase
+//! discrete-event simulation. It yields a machine-readable [`RunReport`]
+//! with the telemetry of every layer collected into one JSON document
+//! and, with the matching [`Instruments`] attached, the run's event
+//! trace and metrics document. One run serves every output a command
+//! asks for: a recorder or hub observes the run without changing the
+//! report.
 //!
 //! The report is byte-stable for a given `(nodes, seed)` pair: all
 //! counters are integers, all durations are integer microseconds of
@@ -15,43 +19,51 @@
 //!
 //! [`AdaptPolicy`]: adapt_core::AdaptPolicy
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use adapt_core::AdaptPolicy;
-use adapt_dfs::cluster::NodeSpec;
-use adapt_dfs::namenode::{NameNode, Threshold};
 use adapt_metrics::MetricsHub;
 use adapt_sim::engine::{MapPhaseSim, SimConfig};
-use adapt_sim::interrupt::InterruptionProcess;
-use adapt_sim::runner::placement_from_namenode;
 use adapt_sim::Topology;
 use adapt_telemetry::{micros, RunReport, Value};
 use adapt_trace::{write_jsonl, Trace, TraceRecorder};
-use adapt_traces::replay::InterruptionSchedule;
 use adapt_traces::stats::TraceSummary;
 
+use crate::cli::Options;
 use crate::config::LargeScaleConfig;
 use crate::largescale::World;
 use crate::ExperimentError;
 
-/// The probe run's configuration: the large-scale defaults shrunk to one
-/// run of `nodes` hosts with 10 tasks per node — small enough to finish
-/// in seconds at the CI scale (2 000 nodes), large enough to exercise
-/// steals, speculation, interruptions, and threshold placement.
-pub fn probe_config(nodes: usize, seed: u64) -> LargeScaleConfig {
-    LargeScaleConfig {
-        nodes,
-        tasks_per_node: 10,
-        runs: 1,
-        seed,
-        ..LargeScaleConfig::default()
-    }
+/// The instruments a probe run attaches. Neither changes the report.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Instruments {
+    /// Record the event trace: the NameNode and the engine share one
+    /// [`TraceRecorder`], so placement events come first, then the
+    /// simulation's, in one sequence space.
+    pub trace: bool,
+    /// Thread a [`MetricsHub`] scraping every this many µs of simulated
+    /// time through the NameNode (placement and replication-state
+    /// instruments), the predictor (placement-rate gauges), and the
+    /// engine (cadence scrapes plus work spans).
+    pub metrics_interval_us: Option<u64>,
 }
 
-/// Runs the probe pipeline and assembles the report for `tool`.
+/// What one probe run produced.
+#[derive(Debug)]
+pub struct ProbeRun {
+    /// The telemetry report.
+    pub report: RunReport,
+    /// The sealed event trace, when [`Instruments::trace`] was set.
+    pub trace: Option<Trace>,
+    /// The sealed metrics hub, when [`Instruments::metrics_interval_us`]
+    /// was set.
+    pub metrics: Option<MetricsHub>,
+}
+
+/// Runs the probe pipeline for `tool` with `topology` installed in the
+/// engine and the requested `instruments` attached, and assembles the
+/// report. The flat topology, [`Topology::flat`], is the engine's
+/// default.
 ///
-/// Sections:
+/// Report sections:
 ///
 /// * `probe_config` — the parameters the probe ran with;
 /// * `sim_engine` — engine counters and histograms
@@ -70,140 +82,49 @@ pub fn probe_config(nodes: usize, seed: u64) -> LargeScaleConfig {
 /// # Errors
 ///
 /// Propagates substrate failures as [`ExperimentError`].
-pub fn build_run_report(tool: &str, nodes: usize, seed: u64) -> Result<RunReport, ExperimentError> {
-    Ok(build_probe(tool, nodes, seed, false)?.0)
-}
-
-/// [`build_run_report`] with an explicit network topology installed in
-/// the probe's engine. `Topology::new(1, 1.0)` reproduces the flat
-/// report byte-identically (the degeneracy contract CI pins).
-///
-/// # Errors
-///
-/// Propagates substrate failures as [`ExperimentError`].
-pub fn build_run_report_topo(
+pub fn probe(
     tool: &str,
     nodes: usize,
     seed: u64,
     topology: Topology,
-) -> Result<RunReport, ExperimentError> {
-    Ok(build_probe_inner(tool, nodes, seed, false, None, Some(topology))?.0)
-}
-
-/// Runs the probe pipeline and assembles the report; with `traced` the
-/// NameNode and simulator share one [`TraceRecorder`], and the sealed
-/// event trace is returned next to the report (placement events first,
-/// then the simulation's, in one sequence space).
-///
-/// # Errors
-///
-/// Propagates substrate failures as [`ExperimentError`].
-pub fn build_probe(
-    tool: &str,
-    nodes: usize,
-    seed: u64,
-    traced: bool,
-) -> Result<(RunReport, Option<Trace>), ExperimentError> {
-    let (report, trace, _) = build_probe_inner(tool, nodes, seed, traced, None, None)?;
-    Ok((report, trace))
-}
-
-/// Runs the probe pipeline with a [`MetricsHub`] scraping every
-/// `interval_us` of simulated time, threaded through the NameNode
-/// (placement and replication-state instruments), the predictor
-/// (placement-rate gauges), and the simulation engine (cadence scrapes
-/// plus work spans). Returns the sealed hub next to the report.
-///
-/// The hub observes the run without perturbing it: the report is
-/// byte-identical to a plain [`build_probe`] of the same `(nodes, seed)`.
-///
-/// # Errors
-///
-/// Propagates substrate failures as [`ExperimentError`].
-pub fn build_probe_metrics(
-    tool: &str,
-    nodes: usize,
-    seed: u64,
-    interval_us: u64,
-) -> Result<(RunReport, MetricsHub), ExperimentError> {
-    let (report, _, hub) = build_probe_inner(tool, nodes, seed, false, Some(interval_us), None)?;
-    // The inner pipeline always returns a hub when an interval is given.
-    hub.map(|hub| (report, hub))
-        .ok_or_else(|| ExperimentError::InvalidConfig {
-            name: "metrics",
-            reason: "metrics probe produced no metrics hub".to_string(),
-        })
-}
-
-fn build_probe_inner(
-    tool: &str,
-    nodes: usize,
-    seed: u64,
-    traced: bool,
-    metrics_interval_us: Option<u64>,
-    topology: Option<Topology>,
-) -> Result<(RunReport, Option<Trace>, Option<MetricsHub>), ExperimentError> {
-    let config = probe_config(nodes, seed);
+    instruments: Instruments,
+) -> Result<ProbeRun, ExperimentError> {
+    // The large-scale defaults shrunk to one run with 10 tasks per node:
+    // seconds at the CI scale (2 000 nodes), yet enough to exercise
+    // steals, speculation, interruptions and threshold placement.
+    let config = LargeScaleConfig {
+        nodes,
+        tasks_per_node: 10,
+        runs: 1,
+        seed,
+        ..LargeScaleConfig::default()
+    };
     let world = World::generate(&config)?;
     let gamma = config.gamma();
 
-    // Same paired-seed discipline as the large-scale harness: placement
-    // and trace-rotation randomness on independent streams.
-    let mut place_rng = StdRng::seed_from_u64(seed ^ 0x70AC_E5EED);
-    let mut rotate_rng = StdRng::seed_from_u64(seed ^ 0x0FF5_E715);
-
-    let schedules: Vec<InterruptionSchedule> = world
-        .traces()
-        .iter()
-        .map(|host| InterruptionSchedule::rotated_random(host, &mut rotate_rng))
-        .collect();
-    let specs: Vec<NodeSpec> = world
-        .availability()
-        .iter()
-        .map(|&a| NodeSpec::new(a))
-        .collect();
-    let mut namenode = NameNode::new(specs);
-    if traced {
-        namenode.attach_trace(TraceRecorder::new());
+    let mut trial = world.trial(seed)?;
+    if instruments.trace {
+        trial.namenode.attach_trace(TraceRecorder::new());
     }
-    if let Some(interval_us) = metrics_interval_us {
-        namenode.attach_metrics(MetricsHub::new(interval_us));
+    if let Some(interval_us) = instruments.metrics_interval_us {
+        trial.namenode.attach_metrics(MetricsHub::new(interval_us));
     }
-    for (i, schedule) in schedules.iter().enumerate() {
-        if schedule.is_down_at(0.0) {
-            namenode.mark_down(adapt_dfs::NodeId(i as u32))?;
-        }
-    }
-
     let mut policy = AdaptPolicy::new(gamma)?;
-    let file = namenode.create_file(
-        "probe-input",
-        config.total_blocks(),
-        config.replication,
-        &mut policy,
-        Threshold::PaperDefault,
-        &mut place_rng,
-    )?;
-    let placement = placement_from_namenode(&namenode, file)?;
+    let placement = trial.place(config.total_blocks(), config.replication, &mut policy)?;
+    let mut namenode = trial.namenode;
     // Sample the post-placement replication state at t = 0 (a forced
     // scrape, so it lands before the cadence starts).
     namenode.scrape_replication_state(0);
 
-    let processes: Vec<InterruptionProcess> = schedules
-        .into_iter()
-        .map(InterruptionProcess::trace)
-        .collect();
-    let mut cfg =
-        SimConfig::new(config.bandwidth_mbps, config.block_size, gamma)?.with_horizon(1e7);
-    if let Some(topology) = topology {
-        cfg = cfg.with_topology(topology);
-    }
-    let mut sim = MapPhaseSim::new(processes, placement, cfg)?;
+    let cfg = SimConfig::new(config.bandwidth_mbps, config.block_size, gamma)?
+        .with_horizon(1e7)
+        .with_topology(topology);
+    let mut sim = MapPhaseSim::new(trial.processes, placement, cfg)?;
     if let Some(recorder) = namenode.take_trace() {
         sim = sim.with_trace(recorder);
     }
-    let mut hub = namenode.take_metrics();
-    let detailed = if let Some(hub) = hub.as_mut() {
+    let mut metrics = namenode.take_metrics();
+    let detailed = if let Some(hub) = metrics.as_mut() {
         // Predictor gauges at placement time — read from the policy's
         // cached rates so no extra E[T] evaluations perturb the report.
         policy.predictor().record_gauges(&mut hub.registry);
@@ -245,7 +166,11 @@ fn build_probe_inner(
     summary.insert("tasks", r.tasks as u64);
     report.set_section("summary", summary);
 
-    Ok((report, detailed.trace, hub))
+    Ok(ProbeRun {
+        report,
+        trace: detailed.trace,
+        metrics,
+    })
 }
 
 /// The Table 1 population statistics as a report section (attached by the
@@ -263,85 +188,118 @@ pub fn table1_section(summary: &TraceSummary) -> Value {
     v
 }
 
-/// Builds the probe report for `tool` and writes it to `path`, printing a
-/// one-line confirmation — the shared tail of every binary's
-/// `--report-json` handling. Exits the process on failure (consistent
-/// with the binaries' other error paths).
-pub fn write_probe_report(tool: &str, path: &str, nodes: usize, seed: u64) {
-    match build_run_report(tool, nodes, seed) {
-        Ok(report) => finish_report(&report, path),
-        Err(e) => {
-            eprintln!("{tool}: run report failed: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Runs the traced probe for `tool` and writes its event trace (JSONL) to
-/// `path` — the shared tail of every binary's `--trace-out` handling.
-/// Byte-identical for a given `(nodes, seed)` pair. Exits the process on
-/// failure.
-pub fn write_probe_trace(tool: &str, path: &str, nodes: usize, seed: u64) {
-    let trace = match build_probe(tool, nodes, seed, true) {
-        Ok((_, Some(trace))) => trace,
-        Ok((_, None)) => {
-            eprintln!("{tool}: traced probe produced no trace");
-            std::process::exit(1);
-        }
-        Err(e) => {
-            eprintln!("{tool}: trace probe failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = std::fs::write(path, write_jsonl(&trace)) {
-        eprintln!("cannot write event trace to {path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("event trace written to {path}");
-}
-
 /// Default metrics scrape cadence: every 10 simulated seconds.
 pub const DEFAULT_METRICS_INTERVAL_SECS: f64 = 10.0;
 
-/// Runs the metrics probe for `tool` and writes its `adapt-metrics/1`
-/// document (JSONL) to `path` — the shared tail of every binary's
-/// `--metrics-out` handling. `interval` is the scrape cadence in
-/// simulated seconds (default [`DEFAULT_METRICS_INTERVAL_SECS`]).
-/// Byte-identical for a given `(nodes, seed, interval)` triple. Exits the
-/// process on failure.
-pub fn write_probe_metrics(tool: &str, path: &str, nodes: usize, seed: u64, interval: Option<f64>) {
-    let interval_us = micros(interval.unwrap_or(DEFAULT_METRICS_INTERVAL_SECS));
-    let hub = match build_probe_metrics(tool, nodes, seed, interval_us) {
-        Ok((_, hub)) => hub,
+/// The shared probe tail of every binary: writes each probe output
+/// `opts` asks for — the report (`--report-json`, with `section` added
+/// when given), the JSONL event trace (`--trace-out`) and the
+/// `adapt-metrics/1` document (`--metrics-out`, scraped every
+/// `--metrics-interval` simulated seconds, default
+/// [`DEFAULT_METRICS_INTERVAL_SECS`]) — from one probe run of `nodes`
+/// hosts over the `--racks`/`--oversubscription` topology. Each output
+/// is byte-identical for the same `(nodes, seed, topology, interval)`.
+/// Does nothing when no probe output is asked for; exits the process on
+/// failure.
+pub fn write_probe(
+    tool: &str,
+    opts: &Options,
+    nodes: usize,
+    seed: u64,
+    section: Option<(&str, Value)>,
+) {
+    if opts.report_json.is_none() && opts.trace_out.is_none() && opts.metrics_out.is_none() {
+        return;
+    }
+    let instruments = Instruments {
+        trace: opts.trace_out.is_some(),
+        metrics_interval_us: opts.metrics_out.as_ref().map(|_| {
+            micros(
+                opts.metrics_interval
+                    .unwrap_or(DEFAULT_METRICS_INTERVAL_SECS),
+            )
+        }),
+    };
+    let run = Topology::new(
+        opts.racks.unwrap_or(1),
+        opts.oversubscription.unwrap_or(1.0),
+    )
+    .map_err(|e| ExperimentError::InvalidConfig {
+        name: "topology",
+        reason: e.to_string(),
+    })
+    .and_then(|topology| probe(tool, nodes, seed, topology, instruments));
+    let mut run = match run {
+        Ok(run) => run,
         Err(e) => {
-            eprintln!("{tool}: metrics probe failed: {e}");
+            eprintln!("{tool}: probe run failed: {e}");
             std::process::exit(1);
         }
     };
-    if let Err(e) = std::fs::write(path, hub.to_jsonl(tool, nodes as u64, seed)) {
-        eprintln!("cannot write metrics to {path}: {e}");
-        std::process::exit(1);
+    if let Some((name, value)) = section {
+        run.report.set_section(name, value);
     }
-    eprintln!("metrics written to {path}");
-}
-
-/// Writes an assembled report to `path` (the `table1` binary adds its own
-/// section first, then calls this).
-pub fn finish_report(report: &RunReport, path: &str) {
-    if let Err(e) = report.write_to(std::path::Path::new(path)) {
-        eprintln!("cannot write run report to {path}: {e}");
-        std::process::exit(1);
+    let outputs = [
+        ("run report", &opts.report_json, Some(run.report.to_json())),
+        (
+            "event trace",
+            &opts.trace_out,
+            run.trace.map(|t| write_jsonl(&t)),
+        ),
+        (
+            "metrics",
+            &opts.metrics_out,
+            run.metrics
+                .map(|hub| hub.to_jsonl(tool, nodes as u64, seed)),
+        ),
+    ];
+    for (what, path, contents) in outputs {
+        let (Some(path), Some(contents)) = (path, contents) else {
+            continue;
+        };
+        if let Err(e) = std::fs::write(path, contents) {
+            eprintln!("cannot write {what} to {path}: {e}");
+            std::process::exit(1);
+        }
+        eprintln!("{what} written to {path}");
     }
-    eprintln!("run report written to {path}");
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const TRACE: Instruments = Instruments {
+        trace: true,
+        metrics_interval_us: None,
+    };
+
+    const METRICS: Instruments = Instruments {
+        trace: false,
+        metrics_interval_us: Some(1_000_000),
+    };
+
+    /// One run serving both outputs: each must equal the output of a run
+    /// with that instrument alone.
+    const BOTH: Instruments = Instruments {
+        trace: true,
+        metrics_interval_us: Some(1_000_000),
+    };
+
+    fn run(nodes: usize, seed: u64, instruments: Instruments) -> ProbeRun {
+        probe("test", nodes, seed, Topology::flat(), instruments).unwrap()
+    }
+
+    fn report_json(nodes: usize, seed: u64, topology: Topology) -> String {
+        probe("test", nodes, seed, topology, Instruments::default())
+            .unwrap()
+            .report
+            .to_json()
+    }
+
     #[test]
     fn probe_report_contains_every_layer() {
-        let report = build_run_report("test", 96, 7).unwrap();
+        let report = run(96, 7, Instruments::default()).report;
         let v = report.to_value();
         let json = v.to_json();
         for key in [
@@ -370,48 +328,46 @@ mod tests {
     #[test]
     fn explicit_flat_topology_report_is_byte_identical() {
         // The degeneracy contract CI pins: installing Topology::new(1, 1.0)
-        // must reproduce the pre-topology flat report byte for byte.
-        let flat = build_run_report("test", 64, 3).unwrap().to_json();
-        let degenerate = build_run_report_topo("test", 64, 3, Topology::new(1, 1.0).unwrap())
-            .unwrap()
-            .to_json();
+        // must reproduce the flat report byte for byte.
+        let flat = report_json(64, 3, Topology::flat());
+        let degenerate = report_json(64, 3, Topology::new(1, 1.0).unwrap());
         assert_eq!(flat, degenerate);
         // A real topology must actually change the measured payload.
-        let racked = build_run_report_topo("test", 64, 3, Topology::new(8, 4.0).unwrap())
-            .unwrap()
-            .to_json();
+        let racked = report_json(64, 3, Topology::new(8, 4.0).unwrap());
         assert_ne!(flat, racked);
     }
 
     #[test]
     fn probe_report_is_deterministic() {
-        let a = build_run_report("test", 64, 3).unwrap().to_json();
-        let b = build_run_report("test", 64, 3).unwrap().to_json();
+        let a = report_json(64, 3, Topology::flat());
+        let b = report_json(64, 3, Topology::flat());
         assert_eq!(a, b);
         // A different seed must actually change the measured payload.
-        let c = build_run_report("test", 64, 4).unwrap().to_json();
+        let c = report_json(64, 4, Topology::flat());
         assert_ne!(a, c);
     }
 
     #[test]
     fn traced_probe_is_byte_stable_and_leaves_report_unchanged() {
-        let (plain_report, no_trace) = build_probe("test", 64, 3, false).unwrap();
-        assert!(no_trace.is_none());
-        let (traced_report, trace_a) = build_probe("test", 64, 3, true).unwrap();
+        let plain = run(64, 3, Instruments::default());
+        assert!(plain.trace.is_none());
+        let traced = run(64, 3, TRACE);
         // Zero-overhead contract, observed at the report level: tracing
         // changes nothing in the telemetry document.
-        assert_eq!(plain_report.to_json(), traced_report.to_json());
-        let trace_a = trace_a.unwrap();
+        assert_eq!(plain.report.to_json(), traced.report.to_json());
+        let trace_a = traced.trace.unwrap();
         assert!(trace_a
             .events
             .iter()
             .any(|e| matches!(e, adapt_trace::TraceEvent::BlockPlaced { .. })));
-        // Fixed seed => byte-identical serialized trace.
-        let trace_b = build_probe("test", 64, 3, true).unwrap().1.unwrap();
-        assert_eq!(write_jsonl(&trace_a), write_jsonl(&trace_b));
+        // Fixed seed => byte-identical serialized trace, also with a hub
+        // attached, and a report unchanged by both.
+        let both = run(64, 3, BOTH);
+        assert_eq!(plain.report.to_json(), both.report.to_json());
+        assert_eq!(write_jsonl(&trace_a), write_jsonl(&both.trace.unwrap()));
         // And the trace re-derives the engine's overhead totals exactly.
         let derived = adapt_trace::derive_totals(&trace_a);
-        let engine = traced_report.section("sim_engine").unwrap();
+        let engine = traced.report.section("sim_engine").unwrap();
         let overhead = engine.get("overhead").unwrap();
         for (key, got) in [
             ("rework_us", derived.rework_us),
@@ -437,14 +393,16 @@ mod tests {
 
     #[test]
     fn metrics_probe_is_byte_stable_and_leaves_report_unchanged() {
-        let (plain_report, _) = build_probe("test", 64, 3, false).unwrap();
-        let (metrics_report, hub_a) = build_probe_metrics("test", 64, 3, 1_000_000).unwrap();
+        let plain = run(64, 3, Instruments::default());
+        assert!(plain.metrics.is_none());
+        let measured = run(64, 3, METRICS);
         // Zero-overhead contract: threading a hub through the stack
         // changes nothing in the telemetry document.
-        assert_eq!(plain_report.to_json(), metrics_report.to_json());
-        let doc_a = hub_a.to_jsonl("test", 64, 3);
-        // Fixed (nodes, seed, interval) => byte-identical document.
-        let (_, hub_b) = build_probe_metrics("test", 64, 3, 1_000_000).unwrap();
+        assert_eq!(plain.report.to_json(), measured.report.to_json());
+        let doc_a = measured.metrics.unwrap().to_jsonl("test", 64, 3);
+        // Fixed (nodes, seed, interval) => byte-identical document, also
+        // with a recorder attached.
+        let hub_b = run(64, 3, BOTH).metrics.unwrap();
         assert_eq!(doc_a, hub_b.to_jsonl("test", 64, 3));
         // Every instrumented layer shows up in the parsed document.
         let doc = adapt_metrics::export::parse_jsonl(&doc_a).unwrap();
@@ -460,7 +418,7 @@ mod tests {
         }
         assert!(doc.spans.iter().any(|s| s.path == "run;attempt_done"));
         // And the engine's final done-task gauge matches the report.
-        let summary = metrics_report.section("summary").unwrap();
+        let summary = measured.report.section("summary").unwrap();
         let tasks = summary.get("tasks").unwrap();
         let done = doc.samples_u64("engine.done_tasks");
         assert_eq!(

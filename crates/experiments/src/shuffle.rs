@@ -15,24 +15,16 @@
 //! microseconds of simulated time) with sorted keys, and CI byte-diffs
 //! it against `results/ci-baseline-shuffle.json`.
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-
 use adapt_core::AdaptPolicy;
-use adapt_dfs::cluster::NodeSpec;
-use adapt_dfs::namenode::{NameNode, Threshold};
 use adapt_dfs::placement::{ClusterView, NodeView};
 use adapt_dfs::{BlockSize, NodeId};
 use adapt_sim::engine::{MapPhaseSim, SimConfig, SimReport};
-use adapt_sim::interrupt::InterruptionProcess;
-use adapt_sim::runner::placement_from_namenode;
 use adapt_sim::{
     AdaptStrategy, NaiveStrategy, PlacementStrategy, RackAwareStrategy, ReducePhaseSim,
     ReduceReport, Topology,
 };
 use adapt_telemetry::{micros, Value};
 use adapt_trace::{Trace, TraceRecorder};
-use adapt_traces::replay::InterruptionSchedule;
 
 use crate::config::LargeScaleConfig;
 use crate::largescale::World;
@@ -196,43 +188,13 @@ pub fn run_shuffle_traced(
 ) -> Result<(ShuffleOutcome, Option<Trace>), ExperimentError> {
     let topology = config.validate()?;
     let world = World::generate(&config.world_config())?;
-
-    // Same paired-seed discipline as the probe pipeline: placement and
-    // trace-rotation randomness on independent streams.
-    let mut place_rng = StdRng::seed_from_u64(config.seed ^ 0x70AC_E5EED);
-    let mut rotate_rng = StdRng::seed_from_u64(config.seed ^ 0x0FF5_E715);
-    let schedules: Vec<InterruptionSchedule> = world
-        .traces()
-        .iter()
-        .map(|host| InterruptionSchedule::rotated_random(host, &mut rotate_rng))
-        .collect();
-
-    let specs: Vec<NodeSpec> = world
-        .availability()
-        .iter()
-        .map(|&a| NodeSpec::new(a))
-        .collect();
-    let mut namenode = NameNode::new(specs);
-    for (i, schedule) in schedules.iter().enumerate() {
-        if schedule.is_down_at(0.0) {
-            namenode.mark_down(NodeId(i as u32))?;
-        }
-    }
-    let mut policy = AdaptPolicy::new(config.gamma)?;
-    let file = namenode.create_file(
-        "shuffle-input",
+    let mut trial = world.trial(config.seed)?;
+    let placement = trial.place(
         config.world_config().total_blocks(),
         config.replication,
-        &mut policy,
-        Threshold::PaperDefault,
-        &mut place_rng,
+        &mut AdaptPolicy::new(config.gamma)?,
     )?;
-    let placement = placement_from_namenode(&namenode, file)?;
-
-    let processes: Vec<InterruptionProcess> = schedules
-        .into_iter()
-        .map(InterruptionProcess::trace)
-        .collect();
+    let processes = trial.processes;
     let cfg = SimConfig::new(config.bandwidth_mbps, config.block_size, config.gamma)?
         .with_horizon(HORIZON)
         .with_topology(topology);

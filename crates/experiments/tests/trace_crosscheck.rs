@@ -4,7 +4,6 @@
 //! counts *exactly* — same integers, not approximately — under both the
 //! ADAPT policy and the naive baseline, across several seeds.
 
-use adapt_availability::dist::Dist;
 use adapt_dfs::cluster::{NodeAvailability, NodeSpec};
 use adapt_dfs::namenode::{NameNode, Threshold};
 use adapt_dfs::BlockSize;
@@ -56,16 +55,7 @@ fn traced_run(policy: PolicyKind, seed: u64) -> DetailedReport {
     let placement = placement_from_namenode(&namenode, file).unwrap();
     let processes: Vec<InterruptionProcess> = avail
         .iter()
-        .map(|a| {
-            if a.lambda > 0.0 {
-                InterruptionProcess::synthetic(
-                    1.0 / a.lambda,
-                    Dist::exponential_from_mean(a.mu).unwrap(),
-                )
-            } else {
-                InterruptionProcess::none()
-            }
-        })
+        .map(|&a| InterruptionProcess::from_availability(a).unwrap())
         .collect();
     let cfg = SimConfig::new(8.0, BlockSize::DEFAULT, GAMMA)
         .unwrap()

@@ -43,8 +43,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// An invalid topology parameter.
 #[derive(Debug, Clone, PartialEq)]
 pub enum NetError {
@@ -90,7 +88,7 @@ impl std::error::Error for NetError {}
 /// // The same flow inside a rack runs at the full link rate.
 /// assert!((topo.transfer_seconds(64.0, 0, 4, 1) - 512.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Topology {
     racks: u32,
     oversubscription: f64,

@@ -36,15 +36,13 @@
 
 use adapt_ds::{IdSet, SortedVecSet, ThresholdIndex};
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
-
 use adapt_dfs::{BlockSize, NodeId};
 use adapt_metrics::{MetricsHub, MetricsRegistry, WorkCounts};
 use adapt_net::Topology;
 use adapt_telemetry::micros;
 use adapt_trace::{KillCause, Trace, TraceEvent, TraceMeta, TraceRecorder};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::event::EventQueue;
 use crate::interrupt::InterruptionProcess;
@@ -53,7 +51,7 @@ use crate::SimError;
 
 /// Per-node activity summary of one run (from
 /// [`MapPhaseSim::run_detailed`]).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct NodeStat {
     /// Seconds the node spent on attempts (compute and transfer wait).
     pub busy: f64,
@@ -85,7 +83,7 @@ pub struct DetailedReport {
 }
 
 /// How the JobTracker orders steal candidates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchedulingMode {
     /// Hadoop 0.20 behaviour: first pending task in id (FIFO) order.
     #[default]
@@ -98,7 +96,7 @@ pub enum SchedulingMode {
 }
 
 /// Simulation parameters shared by every node.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     bandwidth_mbps: f64,
     block_size: BlockSize,
@@ -331,7 +329,7 @@ impl SimConfig {
 }
 
 /// Results of one simulated map phase.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SimReport {
     /// Map-phase completion time (seconds).
     pub elapsed: f64,
@@ -1988,7 +1986,8 @@ mod tests {
             let mut processes = vec![InterruptionProcess::synthetic(
                 20.0,
                 Dist::exponential_from_mean(10.0).unwrap(),
-            )];
+            )
+            .unwrap()];
             processes.push(InterruptionProcess::none());
             MapPhaseSim::new(processes, single_replica(&[0, 1, 0, 1, 0, 1]), cfg()).unwrap()
         };
@@ -2147,7 +2146,7 @@ mod tests {
                         InterruptionProcess::none()
                     } else {
                         let (mtbi, mu) = groups[(i - 8) % 4];
-                        InterruptionProcess::synthetic(mtbi, service(mu))
+                        InterruptionProcess::synthetic(mtbi, service(mu)).unwrap()
                     }
                 })
                 .collect();
@@ -2181,6 +2180,7 @@ mod tests {
                             15.0,
                             Dist::exponential_from_mean(5.0).unwrap(),
                         )
+                        .unwrap()
                     }
                 })
                 .collect::<Vec<_>>()
@@ -2265,10 +2265,11 @@ mod tests {
     fn max_copies_bounds_concurrent_duplicates() {
         // One long task on a volatile host, many reliable idle rescuers:
         // at most max_copies - 1 duplicates may coexist.
-        let mut processes = vec![InterruptionProcess::synthetic(
-            20.0,
-            Dist::exponential_from_mean(10.0).unwrap(),
-        )];
+        let mut processes =
+            vec![
+                InterruptionProcess::synthetic(20.0, Dist::exponential_from_mean(10.0).unwrap())
+                    .unwrap(),
+            ];
         processes.extend((0..5).map(|_| InterruptionProcess::none()));
         let placement = single_replica(&[0]);
         for max_copies in [1usize, 2, 3] {
@@ -2299,6 +2300,7 @@ mod tests {
                 } else {
                     let (mtbi, mu) = groups[i % 2];
                     InterruptionProcess::synthetic(mtbi, Dist::exponential_from_mean(mu).unwrap())
+                        .unwrap()
                 }
             })
             .collect();
@@ -2526,7 +2528,7 @@ mod tests {
         // deterministic and only the risk ranking differs.
         let processes = vec![
             InterruptionProcess::none(),
-            InterruptionProcess::synthetic(1e6, Dist::exponential_from_mean(5e5).unwrap()),
+            InterruptionProcess::synthetic(1e6, Dist::exponential_from_mean(5e5).unwrap()).unwrap(),
             InterruptionProcess::none(),
         ];
         let placement = single_replica(&[0, 1, 0, 1]);
@@ -2588,10 +2590,10 @@ mod tests {
     /// Nodes 0–2 reliable, node 3 volatile enough to mark a straggler.
     fn three_reliable_one_volatile() -> Vec<InterruptionProcess> {
         let mut processes = reliable(3);
-        processes.push(InterruptionProcess::synthetic(
-            20.0,
-            Dist::exponential_from_mean(10.0).unwrap(),
-        ));
+        processes.push(
+            InterruptionProcess::synthetic(20.0, Dist::exponential_from_mean(10.0).unwrap())
+                .unwrap(),
+        );
         processes
     }
 
@@ -2654,7 +2656,8 @@ mod tests {
     fn mean_params_reflect_process_kind() {
         let none = InterruptionProcess::none();
         assert_eq!(none.mean_params(), None);
-        let synth = InterruptionProcess::synthetic(25.0, Dist::exponential_from_mean(5.0).unwrap());
+        let synth = InterruptionProcess::synthetic(25.0, Dist::exponential_from_mean(5.0).unwrap())
+            .unwrap();
         let (lambda, mu) = synth.mean_params().unwrap();
         assert!((lambda - 0.04).abs() < 1e-12);
         assert!((mu - 5.0).abs() < 1e-12);
@@ -2667,7 +2670,8 @@ mod tests {
         // volatile node's crash-looping tasks; the run must finish well
         // under the volatile node's expected serial grind.
         let processes = vec![
-            InterruptionProcess::synthetic(10.0, Dist::exponential_from_mean(8.0).unwrap()),
+            InterruptionProcess::synthetic(10.0, Dist::exponential_from_mean(8.0).unwrap())
+                .unwrap(),
             InterruptionProcess::none(),
         ];
         let placement = single_replica(&[0, 0, 0, 0, 1, 1, 1, 1]);
@@ -2703,8 +2707,10 @@ mod tests {
     /// interruptions, remote steals, speculation, detection delay.
     fn volatile_sim() -> MapPhaseSim {
         let processes = vec![
-            InterruptionProcess::synthetic(60.0, Dist::exponential_from_mean(20.0).unwrap()),
-            InterruptionProcess::synthetic(90.0, Dist::exponential_from_mean(30.0).unwrap()),
+            InterruptionProcess::synthetic(60.0, Dist::exponential_from_mean(20.0).unwrap())
+                .unwrap(),
+            InterruptionProcess::synthetic(90.0, Dist::exponential_from_mean(30.0).unwrap())
+                .unwrap(),
             InterruptionProcess::none(),
             InterruptionProcess::none(),
         ];

@@ -15,7 +15,10 @@
 use rand::Rng;
 
 use adapt_availability::dist::{uniform_open01, Dist, Sample};
+use adapt_dfs::cluster::NodeAvailability;
 use adapt_traces::replay::InterruptionSchedule;
+
+use crate::SimError;
 
 /// One scheduled outage: the node goes down at `down_at` and returns at
 /// `up_at`.
@@ -57,10 +60,46 @@ impl InterruptionProcess {
     /// Synthetic injection: Poisson arrivals with the given MTBI and
     /// recovery times drawn from `service`; overlapping interruptions
     /// queue FCFS and are emitted as a single busy-period outage.
-    pub fn synthetic(mtbi: f64, service: Dist) -> Self {
-        InterruptionProcess {
-            kind: Kind::Synthetic { mtbi, service },
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] unless `mtbi` is finite and positive
+    /// and the mean recovery is shorter than it (ρ = λμ < 1). At ρ ≥ 1
+    /// recoveries queue up faster than they clear, so a busy period, and
+    /// with it [`next_outage`](InterruptionProcess::next_outage), need
+    /// never end.
+    pub fn synthetic(mtbi: f64, service: Dist) -> Result<Self, SimError> {
+        let mean = service.mean();
+        if !(mtbi.is_finite() && mtbi > 0.0 && mean < mtbi) {
+            return Err(SimError::InvalidConfig {
+                name: "mtbi",
+                reason: format!("{mtbi} must be finite, > 0 and > the mean recovery {mean}"),
+            });
         }
+        Ok(InterruptionProcess {
+            kind: Kind::Synthetic { mtbi, service },
+        })
+    }
+
+    /// The process a node's availability estimate describes: none for a
+    /// reliable node, else [`synthetic`](InterruptionProcess::synthetic)
+    /// injection every `1/λ` seconds with exponential recoveries of mean
+    /// `μ` (the emulated cluster's, paper Table 2).
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::InvalidConfig`] for a recovery mean that is not finite
+    /// and positive, or as [`synthetic`](InterruptionProcess::synthetic).
+    pub fn from_availability(availability: NodeAvailability) -> Result<Self, SimError> {
+        if availability.is_reliable() {
+            return Ok(InterruptionProcess::none());
+        }
+        let service =
+            Dist::exponential_from_mean(availability.mu).map_err(|e| SimError::InvalidConfig {
+                name: "mu",
+                reason: e.to_string(),
+            })?;
+        InterruptionProcess::synthetic(1.0 / availability.lambda, service)
     }
 
     /// Replay of a fixed schedule (trace-driven simulation).
@@ -172,8 +211,26 @@ mod tests {
     }
 
     #[test]
+    fn synthetic_rejects_an_unstable_or_invalid_process() {
+        let service = |mean: f64| Dist::exponential_from_mean(mean).unwrap();
+        // ρ = λμ = 2 and ρ = 1 never drain the recovery queue; the rest
+        // have no usable MTBI.
+        for (mtbi, mean) in [(10.0, 20.0), (10.0, 10.0), (0.0, 1.0), (f64::NAN, 1.0)] {
+            assert!(matches!(
+                InterruptionProcess::synthetic(mtbi, service(mean)),
+                Err(SimError::InvalidConfig { name: "mtbi", .. })
+            ));
+        }
+        // ρ = 0.95, the verify generator's highest load, still returns.
+        let mut p = InterruptionProcess::synthetic(20.0, service(19.0)).unwrap();
+        let outage = p.next_outage(0.0, &mut StdRng::seed_from_u64(11)).unwrap();
+        assert!(outage.up_at > outage.down_at);
+    }
+
+    #[test]
     fn synthetic_outages_advance_in_time() {
-        let mut p = InterruptionProcess::synthetic(10.0, Dist::exponential_from_mean(4.0).unwrap());
+        let mut p = InterruptionProcess::synthetic(10.0, Dist::exponential_from_mean(4.0).unwrap())
+            .unwrap();
         let mut rng = StdRng::seed_from_u64(1);
         let mut now = 0.0;
         for _ in 0..100 {
@@ -188,7 +245,8 @@ mod tests {
     fn synthetic_mean_downtime_matches_busy_period() {
         // Table 2 group 1: MTBI 10 s, service mean 4 s. Busy period mean
         // mu/(1 - lambda mu) = 4 / 0.6 = 6.667 s.
-        let mut p = InterruptionProcess::synthetic(10.0, Dist::exponential_from_mean(4.0).unwrap());
+        let mut p = InterruptionProcess::synthetic(10.0, Dist::exponential_from_mean(4.0).unwrap())
+            .unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let mut now = 0.0;
         let mut downtimes = Moments::new();
@@ -281,8 +339,9 @@ mod tests {
 
     #[test]
     fn synthetic_is_deterministic_per_seed() {
-        let build =
-            || InterruptionProcess::synthetic(20.0, Dist::exponential_from_mean(8.0).unwrap());
+        let build = || {
+            InterruptionProcess::synthetic(20.0, Dist::exponential_from_mean(8.0).unwrap()).unwrap()
+        };
         let mut a = build();
         let mut b = build();
         let mut ra = StdRng::seed_from_u64(7);

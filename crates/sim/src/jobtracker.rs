@@ -1107,6 +1107,7 @@ mod tests {
                     50.0,
                     adapt_availability::dist::Dist::exponential_from_mean(10.0).unwrap(),
                 )
+                .unwrap()
             })
             .collect();
         let tracker = JobTracker::new(procs, cfg(SchedPolicy::FairShare)).unwrap();

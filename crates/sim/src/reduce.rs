@@ -34,12 +34,10 @@
 //! slots — so summed over reducers the slices reconstruct every output
 //! byte exactly (the conservation law the metamorphic suite pins).
 
-use rand::rngs::StdRng;
-use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
-
 use adapt_dfs::NodeId;
 use adapt_trace::{Trace, TraceEvent, TraceMeta, TraceRecorder};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 use crate::engine::{mix_seed, SimConfig};
 use crate::interrupt::InterruptionProcess;
@@ -133,7 +131,7 @@ enum Event {
 }
 
 /// Results of one simulated reduce phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReduceReport {
     /// Reduce-phase completion time, seconds (horizon if incomplete).
     pub elapsed: f64,

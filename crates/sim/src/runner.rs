@@ -5,8 +5,6 @@
 //! any number of [`SimReport`]s into per-metric [`Moments`] so experiment
 //! harnesses can report means and dispersion.
 
-use serde::{Deserialize, Serialize};
-
 use adapt_availability::Moments;
 use adapt_dfs::{DfsError, FileId, NameNode, NodeId};
 
@@ -50,7 +48,7 @@ pub fn placement_from_namenode(
 }
 
 /// Aggregated statistics over repeated simulation runs.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct AggregateReport {
     /// Map-phase elapsed time (seconds).
     pub elapsed: Moments,

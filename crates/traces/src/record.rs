@@ -7,14 +7,10 @@
 //! construction so every downstream consumer — statistics, replay, the
 //! simulator — can rely on them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::TraceError;
 
 /// Identifier of a traced host.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct HostId(pub u64);
 
 impl std::fmt::Display for HostId {
@@ -25,7 +21,7 @@ impl std::fmt::Display for HostId {
 
 /// One interruption: the host became unavailable at `start` and recovered
 /// after `duration` seconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Interruption {
     /// Time the interruption began (seconds since trace origin).
     pub start: f64,
@@ -61,7 +57,7 @@ impl Interruption {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HostTrace {
     host: HostId,
     window: f64,
@@ -192,7 +188,7 @@ impl HostTrace {
 }
 
 /// A population of host traces sharing one observation window.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     hosts: Vec<HostTrace>,
 }

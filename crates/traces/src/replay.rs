@@ -10,10 +10,8 @@
 //! which samples the trace's stationary behaviour instead of always
 //! replaying its first hours.
 
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-
 use crate::record::{HostTrace, Interruption};
+use rand::Rng;
 
 /// A time-ordered interruption schedule for one simulated node.
 ///
@@ -35,7 +33,7 @@ use crate::record::{HostTrace, Interruption};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct InterruptionSchedule {
     events: Vec<Interruption>,
     horizon: f64,

@@ -6,14 +6,12 @@
 //! coefficient of variation for each. [`summarize`] computes exactly that
 //! from any [`Trace`].
 
-use serde::{Deserialize, Serialize};
-
 use adapt_availability::Moments;
 
 use crate::record::Trace;
 
 /// Pooled population statistics of a trace.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct TraceSummary {
     /// Pooled inter-arrival times between interruption starts.
     pub mtbi: Moments,

@@ -29,11 +29,9 @@
 //! and the raw mean inflated until the clipped pooled mean matches the
 //! target. The tests verify both calibrations empirically.
 
+use adapt_availability::dist::{LogNormal, Sample};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
-
-use adapt_availability::dist::{LogNormal, Sample};
 
 use crate::record::{HostId, HostTrace, Interruption, Trace};
 use crate::stats::summarize;
@@ -101,7 +99,7 @@ pub fn calibrate_hyper(pooled_mean: f64, pooled_cov: f64) -> Result<(f64, f64), 
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SyntheticPopulation {
     hosts: usize,
     window: f64,

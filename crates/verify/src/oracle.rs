@@ -135,7 +135,7 @@ pub fn check_scenario(scenario: &Scenario) -> Result<Option<Divergence>, VerifyE
         (Ok(a), Ok(b)) => (a, b),
         (Err(a), Err(b)) => {
             return if a == b {
-                Ok(None)
+                Err(a)
             } else {
                 Ok(Some(Divergence {
                     field: "error",

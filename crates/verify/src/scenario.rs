@@ -109,12 +109,11 @@ pub(crate) fn build_processes(
                         reason: format!("node {i} recovery distribution: {e}"),
                     }
                 })?;
-                if !(mtbi.is_finite() && *mtbi > 0.0) {
-                    return Err(VerifyError::InvalidScenario {
-                        reason: format!("node {i} mtbi {mtbi} must be finite and > 0"),
-                    });
-                }
-                InterruptionProcess::synthetic(*mtbi, service)
+                InterruptionProcess::synthetic(*mtbi, service).map_err(|e| {
+                    VerifyError::InvalidScenario {
+                        reason: format!("node {i}: {e}"),
+                    }
+                })?
             }
             NodeKind::Scheduled { outages } => {
                 let mut events = Vec::with_capacity(outages.len());

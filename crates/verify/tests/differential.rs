@@ -121,3 +121,27 @@ fn engines_agree_on_handpicked_edge_cases() {
     };
     assert_eq!(check_scenario(&tie).unwrap(), None);
 }
+
+/// A synthetic node whose mean recovery exceeds its MTBI (ρ = 2) never
+/// drains its recovery queue: the scenario is rejected with an error
+/// rather than run.
+#[test]
+fn unstable_synthetic_node_is_rejected() {
+    use adapt_verify::{NodeKind, VerifyError};
+
+    let unstable = Scenario {
+        nodes: vec![
+            NodeKind::Synthetic {
+                mtbi: 10.0,
+                mean_recovery: 20.0,
+            },
+            NodeKind::Reliable,
+        ],
+        placement: vec![vec![0], vec![1]],
+        ..generate(1)
+    };
+    assert!(matches!(
+        check_scenario(&unstable),
+        Err(VerifyError::InvalidScenario { .. })
+    ));
+}

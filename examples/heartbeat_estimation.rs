@@ -30,7 +30,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(99);
     for (mtbi, mu) in [(120.0, 15.0), (300.0, 40.0), (60.0, 6.0)] {
         // Ground truth process.
-        let mut process = InterruptionProcess::synthetic(mtbi, Dist::exponential_from_mean(mu)?);
+        let mut process = InterruptionProcess::synthetic(mtbi, Dist::exponential_from_mean(mu)?)?;
 
         // The NameNode-side observer.
         let mut monitor = HeartbeatMonitor::new(0.0);

@@ -4,7 +4,6 @@
 //!
 //! Run with: `cargo run --example mapreduce_job`
 
-use adapt::availability::dist::Dist;
 use adapt::core::AdaptPolicy;
 use adapt::dfs::cluster::{NodeAvailability, NodeSpec};
 use adapt::dfs::namenode::{NameNode, Threshold};
@@ -51,17 +50,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let placement = placement_from_namenode(&namenode, file)?;
     let processes: Vec<InterruptionProcess> = availability
         .iter()
-        .map(|a| {
-            if a.is_reliable() {
-                Ok(InterruptionProcess::none())
-            } else {
-                Ok(InterruptionProcess::synthetic(
-                    1.0 / a.lambda,
-                    Dist::exponential_from_mean(a.mu)?,
-                ))
-            }
-        })
-        .collect::<Result<_, adapt::availability::AvailabilityError>>()?;
+        .map(|&a| InterruptionProcess::from_availability(a))
+        .collect::<Result<_, _>>()?;
     let map_cfg = SimConfig::new(8.0, BlockSize::DEFAULT, GAMMA)?;
     let detailed = MapPhaseSim::new(processes.clone(), placement, map_cfg)?.run_detailed(17)?;
     println!("map phase:");

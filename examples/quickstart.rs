@@ -7,7 +7,6 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use adapt::availability::dist::Dist;
 use adapt::core::AdaptPolicy;
 use adapt::dfs::cluster::{NodeAvailability, NodeSpec};
 use adapt::dfs::namenode::{NameNode, Threshold};
@@ -75,17 +74,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // same interruption realization.
         let processes: Vec<InterruptionProcess> = availability
             .iter()
-            .map(|a| {
-                if a.is_reliable() {
-                    Ok(InterruptionProcess::none())
-                } else {
-                    Ok(InterruptionProcess::synthetic(
-                        1.0 / a.lambda,
-                        Dist::exponential_from_mean(a.mu)?,
-                    ))
-                }
-            })
-            .collect::<Result<_, adapt::availability::AvailabilityError>>()?;
+            .map(|&a| InterruptionProcess::from_availability(a))
+            .collect::<Result<_, _>>()?;
         let cfg = SimConfig::new(8.0, adapt::dfs::BlockSize::DEFAULT, GAMMA)?;
         let placement = placement_from_namenode(&namenode, file)?;
         let report = MapPhaseSim::new(processes, placement, cfg)?.run(7)?;

@@ -8,7 +8,6 @@
 //!
 //! Run with: `cargo run --example rebalance`
 
-use adapt::availability::dist::Dist;
 use adapt::core::AdaptPolicy;
 use adapt::dfs::cluster::{NodeAvailability, NodeSpec};
 use adapt::dfs::namenode::{NameNode, Threshold};
@@ -43,17 +42,8 @@ fn simulate(
     let placement = placement_from_namenode(namenode, file)?;
     let processes: Vec<InterruptionProcess> = availability
         .iter()
-        .map(|a| {
-            if a.is_reliable() {
-                Ok(InterruptionProcess::none())
-            } else {
-                Ok(InterruptionProcess::synthetic(
-                    1.0 / a.lambda,
-                    Dist::exponential_from_mean(a.mu)?,
-                ))
-            }
-        })
-        .collect::<Result<_, adapt::availability::AvailabilityError>>()?;
+        .map(|&a| InterruptionProcess::from_availability(a))
+        .collect::<Result<_, _>>()?;
     let cfg = SimConfig::new(8.0, adapt::dfs::BlockSize::DEFAULT, GAMMA)?;
     Ok(MapPhaseSim::new(processes, placement, cfg)?.run(11)?)
 }

@@ -5,7 +5,6 @@
 //!
 //! Run with: `cargo run --example trace_explore`
 
-use adapt::availability::dist::Dist;
 use adapt::dfs::cluster::{NodeAvailability, NodeSpec};
 use adapt::dfs::namenode::{NameNode, Threshold};
 use adapt::dfs::BlockSize;
@@ -57,17 +56,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let processes: Vec<InterruptionProcess> = avail
         .iter()
-        .map(|a| {
-            if a.lambda > 0.0 {
-                Ok(InterruptionProcess::synthetic(
-                    1.0 / a.lambda,
-                    Dist::exponential_from_mean(a.mu)?,
-                ))
-            } else {
-                Ok(InterruptionProcess::none())
-            }
-        })
-        .collect::<Result<_, adapt::availability::AvailabilityError>>()?;
+        .map(|&a| InterruptionProcess::from_availability(a))
+        .collect::<Result<_, _>>()?;
 
     let cfg = SimConfig::new(8.0, BlockSize::DEFAULT, GAMMA)?.with_detection_delay(5.0)?;
     let detailed = MapPhaseSim::new(processes, placement, cfg)?

@@ -53,8 +53,10 @@ fn simulation_failure_realization_is_independent_of_placement() {
     use adapt::dfs::NodeId;
     let processes = || {
         vec![
-            InterruptionProcess::synthetic(40.0, Dist::exponential_from_mean(10.0).unwrap()),
-            InterruptionProcess::synthetic(40.0, Dist::exponential_from_mean(10.0).unwrap()),
+            InterruptionProcess::synthetic(40.0, Dist::exponential_from_mean(10.0).unwrap())
+                .unwrap(),
+            InterruptionProcess::synthetic(40.0, Dist::exponential_from_mean(10.0).unwrap())
+                .unwrap(),
         ]
     };
     let cfg = SimConfig::new(8.0, adapt::dfs::BlockSize::DEFAULT, 200.0)

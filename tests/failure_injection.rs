@@ -35,10 +35,11 @@ fn single_node_cluster_completes_despite_interruptions() {
         )
         .unwrap();
     let placement = placement_from_namenode(&nn, file).unwrap();
-    let processes = vec![InterruptionProcess::synthetic(
-        30.0,
-        Dist::exponential_from_mean(5.0).unwrap(),
-    )];
+    let processes =
+        vec![
+            InterruptionProcess::synthetic(30.0, Dist::exponential_from_mean(5.0).unwrap())
+                .unwrap(),
+        ];
     let cfg = SimConfig::new(8.0, adapt::dfs::BlockSize::DEFAULT, 5.0).unwrap();
     let report = MapPhaseSim::new(processes, placement, cfg)
         .unwrap()
@@ -64,7 +65,9 @@ fn every_node_flaky_still_completes() {
         .unwrap();
     let placement = placement_from_namenode(&nn, file).unwrap();
     let processes: Vec<InterruptionProcess> = (0..n)
-        .map(|_| InterruptionProcess::synthetic(15.0, Dist::exponential_from_mean(5.0).unwrap()))
+        .map(|_| {
+            InterruptionProcess::synthetic(15.0, Dist::exponential_from_mean(5.0).unwrap()).unwrap()
+        })
         .collect();
     let cfg = SimConfig::new(8.0, adapt::dfs::BlockSize::DEFAULT, 5.0).unwrap();
     let report = MapPhaseSim::new(processes, placement, cfg)
@@ -221,10 +224,10 @@ fn mtbi_shorter_than_block_compute_time_still_completes() {
     // entirely on the memoryless restart race. The run must still
     // terminate (rho = 0.25 is stable) and the rework must dwarf the
     // useful work.
-    let processes = vec![InterruptionProcess::synthetic(
-        2.0,
-        Dist::exponential_from_mean(0.5).unwrap(),
-    )];
+    let processes =
+        vec![
+            InterruptionProcess::synthetic(2.0, Dist::exponential_from_mean(0.5).unwrap()).unwrap(),
+        ];
     let placement: Vec<Vec<NodeId>> = (0..5).map(|_| vec![NodeId(0)]).collect();
     let cfg = SimConfig::new(8.0, adapt::dfs::BlockSize::DEFAULT, 10.0).unwrap();
     let report = MapPhaseSim::new(processes, placement, cfg)

@@ -100,16 +100,7 @@ proptest! {
         // Simulation.
         let processes: Vec<InterruptionProcess> = availability
             .iter()
-            .map(|a| {
-                if a.is_reliable() {
-                    InterruptionProcess::none()
-                } else {
-                    InterruptionProcess::synthetic(
-                        1.0 / a.lambda,
-                        Dist::exponential_from_mean(a.mu).expect("valid"),
-                    )
-                }
-            })
+            .map(|&a| InterruptionProcess::from_availability(a).unwrap())
             .collect();
         let cfg = SimConfig::new(sc.bandwidth, adapt::dfs::BlockSize::DEFAULT, sc.gamma)
             .expect("valid config")
@@ -174,11 +165,11 @@ proptest! {
                 InterruptionProcess::synthetic(
                     30.0,
                     Dist::exponential_from_mean(5.0).expect("valid"),
-                ),
+                ).unwrap(),
                 InterruptionProcess::synthetic(
                     60.0,
                     Dist::exponential_from_mean(10.0).expect("valid"),
-                ),
+                ).unwrap(),
             ];
             let cfg = SimConfig::new(8.0, adapt::dfs::BlockSize::DEFAULT, 8.0)
                 .expect("valid");

@@ -2,7 +2,6 @@
 //! the future-work levers (availability-aware reducer placement and
 //! steal ordering).
 
-use adapt::availability::dist::Dist;
 use adapt::core::AdaptPolicy;
 use adapt::dfs::cluster::{NodeAvailability, NodeSpec};
 use adapt::dfs::namenode::{NameNode, Threshold};
@@ -64,16 +63,7 @@ fn run_map(
 fn processes(availability: &[NodeAvailability]) -> Vec<InterruptionProcess> {
     availability
         .iter()
-        .map(|a| {
-            if a.is_reliable() {
-                InterruptionProcess::none()
-            } else {
-                InterruptionProcess::synthetic(
-                    1.0 / a.lambda,
-                    Dist::exponential_from_mean(a.mu).unwrap(),
-                )
-            }
-        })
+        .map(|&a| InterruptionProcess::from_availability(a).unwrap())
         .collect()
 }
 

@@ -3,7 +3,6 @@
 
 #![expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 
-use adapt::availability::dist::Dist;
 use adapt::core::{AdaptPolicy, NaivePolicy};
 use adapt::dfs::cluster::{NodeAvailability, NodeSpec};
 use adapt::dfs::namenode::{NameNode, Threshold};
@@ -58,16 +57,7 @@ fn simulate_policy(
     let placement = placement_from_namenode(&namenode, file).unwrap();
     let processes: Vec<InterruptionProcess> = availability
         .iter()
-        .map(|a| {
-            if a.is_reliable() {
-                InterruptionProcess::none()
-            } else {
-                InterruptionProcess::synthetic(
-                    1.0 / a.lambda,
-                    Dist::exponential_from_mean(a.mu).unwrap(),
-                )
-            }
-        })
+        .map(|&a| InterruptionProcess::from_availability(a).unwrap())
         .collect();
     let cfg = SimConfig::new(8.0, adapt::dfs::BlockSize::DEFAULT, 10.0).unwrap();
     MapPhaseSim::new(processes, placement, cfg)
