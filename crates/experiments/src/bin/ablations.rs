@@ -17,9 +17,23 @@ use adapt_experiments::ablations::{
     chain_weighting_ablation, detection_delay_ablation, policy_ablation, render,
     scheduling_ablation, speculation_ablation, threshold_ablation,
 };
-use adapt_experiments::cli::Options;
+use adapt_experiments::cli::{Flag, Options};
 use adapt_experiments::config::{EmulatedConfig, LargeScaleConfig};
 use adapt_experiments::ExperimentError;
+
+/// The flags this binary reads: its own, then those of `write_probe`.
+const FLAGS: &[Flag] = &[
+    Flag::Paper,
+    Flag::Runs,
+    Flag::Nodes,
+    Flag::Seed,
+    Flag::ReportJson,
+    Flag::TraceOut,
+    Flag::MetricsOut,
+    Flag::MetricsInterval,
+    Flag::Racks,
+    Flag::Oversubscription,
+];
 
 fn run(opts: &Options) -> Result<(), ExperimentError> {
     let which = opts.positional.first().map(String::as_str);
@@ -99,7 +113,7 @@ fn run(opts: &Options) -> Result<(), ExperimentError> {
 }
 
 fn main() {
-    let opts = match Options::from_env() {
+    let opts = match Options::from_env(FLAGS) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}");

@@ -8,13 +8,27 @@
 //! The last six flags write the outputs of one probe run
 //! (`adapt_experiments::run_report`) of `--nodes` hosts (default 256).
 
-use adapt_experiments::cli::Options;
+use adapt_experiments::cli::{Flag, Options};
 use adapt_experiments::config::{EmulatedConfig, LargeScaleConfig};
 use adapt_experiments::emulated::{self, FIGURE3_SERIES};
 use adapt_experiments::largescale::{self, FIGURE5_SERIES};
 use adapt_experiments::report::{elapsed_entries, locality_entries, overhead_table, pivot_table};
 use adapt_experiments::table1::{render_comparison, run_table1};
 use adapt_experiments::ExperimentError;
+
+/// The flags this binary reads: its own, then those of `write_probe`.
+const FLAGS: &[Flag] = &[
+    Flag::Paper,
+    Flag::Runs,
+    Flag::Nodes,
+    Flag::Seed,
+    Flag::ReportJson,
+    Flag::TraceOut,
+    Flag::MetricsOut,
+    Flag::MetricsInterval,
+    Flag::Racks,
+    Flag::Oversubscription,
+];
 
 fn run(opts: &Options) -> Result<(), ExperimentError> {
     let seed = opts.seed.unwrap_or(2012);
@@ -100,7 +114,7 @@ fn run(opts: &Options) -> Result<(), ExperimentError> {
 }
 
 fn main() {
-    let opts = match Options::from_env() {
+    let opts = match Options::from_env(FLAGS) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}");

@@ -13,7 +13,7 @@
 //! * `c` — sweep the cluster size {32, 64, 128, 256};
 //! * no selector — all three.
 
-use adapt_experiments::cli::Options;
+use adapt_experiments::cli::{Flag, Options};
 use adapt_experiments::config::EmulatedConfig;
 use adapt_experiments::emulated::{
     sweep_bandwidth, sweep_interrupted_ratio, sweep_nodes, SweepPoint, FIGURE3_SERIES,
@@ -75,7 +75,7 @@ fn run(opts: &Options) -> Result<(), ExperimentError> {
 }
 
 fn main() {
-    let opts = match Options::from_env() {
+    let opts = match Options::from_env(&Flag::ALL) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}");

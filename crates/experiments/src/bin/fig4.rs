@@ -8,7 +8,7 @@
 //! The last six flags write the outputs of one probe run
 //! (`adapt_experiments::run_report`) at the same node count and seed.
 
-use adapt_experiments::cli::Options;
+use adapt_experiments::cli::{Flag, Options};
 use adapt_experiments::config::EmulatedConfig;
 use adapt_experiments::emulated::{
     sweep_bandwidth, sweep_interrupted_ratio, sweep_nodes, SweepPoint, FIGURE3_SERIES,
@@ -70,7 +70,7 @@ fn run(opts: &Options) -> Result<(), ExperimentError> {
 }
 
 fn main() {
-    let opts = match Options::from_env() {
+    let opts = match Options::from_env(&Flag::ALL) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}");

@@ -14,7 +14,7 @@
 //!   reduced ladder by default;
 //! * no selector — all three.
 
-use adapt_experiments::cli::Options;
+use adapt_experiments::cli::{Flag, Options};
 use adapt_experiments::config::LargeScaleConfig;
 use adapt_experiments::largescale::{
     sweep_bandwidth, sweep_block_size, sweep_nodes, OverheadPoint, FIGURE5_SERIES,
@@ -77,7 +77,7 @@ fn run(opts: &Options) -> Result<(), ExperimentError> {
 }
 
 fn main() {
-    let opts = match Options::from_env() {
+    let opts = match Options::from_env(&Flag::ALL) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}");

@@ -2,7 +2,7 @@
 //! cluster over a rack topology, its outputs shuffled into the reduce
 //! phase under each reducer-placement strategy (DESIGN.md §17).
 //!
-//! Usage: `fig-shuffle [--nodes N] [--runs R] [--seed N]
+//! Usage: `fig-shuffle [--paper] [--nodes N] [--runs R] [--seed N]
 //! [--racks N] [--oversubscription X] [--report-json PATH]
 //! [--trace-out PATH]`
 //!
@@ -15,13 +15,25 @@
 
 use std::io::Write;
 
-use adapt_experiments::cli::Options;
+use adapt_experiments::cli::{Flag, Options};
 use adapt_experiments::shuffle::{
     render_table, report_value, run_shuffle_traced, ShuffleExpConfig,
 };
 
+/// The flags this binary reads.
+const FLAGS: &[Flag] = &[
+    Flag::Paper,
+    Flag::Runs,
+    Flag::Nodes,
+    Flag::Seed,
+    Flag::ReportJson,
+    Flag::TraceOut,
+    Flag::Racks,
+    Flag::Oversubscription,
+];
+
 fn main() {
-    let opts = match Options::from_env() {
+    let opts = match Options::from_env(FLAGS) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}");

@@ -13,14 +13,26 @@
 
 use std::io::Write;
 
-use adapt_experiments::cli::Options;
+use adapt_experiments::cli::{Flag, Options};
 use adapt_experiments::jobstream::{
     render_csv, render_table, report_value, run_jobstream_metrics, JobStreamConfig,
 };
 use adapt_sim::SchedPolicy;
 
+/// The flags this binary reads.
+const FLAGS: &[Flag] = &[
+    Flag::Paper,
+    Flag::Runs,
+    Flag::Nodes,
+    Flag::Seed,
+    Flag::Csv,
+    Flag::ReportJson,
+    Flag::MetricsOut,
+    Flag::MetricsInterval,
+];
+
 fn main() {
-    let opts = match Options::from_env() {
+    let opts = match Options::from_env(FLAGS) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}");

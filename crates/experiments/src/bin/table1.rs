@@ -15,12 +15,25 @@
 //! engine — `--racks 1 --oversubscription 1` reproduces the flat report
 //! byte-identically (the degeneracy contract CI pins).
 
-use adapt_experiments::cli::Options;
+use adapt_experiments::cli::{Flag, Options};
 use adapt_experiments::run_report::{table1_section, write_probe};
 use adapt_experiments::table1::{render_comparison, run_table1};
 
+/// The flags this binary reads: its own, then those of `write_probe`.
+const FLAGS: &[Flag] = &[
+    Flag::Paper,
+    Flag::Nodes,
+    Flag::Seed,
+    Flag::ReportJson,
+    Flag::TraceOut,
+    Flag::MetricsOut,
+    Flag::MetricsInterval,
+    Flag::Racks,
+    Flag::Oversubscription,
+];
+
 fn main() {
-    let opts = match Options::from_env() {
+    let opts = match Options::from_env(FLAGS) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}");

@@ -87,11 +87,12 @@ fn render_gantt(trace: &Trace) {
                 *cell = glyph;
             }
         }
-        let busy: f64 = segments
+        // Folded from +0.0: an empty `f64` sum is -0.0, which prints as
+        // `busy -0.0s` on a lane that holds only outages.
+        let busy = segments
             .iter()
             .filter(|s| s.kind != SegmentKind::Down)
-            .map(|s| s.end - s.start)
-            .sum();
+            .fold(0.0, |sum, s| sum + (s.end - s.start));
         let line: String = row.into_iter().collect();
         println!("  node {node:>5} |{line}| busy {busy:.1}s");
     }

@@ -15,11 +15,14 @@
 
 use std::io::Write;
 
-use adapt_experiments::cli::Options;
+use adapt_experiments::cli::{Flag, Options};
 use adapt_verify::run_corpus;
 
+/// The flags this binary reads.
+const FLAGS: &[Flag] = &[Flag::Runs, Flag::Seed, Flag::ReportJson];
+
 fn main() {
-    let opts = match Options::from_env() {
+    let opts = match Options::from_env(FLAGS) {
         Ok(o) => o,
         Err(msg) => {
             eprintln!("{msg}");

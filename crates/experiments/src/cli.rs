@@ -8,10 +8,89 @@
 //! scraped time series and work spans as `adapt-metrics/1` JSONL,
 //! explorable with the `metrics` binary), `--metrics-interval SECS`
 //! (scrape cadence in simulated seconds), `--racks N` and
-//! `--oversubscription X` (the network topology, where the binary
-//! supports one — `--racks 1 --oversubscription 1` is the flat
-//! network), plus a free-form positional (the sub-figure selector
-//! `a`/`b`/`c` where applicable).
+//! `--oversubscription X` (the network topology — `--racks 1
+//! --oversubscription 1` is the flat network), plus a free-form
+//! positional (the sub-figure selector `a`/`b`/`c` where applicable).
+//!
+//! Each binary passes the [`Flag`]s it reads to [`Options::parse`]; any
+//! other flag is rejected, so a flag a binary would ignore (and an
+//! output file it would never write) is an error, not a silent no-op.
+
+/// A command-line flag of the experiment binaries.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Flag {
+    /// `--paper`: run at the paper's full scale.
+    Paper,
+    /// `--runs N`: the number of runs (or the binary's count knob).
+    Runs,
+    /// `--nodes N`: the cluster size.
+    Nodes,
+    /// `--seed N`: the base seed.
+    Seed,
+    /// `--csv`: emit CSV instead of a text table.
+    Csv,
+    /// `--report-json PATH`: write the run report.
+    ReportJson,
+    /// `--trace-out PATH`: write the probe run's event trace.
+    TraceOut,
+    /// `--metrics-out PATH`: write the probe run's metrics document.
+    MetricsOut,
+    /// `--metrics-interval SECS`: the metrics scrape cadence.
+    MetricsInterval,
+    /// `--racks N`: the rack count of the topology.
+    Racks,
+    /// `--oversubscription X`: the core oversubscription ratio.
+    Oversubscription,
+}
+
+impl Flag {
+    /// Every flag, in usage order.
+    pub const ALL: [Flag; 11] = [
+        Flag::Paper,
+        Flag::Runs,
+        Flag::Nodes,
+        Flag::Seed,
+        Flag::Csv,
+        Flag::ReportJson,
+        Flag::TraceOut,
+        Flag::MetricsOut,
+        Flag::MetricsInterval,
+        Flag::Racks,
+        Flag::Oversubscription,
+    ];
+
+    /// The flag as typed, with its value placeholder.
+    fn usage(self) -> &'static str {
+        match self {
+            Flag::Paper => "--paper",
+            Flag::Runs => "--runs N",
+            Flag::Nodes => "--nodes N",
+            Flag::Seed => "--seed N",
+            Flag::Csv => "--csv",
+            Flag::ReportJson => "--report-json PATH",
+            Flag::TraceOut => "--trace-out PATH",
+            Flag::MetricsOut => "--metrics-out PATH",
+            Flag::MetricsInterval => "--metrics-interval SECS",
+            Flag::Racks => "--racks N",
+            Flag::Oversubscription => "--oversubscription X",
+        }
+    }
+
+    /// The flag as typed, e.g. `--runs`.
+    fn name(self) -> &'static str {
+        self.usage().split(' ').next().unwrap_or_default()
+    }
+}
+
+/// `flags` as a usage line, in [`Flag::ALL`] order.
+fn usage(flags: &[Flag]) -> String {
+    let listed: Vec<&str> = Flag::ALL
+        .iter()
+        .filter(|f| flags.contains(f))
+        .map(|f| f.usage())
+        .collect();
+    format!("[{}]", listed.join("] ["))
+}
 
 /// Parsed command-line options.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -43,70 +122,72 @@ pub struct Options {
 }
 
 impl Options {
-    /// Parses options from an argument iterator (excluding `argv[0]`).
+    /// Parses options from an argument iterator (excluding `argv[0]`),
+    /// accepting only `flags` — the flags the calling binary reads.
     ///
     /// # Errors
     ///
-    /// Returns a human-readable message for unknown flags or malformed
-    /// values.
-    pub fn parse(args: impl Iterator<Item = String>) -> Result<Options, String> {
+    /// Returns a human-readable message for `--help`, for a flag outside
+    /// `flags` (naming the accepted ones), or for a malformed value.
+    pub fn parse(args: impl Iterator<Item = String>, flags: &[Flag]) -> Result<Options, String> {
         let mut opts = Options::default();
         let mut args = args.peekable();
         while let Some(arg) = args.next() {
-            match arg.as_str() {
-                "--paper" => opts.paper = true,
-                "--csv" => opts.csv = true,
-                "--runs" => opts.runs = Some(parse_value(&arg, args.next())?),
-                "--nodes" => opts.nodes = Some(parse_value(&arg, args.next())?),
-                "--seed" => opts.seed = Some(parse_value(&arg, args.next())?),
-                "--report-json" => opts.report_json = Some(parse_value(&arg, args.next())?),
-                "--trace-out" => opts.trace_out = Some(parse_value(&arg, args.next())?),
-                "--metrics-out" => opts.metrics_out = Some(parse_value(&arg, args.next())?),
-                "--metrics-interval" => {
+            if arg == "--help" || arg == "-h" {
+                return Err(format!("usage: {}", usage(flags)));
+            }
+            if !arg.starts_with("--") {
+                opts.positional.push(arg);
+                continue;
+            }
+            let Some(&flag) = flags.iter().find(|f| f.name() == arg) else {
+                return Err(format!(
+                    "unknown flag `{arg}` (this binary takes {})",
+                    usage(flags)
+                ));
+            };
+            match flag {
+                Flag::Paper => opts.paper = true,
+                Flag::Csv => opts.csv = true,
+                Flag::Runs => opts.runs = Some(parse_value(&arg, args.next())?),
+                Flag::Nodes => opts.nodes = Some(parse_value(&arg, args.next())?),
+                Flag::Seed => opts.seed = Some(parse_value(&arg, args.next())?),
+                Flag::ReportJson => opts.report_json = Some(parse_value(&arg, args.next())?),
+                Flag::TraceOut => opts.trace_out = Some(parse_value(&arg, args.next())?),
+                Flag::MetricsOut => opts.metrics_out = Some(parse_value(&arg, args.next())?),
+                Flag::MetricsInterval => {
                     let secs: f64 = parse_value(&arg, args.next())?;
                     if !(secs.is_finite() && secs > 0.0) {
                         return Err(format!("flag `{arg}`: must be finite and > 0"));
                     }
                     opts.metrics_interval = Some(secs);
                 }
-                "--racks" => {
+                Flag::Racks => {
                     let racks: u32 = parse_value(&arg, args.next())?;
                     if racks == 0 {
                         return Err(format!("flag `{arg}`: must be >= 1"));
                     }
                     opts.racks = Some(racks);
                 }
-                "--oversubscription" => {
+                Flag::Oversubscription => {
                     let ratio: f64 = parse_value(&arg, args.next())?;
                     if !(ratio.is_finite() && ratio >= 1.0) {
                         return Err(format!("flag `{arg}`: must be finite and >= 1"));
                     }
                     opts.oversubscription = Some(ratio);
                 }
-                "--help" | "-h" => {
-                    return Err(
-                        "usage: [a|b|c] [--paper] [--runs N] [--nodes N] [--seed N] [--csv] \
-                         [--report-json PATH] [--trace-out PATH] [--metrics-out PATH] \
-                         [--metrics-interval SECS] [--racks N] [--oversubscription X]"
-                            .to_string(),
-                    )
-                }
-                other if other.starts_with("--") => {
-                    return Err(format!("unknown flag `{other}` (try --help)"));
-                }
-                other => opts.positional.push(other.to_string()),
             }
         }
         Ok(opts)
     }
 
-    /// Parses from the process arguments.
+    /// Parses from the process arguments, accepting only `flags`.
     ///
     /// # Errors
     ///
     /// See [`Options::parse`].
-    pub fn from_env() -> Result<Options, String> {
-        Options::parse(std::env::args().skip(1))
+    pub fn from_env(flags: &[Flag]) -> Result<Options, String> {
+        Options::parse(std::env::args().skip(1), flags)
     }
 }
 
@@ -122,7 +203,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Options, String> {
-        Options::parse(args.iter().map(|s| s.to_string()))
+        Options::parse(args.iter().map(|s| s.to_string()), &Flag::ALL)
     }
 
     #[test]

@@ -35,11 +35,13 @@
 //! byte exactly (the conservation law the metamorphic suite pins).
 
 use adapt_dfs::NodeId;
+use adapt_ds::SortedVecSet;
 use adapt_trace::{Trace, TraceEvent, TraceMeta, TraceRecorder};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::engine::{mix_seed, SimConfig};
+use crate::event::EventQueue;
 use crate::interrupt::InterruptionProcess;
 use crate::SimError;
 
@@ -70,8 +72,8 @@ enum ReducerPhase {
         bytes: u64,
         cross_rack: bool,
     },
-    /// Every slice fetched for this map output is unavailable: no alive
-    /// holder. Wakes on the next `Up`.
+    /// Every holder of map output `next_task` is down. Wakes on the `Up`
+    /// of one of them.
     Blocked,
     /// Host died mid-attempt; restarts from map output 0 on recovery.
     WaitingRecovery,
@@ -96,22 +98,12 @@ struct ReducerState {
     finish: Option<f64>,
 }
 
-/// An in-flight shuffle fetch served by a node, for cross-rack stream
-/// counting (windows stay committed even if the fetch later aborts —
-/// the same both-links-committed rule as the map engine).
-#[derive(Debug, Clone, Copy)]
-struct Outbound {
-    dest: u32,
-    end: f64,
-}
-
 #[derive(Debug)]
 struct HostState {
     process: InterruptionProcess,
     up: bool,
     pending_up_at: f64,
     down_since: Option<f64>,
-    outbound: Vec<Outbound>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -202,7 +194,21 @@ pub struct ReducePhaseSim {
     output_bytes: Vec<u64>,
     hosts: Vec<HostState>,
     reducers: Vec<ReducerState>,
-    queue: crate::event::EventQueue<Event>,
+    /// The reducers pinned to each host, ascending (fixed at
+    /// construction): the only reducers its outage or recovery restarts.
+    hosted: Vec<Vec<u32>>,
+    /// Per holder, the reducers that blocked on a map output it holds.
+    /// Filled when a reducer enters `Blocked`, drained by the holder's
+    /// `Up`, which skips entries no longer blocked on it.
+    waiters: Vec<Vec<u32>>,
+    /// Per source, the reducers with a fetch in flight from it.
+    fetchers: Vec<SortedVecSet>,
+    /// Per rack, the window ends of the cross-rack fetches committed from
+    /// it; windows that closed by the clock are popped at the next commit.
+    uplinks: Vec<EventQueue<()>>,
+    /// `on_up`'s candidate buffer, kept to reuse its allocation.
+    wake: Vec<u32>,
+    queue: EventQueue<Event>,
     done_count: usize,
     // Accumulators.
     attempts: usize,
@@ -309,9 +315,12 @@ impl ReducePhaseSim {
                 up: true,
                 pending_up_at: 0.0,
                 down_since: None,
-                outbound: Vec::new(),
             })
             .collect();
+        let mut hosted = vec![Vec::new(); n];
+        for (r, host) in reducer_nodes.iter().enumerate() {
+            hosted[host.0 as usize].push(r as u32);
+        }
         let reducer_states = reducer_nodes
             .iter()
             .map(|host| ReducerState {
@@ -324,14 +333,19 @@ impl ReducePhaseSim {
                 finish: None,
             })
             .collect();
-        let queue = crate::event::EventQueue::with_capacity(n * 2 + reducer_nodes.len() + 16);
+        let queue = EventQueue::with_capacity(n * 2 + reducer_nodes.len() + 16);
         Ok(ReducePhaseSim {
-            cfg,
             reduce_gamma,
             holders: holder_ids,
             output_bytes,
             hosts,
             reducers: reducer_states,
+            hosted,
+            waiters: vec![Vec::new(); n],
+            fetchers: vec![SortedVecSet::new(); n],
+            uplinks: vec![EventQueue::new(); cfg.topology().racks() as usize],
+            wake: Vec::new(),
+            cfg,
             queue,
             done_count: 0,
             attempts: 0,
@@ -367,21 +381,18 @@ impl ReducePhaseSim {
         (bytes as f64 / BYTES_PER_MB) * 8.0 / self.cfg.bandwidth_mbps()
     }
 
-    /// Cross-rack shuffle flows active on `rack`'s uplink at `t` (same
-    /// stride scan as the map engine: `rack_of` is `node % racks`).
-    fn cross_rack_streams(&self, rack: u32, t: f64) -> usize {
-        let topo = self.cfg.topology();
-        let mut count = 0;
-        let mut ni = rack as usize;
-        while ni < self.hosts.len() {
-            count += self.hosts[ni]
-                .outbound
-                .iter()
-                .filter(|o| o.end > t && topo.rack_of(o.dest) != rack)
-                .count();
-            ni += topo.racks() as usize;
+    /// Cross-rack shuffle flows active on `rack`'s uplink at `t`: the
+    /// committed windows that end after `t`. A window counts until its
+    /// end even if its fetch aborted — its links were reserved at commit
+    /// (the map engine instead drops a dead source's windows under
+    /// [`SimConfig::with_fetch_failure`]). The clock never runs back, so
+    /// a window popped here never counts again.
+    fn cross_rack_streams(&mut self, rack: u32, t: f64) -> usize {
+        let uplink = &mut self.uplinks[rack as usize];
+        while uplink.peek_time().is_some_and(|end| end <= t) {
+            uplink.pop();
         }
-        count
+        uplink.len()
     }
 
     /// Runs the reduce phase to completion (or the horizon) and returns
@@ -496,6 +507,9 @@ impl ReducePhaseSim {
             // fetch — with every holder down the reducer blocks.
             let Some(&source) = self.holders[m].iter().find(|&&h| self.hosts[h as usize].up) else {
                 self.reducers[ri].phase = ReducerPhase::Blocked;
+                for &h in &self.holders[m] {
+                    self.waiters[h as usize].push(r);
+                }
                 return Ok(());
             };
             let topo = self.cfg.topology();
@@ -506,9 +520,10 @@ impl ReducePhaseSim {
                 1
             };
             let end = t + topo.fair_share_seconds(self.bytes_seconds(bytes), source, node, streams);
-            let src = &mut self.hosts[source as usize];
-            src.outbound.retain(|o| o.end > t);
-            src.outbound.push(Outbound { dest: node, end });
+            if cross_rack {
+                self.uplinks[topo.rack_of(source) as usize].push(end, ())?;
+            }
+            self.fetchers[source as usize].insert(ri);
             self.fetches += 1;
             if cross_rack && streams > 1 {
                 self.emit(TraceEvent::LinkContention {
@@ -546,6 +561,7 @@ impl ReducePhaseSim {
             });
         };
         debug_assert!(end <= t);
+        self.fetchers[source as usize].remove(ri);
         self.emit(TraceEvent::ShuffleFetch {
             reducer: r,
             source,
@@ -579,8 +595,8 @@ impl ReducePhaseSim {
     }
 
     /// Aborts the reducer's in-flight fetch (if any), emitting the
-    /// aborted `ShuffleFetch`. The committed window stays on the source's
-    /// uplink — both links were reserved either way.
+    /// aborted `ShuffleFetch`. The committed window stays on the source
+    /// rack's uplink — both links were reserved either way.
     fn abort_fetch(&mut self, r: u32, t: f64) {
         let ri = r as usize;
         let ReducerPhase::Fetching {
@@ -592,6 +608,7 @@ impl ReducePhaseSim {
         else {
             return;
         };
+        self.fetchers[source as usize].remove(ri);
         let bytes = slice_bytes(self.output_bytes[task], ri, self.reducers.len());
         self.fetches_aborted += 1;
         self.emit(TraceEvent::ShuffleFetch {
@@ -618,11 +635,9 @@ impl ReducePhaseSim {
 
         // Reducers hosted here lose everything shuffled so far —
         // equation (2)'s rework applied to the reduce phase.
-        for r in 0..self.reducers.len() as u32 {
+        for i in 0..self.hosted[ni].len() {
+            let r = self.hosted[ni][i];
             let ri = r as usize;
-            if self.reducers[ri].node != n {
-                continue;
-            }
             match self.reducers[ri].phase {
                 ReducerPhase::Done | ReducerPhase::WaitingRecovery => continue,
                 ReducerPhase::Fetching { .. } => self.abort_fetch(r, t),
@@ -636,21 +651,33 @@ impl ReducePhaseSim {
             self.reducers[ri].phase = ReducerPhase::WaitingRecovery;
         }
 
-        // Fetches sourced from this node fail immediately; the fetcher
-        // re-sources from another alive holder or blocks. (The hosted-
-        // reducer pass above already moved this node's own reducers out
-        // of `Fetching`, so no reducer is re-sourced onto a dead host.)
-        for r in 0..self.reducers.len() as u32 {
-            let ri = r as usize;
-            let ReducerPhase::Fetching { source, end, .. } = self.reducers[ri].phase else {
-                continue;
+        // Fetches sourced from this node fail immediately, in ascending
+        // reducer order; each fetcher re-sources from another alive
+        // holder or blocks. (A reducer never fetches from its own host,
+        // and none re-sources onto this one, now down.) A window that
+        // closes at this instant is left to its queued completion.
+        let sourced = std::mem::take(&mut self.fetchers[ni]);
+        for ri in sourced.iter() {
+            let end = match self.reducers[ri].phase {
+                ReducerPhase::Fetching { source, end, .. } if source == n => end,
+                ReducerPhase::Idle
+                | ReducerPhase::Fetching { .. }
+                | ReducerPhase::Blocked
+                | ReducerPhase::WaitingRecovery
+                | ReducerPhase::Computing { .. }
+                | ReducerPhase::Done => {
+                    return Err(SimError::InvariantViolation {
+                        what: "a source's in-flight fetchers hold a reducer not fetching from it",
+                    })
+                }
             };
-            if source != n || end <= t {
+            if end <= t {
+                self.fetchers[ni].insert(ri);
                 continue;
             }
-            self.abort_fetch(r, t);
+            self.abort_fetch(ri as u32, t);
             self.reducers[ri].epoch += 1;
-            self.advance(r, t)?;
+            self.advance(ri as u32, t)?;
         }
         Ok(())
     }
@@ -666,26 +693,35 @@ impl ReducePhaseSim {
             self.hosts[ni].pending_up_at = outage.up_at;
             self.queue.push(outage.down_at, Event::Down(n))?;
         }
-        // Hosted reducers restart their attempt from scratch; blocked
-        // reducers anywhere get another look (this node may now be the
-        // alive holder they were waiting for). Ascending reducer order
-        // keeps the retry sequence deterministic.
-        for r in 0..self.reducers.len() as u32 {
+        // Hosted reducers restart their attempt from scratch; reducers
+        // blocked on a map output this node holds resume from it. Every
+        // other blocked reducer still has every holder of its output down
+        // and would re-block with no side effect, so it is not visited.
+        // Ascending reducer order keeps the retry sequence deterministic.
+        let mut wake = std::mem::take(&mut self.wake);
+        wake.clear();
+        wake.extend_from_slice(&self.hosted[ni]);
+        wake.append(&mut self.waiters[ni]);
+        wake.sort_unstable();
+        wake.dedup();
+        for &r in &wake {
             let ri = r as usize;
             match self.reducers[ri].phase {
                 ReducerPhase::WaitingRecovery if self.reducers[ri].node == n => {
                     self.start_attempt(r, t)?;
                 }
-                ReducerPhase::Blocked => {
+                ReducerPhase::Blocked if self.holders[self.reducers[ri].next_task].contains(&n) => {
                     self.advance(r, t)?;
                 }
                 ReducerPhase::Idle
                 | ReducerPhase::Fetching { .. }
+                | ReducerPhase::Blocked
                 | ReducerPhase::WaitingRecovery
                 | ReducerPhase::Computing { .. }
                 | ReducerPhase::Done => {}
             }
         }
+        self.wake = wake;
         Ok(())
     }
 
@@ -923,6 +959,56 @@ mod tests {
         assert_eq!(report.elapsed, 38.0);
         assert_eq!(report.fetches, 2);
         assert_eq!(report.fetches_aborted, 1);
+    }
+
+    #[test]
+    fn blocked_reducer_resumes_from_either_holder_and_reblocks() {
+        // Output 0 lives on nodes 0 and 1, output 1 only on node 1; both
+        // are down from t = 0, node 0 until 10 and node 1 until 30. The
+        // reducer on node 2 blocks on {0, 1}, resumes from node 0 at 10
+        // (8 s fetch), then blocks on output 1 at 18 while its wait
+        // entry from the first block is still on node 1. Node 1's return
+        // at 30 wakes it once: fetch 30..38, compute 38..48.
+        let sim = ReducePhaseSim::new(
+            vec![
+                outage(0.0, 10.0),
+                outage(0.0, 30.0),
+                InterruptionProcess::none(),
+            ],
+            vec![vec![NodeId(0), NodeId(1)], vec![NodeId(1)]],
+            vec![8 * MB, 8 * MB],
+            vec![NodeId(2)],
+            cfg(),
+            10.0,
+        )
+        .unwrap();
+        let detailed = sim.with_trace(TraceRecorder::new()).run(7).unwrap();
+        let report = detailed.report;
+        assert!(report.completed);
+        assert_eq!(report.finish, vec![Some(48.0)]);
+        assert_eq!(report.attempts, 1);
+        assert_eq!(report.fetches, 2);
+        assert_eq!(report.fetches_aborted, 0);
+        let fetches: Vec<(u32, u32, f64, f64)> = detailed
+            .trace
+            .unwrap()
+            .events
+            .iter()
+            .filter_map(|e| {
+                let TraceEvent::ShuffleFetch {
+                    source,
+                    task,
+                    start,
+                    end,
+                    ..
+                } = *e
+                else {
+                    return None;
+                };
+                Some((task, source, start, end))
+            })
+            .collect();
+        assert_eq!(fetches, vec![(0, 0, 10.0, 18.0), (1, 1, 30.0, 38.0)]);
     }
 
     #[test]

@@ -151,15 +151,15 @@ impl AdaptStrategy {
     }
 
     /// Alive nodes ordered most-reliable first (rate descending, id
-    /// ascending on ties).
+    /// ascending on ties). Each rate is evaluated once, then the
+    /// `(rate, id)` pairs are sorted.
     fn by_reliability(&self, cluster: &ClusterView) -> Result<Vec<NodeId>, SimError> {
-        let mut alive = require_alive(cluster)?;
-        alive.sort_by(|&a, &b| {
-            self.rate(cluster, b)
-                .total_cmp(&self.rate(cluster, a))
-                .then(a.0.cmp(&b.0))
-        });
-        Ok(alive)
+        let mut ranked: Vec<(f64, NodeId)> = require_alive(cluster)?
+            .into_iter()
+            .map(|id| (self.rate(cluster, id), id))
+            .collect();
+        ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1 .0.cmp(&b.1 .0)));
+        Ok(ranked.into_iter().map(|(_, id)| id).collect())
     }
 }
 

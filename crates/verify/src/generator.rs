@@ -203,14 +203,16 @@ pub fn generate(seed: u64) -> Scenario {
         shuffle_skew,
         racks,
         oversubscription,
+        output_holders: 1,
     }
 }
 
 /// Deterministically generates a reduce-heavy scenario for `seed`: the
 /// same cluster and placement as [`generate`], but with the shuffle as
-/// the dominant phase — many reducers, heavy output skew, and an
-/// oversubscribed multi-rack fabric — so the reduce corpus concentrates
-/// on uplink contention, cross-rack re-sourcing, and reducer-host
+/// the dominant phase — many reducers, heavy output skew, an
+/// oversubscribed multi-rack fabric, and each map output on one to three
+/// holders — so the reduce corpus concentrates on uplink contention,
+/// cross-rack re-sourcing, blocking on several holders, and reducer-host
 /// restarts rather than map mechanics.
 pub fn generate_reduce_heavy(seed: u64) -> Scenario {
     let mut scenario = generate(seed);
@@ -222,6 +224,36 @@ pub fn generate_reduce_heavy(seed: u64) -> Scenario {
     scenario.shuffle_skew = 2 + pick(&mut rng, 7);
     scenario.racks = 2 + pick(&mut rng, 3) as u32;
     scenario.oversubscription = choose_f64(&mut rng, &[2.0, 2.5, 5.0]);
+    scenario.output_holders = 1 + pick(&mut rng, 3) as usize;
+    scenario
+}
+
+/// Horizon of the wide reduce corpus, seconds. A reducer on a host whose
+/// MTBI is shorter than one attempt restarts until the horizon, so the
+/// horizon bounds the corpus's cost.
+const WIDE_REDUCE_HORIZON: f64 = 300.0;
+
+/// Deterministically generates a wide reduce scenario for `seed`: the
+/// cluster of [`generate_wide`] (16–96 nodes, a few of them with a +∞
+/// slowdown) under 32–160 reducers on 2–8 oversubscribed racks, with
+/// each map output on one to three holders. Many reducers then share
+/// each host, source and uplink, and they re-source, block on several
+/// holders and restart at once. The map phase keeps only the first
+/// 8–64 tasks and both phases stop at a 300-s horizon, so the
+/// reference reduce engine's linear scans stay cheap. It draws from its
+/// own RNG stream.
+pub fn generate_wide_reduce(seed: u64) -> Scenario {
+    let mut scenario = generate_wide(seed);
+    // A fixed xor keeps this stream apart from the other corpora's.
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5749_4445_5244_4345);
+    scenario.horizon = WIDE_REDUCE_HORIZON;
+    scenario.placement.truncate(8 + pick(&mut rng, 57) as usize);
+    scenario.reducers = 32 + pick(&mut rng, 129) as usize;
+    scenario.reduce_gamma = choose_f64(&mut rng, &GAMMA_REGIMES);
+    scenario.shuffle_skew = 1 + pick(&mut rng, 8);
+    scenario.racks = 2 + pick(&mut rng, 7) as u32;
+    scenario.oversubscription = choose_f64(&mut rng, &[2.0, 2.5, 5.0]);
+    scenario.output_holders = 1 + pick(&mut rng, 3) as usize;
     scenario
 }
 
@@ -342,6 +374,7 @@ pub fn generate_wide(seed: u64) -> Scenario {
         shuffle_skew: 1,
         racks,
         oversubscription,
+        output_holders: 1,
     }
 }
 
@@ -429,6 +462,7 @@ pub fn generate_jobstream(seed: u64) -> JobStreamScenario {
 #[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
+    use adapt_dfs::NodeId;
     use adapt_sim::interrupt::InterruptionProcess;
 
     #[test]
@@ -533,13 +567,48 @@ mod tests {
             assert!(s.shuffle_skew >= 2);
             assert!(s.racks >= 2);
             assert!(s.oversubscription >= 2.0);
+            assert!((1..=3).contains(&s.output_holders));
             // The map side is untouched: same cluster and placement as
             // the plain corpus for the same seed.
             let base = generate(seed);
             assert_eq!(s.nodes, base.nodes);
             assert_eq!(s.placement, base.placement);
             assert_eq!(s.seed, base.seed);
+            assert_eq!(base.output_holders, 1);
         }
+    }
+
+    #[test]
+    fn wide_reduce_corpus_spans_reducers_racks_and_holders() {
+        let mut holder_counts = [false; 3];
+        for seed in 0..64 {
+            let s = generate_wide_reduce(seed);
+            assert_eq!(s, generate_wide_reduce(seed));
+            let wide = generate_wide(seed);
+            assert_eq!(s.nodes, wide.nodes);
+            assert!((8..=64).contains(&s.placement.len()));
+            assert!((32..=160).contains(&s.reducers));
+            assert!((2..=8).contains(&s.racks));
+            assert!(s.oversubscription >= 2.0);
+            s.topology().expect("valid topology");
+            holder_counts[s.output_holders - 1] = true;
+            // Every holder list is distinct, ascending and in range, and
+            // keeps the winner.
+            let winners: Vec<Option<NodeId>> = s
+                .placement
+                .iter()
+                .map(|replicas| Some(NodeId(replicas[0])))
+                .collect();
+            let (holders, bytes) = s.reduce_inputs(&winners);
+            assert_eq!(holders.len(), bytes.len());
+            for (hs, winner) in holders.iter().zip(&winners) {
+                assert_eq!(hs.len(), s.output_holders.min(s.nodes.len()));
+                assert!(hs.windows(2).all(|w| w[0] < w[1]));
+                assert!(hs.iter().all(|h| (h.0 as usize) < s.nodes.len()));
+                assert!(winner.is_some_and(|w| hs.contains(&w)));
+            }
+        }
+        assert_eq!(holder_counts, [true; 3], "holder counts 1-3 not all drawn");
     }
 
     #[test]

@@ -52,7 +52,9 @@ pub mod scenario;
 pub mod shrink;
 
 pub use error::VerifyError;
-pub use generator::{generate, generate_jobstream, generate_reduce_heavy, generate_wide};
+pub use generator::{
+    generate, generate_jobstream, generate_reduce_heavy, generate_wide, generate_wide_reduce,
+};
 pub use jobstream::{check_jobstream, JobStreamScenario, ReferenceJobTracker};
 pub use oracle::{check_scenario, compare_reports, Divergence};
 pub use reference::ReferenceSim;

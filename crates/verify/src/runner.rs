@@ -12,7 +12,9 @@
 use adapt_dfs::cluster::{NodeAvailability, NodeSpec};
 use adapt_telemetry::Value;
 
-use crate::generator::{generate, generate_jobstream, generate_reduce_heavy, generate_wide};
+use crate::generator::{
+    generate, generate_jobstream, generate_reduce_heavy, generate_wide, generate_wide_reduce,
+};
 use crate::jobstream::{check_jobstream, JobStreamScenario};
 use crate::metamorphic::{
     monte_carlo_check, reduce_monotone_in_bandwidth, shuffle_bytes_conserved, threshold_cap_holds,
@@ -268,10 +270,11 @@ fn check_map_layer(report: &mut FuzzReport, seed: u64, scenario: &Scenario, corp
     }
 }
 
-/// Runs the reduce-phase lockstep oracle on one scenario, shrinking any
-/// failure to its kernel across every dimension — tasks, nodes, failure
-/// processes, scheduler flags, reducers, skew, and topology.
-fn check_reduce_layer(report: &mut FuzzReport, seed: u64, scenario: &Scenario) {
+/// Runs the reduce-phase lockstep oracle on one scenario of `corpus`,
+/// shrinking any failure to its kernel across every dimension — tasks,
+/// nodes, failure processes, scheduler flags, reducers, skew, topology,
+/// and holders per map output.
+fn check_reduce_layer(report: &mut FuzzReport, seed: u64, scenario: &Scenario, corpus: &str) {
     match check_reduce_scenario(scenario) {
         Ok(None) => {}
         Ok(Some(_)) => {
@@ -286,13 +289,13 @@ fn check_reduce_layer(report: &mut FuzzReport, seed: u64, scenario: &Scenario) {
                 });
             } else {
                 report.errors.push(format!(
-                    "seed {seed}: reduce divergence vanished while shrinking"
+                    "seed {seed}: {corpus} reduce divergence vanished while shrinking"
                 ));
             }
         }
         Err(e) => report
             .errors
-            .push(format!("seed {seed}: reduce oracle error: {e}")),
+            .push(format!("seed {seed}: {corpus} reduce oracle error: {e}")),
     }
 }
 
@@ -321,8 +324,8 @@ fn check_reduce_metamorphic(report: &mut FuzzReport, seed: u64, scenario: &Scena
 /// Runs the full verification sweep: `count` generated scenarios from
 /// `base_seed` through the differential oracle (shrinking any failure)
 /// on the plain, reduce-heavy and wide corpora, the reduce-phase
-/// lockstep oracle on both the plain corpus and its reduce-heavy
-/// re-draw, the reduce/shuffle metamorphic properties, the
+/// lockstep oracle on the plain corpus, its reduce-heavy re-draw and
+/// the wide reduce corpus, the reduce/shuffle metamorphic properties, the
 /// placement-layer metamorphic checks per scenario, and the Monte-Carlo
 /// regime gate.
 pub fn run_corpus(base_seed: u64, count: usize) -> FuzzReport {
@@ -347,15 +350,24 @@ pub fn run_corpus(base_seed: u64, count: usize) -> FuzzReport {
         // its reduce-heavy re-draw (same map inputs, shuffle-dominant
         // dimensions), which also runs through the map oracle — the
         // multi-rack topology changes map-phase transfers too.
-        check_reduce_layer(&mut report, seed, &scenario);
+        check_reduce_layer(&mut report, seed, &scenario, "plain");
         let heavy = generate_reduce_heavy(seed);
         check_map_layer(&mut report, seed, &heavy, "reduce-heavy");
-        check_reduce_layer(&mut report, seed, &heavy);
+        check_reduce_layer(&mut report, seed, &heavy, "reduce-heavy");
         check_reduce_metamorphic(&mut report, seed, &heavy);
         // The wide corpus: task and node sets across many 64-id words,
         // saturated sources and +∞-slowdown hosts, through the map
         // oracle.
         check_map_layer(&mut report, seed, &generate_wide(seed), "wide");
+        // The wide reduce corpus: dozens of reducers per source and
+        // uplink, several holders per map output, through the reduce
+        // oracle.
+        check_reduce_layer(
+            &mut report,
+            seed,
+            &generate_wide_reduce(seed),
+            "wide-reduce",
+        );
         // The multi-job lockstep check: both trackers, all three
         // scheduling policies, full-outcome equality.
         let stream = generate_jobstream(seed);

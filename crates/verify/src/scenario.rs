@@ -87,6 +87,9 @@ pub struct Scenario {
     pub racks: u32,
     /// Core oversubscription ratio (`1.0` = non-blocking core).
     pub oversubscription: f64,
+    /// Holders of each completed map task's output: the map winner plus
+    /// `output_holders - 1` further nodes (`1` = the winner alone).
+    pub output_holders: usize,
 }
 
 /// Builds the per-node interruption processes for a node list — shared
@@ -266,16 +269,22 @@ impl Scenario {
     }
 
     /// Builds the reduce phase's inputs from the map phase's winners:
-    /// `holders[i]` is the (single-node) location of the i-th *completed*
-    /// map task's output and `output_bytes[i]` its size. Tasks unfinished
-    /// at the map horizon (`None` winners) are skipped, matching a
-    /// JobTracker that only shuffles materialized output.
+    /// `holders[i]` locates the i-th *completed* map task's output and
+    /// `output_bytes[i]` is its size. The holders are the winner and the
+    /// next `output_holders - 1` node ids after it (wrapping, at most
+    /// every node once), in ascending order. Tasks unfinished at the map
+    /// horizon (`None` winners) are skipped, matching a JobTracker that
+    /// only shuffles materialized output.
     pub fn reduce_inputs(&self, winners: &[Option<NodeId>]) -> (Vec<Vec<NodeId>>, Vec<u64>) {
+        let n = self.nodes.len() as u32;
+        let copies = self.output_holders.clamp(1, self.nodes.len().max(1)) as u32;
         let mut holders = Vec::new();
         let mut bytes = Vec::new();
         for (task, winner) in winners.iter().enumerate() {
             if let Some(node) = winner {
-                holders.push(vec![*node]);
+                let mut hs: Vec<NodeId> = (0..copies).map(|k| NodeId((node.0 + k) % n)).collect();
+                hs.sort_unstable();
+                holders.push(hs);
                 bytes.push(self.map_output_bytes(task));
             }
         }
@@ -458,6 +467,7 @@ impl Scenario {
         v.insert("max_copies", self.max_copies);
         v.insert("max_source_streams", self.max_source_streams);
         v.insert("nodes", nodes);
+        v.insert("output_holders", self.output_holders);
         v.insert("oversubscription", self.oversubscription);
         v.insert("placement", placement);
         v.insert("racks", u64::from(self.racks));
@@ -494,6 +504,7 @@ mod tests {
             shuffle_skew: 1,
             racks: 1,
             oversubscription: 1.0,
+            output_holders: 1,
         }
     }
 

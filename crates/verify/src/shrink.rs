@@ -36,7 +36,8 @@ pub fn size(s: &Scenario) -> usize {
     let reduce = s.reducers
         + usize::from(s.shuffle_skew > 1)
         + s.racks as usize
-        + usize::from(s.oversubscription > 1.0);
+        + usize::from(s.oversubscription > 1.0)
+        + s.output_holders;
     s.placement.len() + s.nodes.len() + outages + flags + reduce
 }
 
@@ -146,10 +147,10 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
         out.push(c);
     }
     // 5. Simplify the reduce/shuffle dimensions: halve the reducer
-    //    count, drop the output skew, collapse the topology. Flattening
-    //    to one rack also clears the oversubscription ratio (it is
-    //    meaningless without a core link), which keeps the size measure
-    //    strictly decreasing.
+    //    count, drop the output skew, collapse the topology, keep one
+    //    holder per map output. Flattening to one rack also clears the
+    //    oversubscription ratio (it is meaningless without a core link),
+    //    which keeps the size measure strictly decreasing.
     if s.reducers > 1 {
         let mut c = s.clone();
         c.reducers = 1;
@@ -181,6 +182,16 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
         let mut c = s.clone();
         c.oversubscription = 1.0;
         out.push(c);
+    }
+    if s.output_holders > 1 {
+        let mut c = s.clone();
+        c.output_holders = 1;
+        out.push(c);
+        if s.output_holders > 2 {
+            let mut c = s.clone();
+            c.output_holders = 2;
+            out.push(c);
+        }
     }
     out
 }
@@ -243,6 +254,7 @@ mod tests {
         assert_eq!(min.shuffle_skew, 1);
         assert_eq!(min.racks, 1);
         assert_eq!(min.oversubscription, 1.0);
+        assert_eq!(min.output_holders, 1);
     }
 
     #[test]
@@ -264,6 +276,22 @@ mod tests {
     }
 
     #[test]
+    fn shrinks_the_holder_count_to_its_kernel() {
+        // Synthetic failure: "fails whenever a map output has at least
+        // two holders". The minimum keeps exactly two.
+        let s = Scenario {
+            output_holders: 3,
+            ..crate::generator::generate_wide_reduce(1)
+        };
+        let fails = |c: &Scenario| c.output_holders >= 2;
+        let min = shrink(s, fails);
+        assert_eq!(min.output_holders, 2);
+        assert_eq!(min.reducers, 1);
+        assert_eq!(min.racks, 1);
+        assert_eq!(min.placement.len(), 1);
+    }
+
+    #[test]
     fn returns_input_when_nothing_shrinks() {
         let s = generate(6);
         let min = shrink(s.clone(), |_| false);
@@ -273,10 +301,15 @@ mod tests {
     #[test]
     fn every_candidate_strictly_shrinks() {
         for seed in 0..32 {
-            let s = generate(seed);
-            let base = size(&s);
-            for c in candidates(&s) {
-                assert!(size(&c) < base, "candidate did not shrink (seed {seed})");
+            for s in [
+                generate(seed),
+                crate::generator::generate_reduce_heavy(seed),
+                crate::generator::generate_wide_reduce(seed),
+            ] {
+                let base = size(&s);
+                for c in candidates(&s) {
+                    assert!(size(&c) < base, "candidate did not shrink (seed {seed})");
+                }
             }
         }
     }

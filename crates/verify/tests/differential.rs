@@ -1,7 +1,8 @@
 //! The differential gate: the naive reference engine and the optimized
 //! engine must produce identical `DetailedReport`s — aggregate metrics,
 //! per-node stats, speculation winners, telemetry snapshot, and full
-//! event trace — on every generated scenario.
+//! event trace — on every generated scenario, and the two reduce engines
+//! identical `ReduceDetailed`s on the wide reduce corpus.
 //!
 //! This is the acceptance bar from DESIGN.md §13: at least 100
 //! generated scenarios checked in CI, zero divergence. Any failure here
@@ -9,7 +10,10 @@
 //! `adapt_verify::generate(seed)` and shrink with
 //! `adapt_verify::shrink`.
 
-use adapt_verify::{check_scenario, generate, generate_wide, shrink, Scenario};
+use adapt_verify::oracle::check_reduce_scenario;
+use adapt_verify::{
+    check_scenario, generate, generate_wide, generate_wide_reduce, shrink, Scenario,
+};
 
 /// How many generated scenarios the gate sweeps. The acceptance
 /// criterion requires at least 100.
@@ -59,6 +63,30 @@ fn engines_agree_on_the_wide_corpus() {
     }
 }
 
+/// Dozens of reducers per host, source and uplink on 2–8 racks, with
+/// one to three holders per map output: re-sourcing, blocking on several
+/// holders and stale wait entries, under each reducer-placement strategy.
+#[test]
+fn engines_agree_on_the_wide_reduce_corpus() {
+    for seed in 0..WIDE_CORPUS {
+        let scenario = generate_wide_reduce(seed);
+        match check_reduce_scenario(&scenario) {
+            Ok(None) => {}
+            Ok(Some(_)) => {
+                let minimized = shrink(scenario, |c| {
+                    matches!(check_reduce_scenario(c), Ok(Some(_)))
+                });
+                panic!(
+                    "seed {seed} diverged: {:?}\nminimized scenario: {}",
+                    check_reduce_scenario(&minimized),
+                    minimized.to_value().to_json()
+                );
+            }
+            Err(e) => panic!("seed {seed}: wide reduce oracle error: {e}"),
+        }
+    }
+}
+
 #[test]
 fn engines_agree_on_handpicked_edge_cases() {
     use adapt_verify::NodeKind;
@@ -89,6 +117,7 @@ fn engines_agree_on_handpicked_edge_cases() {
         shuffle_skew: 1,
         racks: 1,
         oversubscription: 1.0,
+        output_holders: 1,
     };
     assert_eq!(check_scenario(&stranded).unwrap(), None);
 
@@ -118,6 +147,7 @@ fn engines_agree_on_handpicked_edge_cases() {
         shuffle_skew: 1,
         racks: 1,
         oversubscription: 1.0,
+        output_holders: 1,
     };
     assert_eq!(check_scenario(&tie).unwrap(), None);
 }

@@ -264,6 +264,7 @@ fn mtbi_shorter_than_block_compute_time_still_completes() {
         shuffle_skew: 1,
         racks: 1,
         oversubscription: 1.0,
+        output_holders: 1,
     };
     assert_eq!(adapt::verify::check_scenario(&scenario).unwrap(), None);
 }
@@ -332,6 +333,7 @@ fn all_nodes_down_window_strands_and_resumes_every_task() {
         shuffle_skew: 1,
         racks: 1,
         oversubscription: 1.0,
+        output_holders: 1,
     };
     assert_eq!(adapt::verify::check_scenario(&scenario).unwrap(), None);
 }
