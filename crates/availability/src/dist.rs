@@ -5,8 +5,8 @@
 //! *generatively* (the simulator injects interruptions by sampling
 //! inter-arrival and service times; the synthetic SETI@home trace generator
 //! samples heavy-tailed host profiles). This module provides both faces
-//! behind one object-safe trait, [`Sample`], plus a serializable closed
-//! enum, [`Dist`], for experiment configuration files.
+//! behind one object-safe trait, [`Sample`], plus a closed enum,
+//! [`Dist`], that holds any of them by value.
 //!
 //! All samplers draw through [`rand::Rng`] so they can be used behind trait
 //! objects, and all are implemented from first principles (inverse-CDF
@@ -501,10 +501,9 @@ impl Sample for Deterministic {
     }
 }
 
-/// A closed, serializable sum of every distribution in this module.
-///
-/// Experiment configuration types (Tables 2–4 of the paper) embed `Dist`
-/// so that a full experiment is one serializable value.
+/// A closed sum of every distribution in this module: a `Copy` value
+/// that compares with `==`, which a boxed [`Sample`] is not. Synthetic
+/// interruption processes hold their service time as one.
 ///
 /// # Examples
 ///

@@ -15,11 +15,11 @@
 
 use adapt_experiments::ablations::{
     chain_weighting_ablation, detection_delay_ablation, policy_ablation, render,
-    scheduling_ablation, speculation_ablation, threshold_ablation,
+    scheduling_ablation, speculation_ablation, threshold_ablation, AblationResult,
 };
 use adapt_experiments::cli::{Flag, Options};
-use adapt_experiments::config::{EmulatedConfig, LargeScaleConfig};
-use adapt_experiments::ExperimentError;
+use adapt_experiments::config::EmulatedConfig;
+use adapt_experiments::{emulated, largescale, ExperimentError};
 
 /// The flags this binary reads: its own, then those of `write_probe`.
 const FLAGS: &[Flag] = &[
@@ -35,72 +35,28 @@ const FLAGS: &[Flag] = &[
     Flag::Oversubscription,
 ];
 
+/// An emulated-cluster ablation.
+type Ablation = fn(&EmulatedConfig) -> Result<Vec<AblationResult>, ExperimentError>;
+
+/// The emulated-cluster ablations, titled, in print order.
+const EMULATED: [(&str, Ablation); 5] = [
+    ("placement policies", policy_ablation),
+    ("m(k+1)/n threshold", threshold_ablation),
+    ("speculative execution", speculation_ablation),
+    ("collision-chain weighting", chain_weighting_ablation),
+    ("failure-detection latency", detection_delay_ablation),
+];
+
 fn run(opts: &Options) -> Result<(), ExperimentError> {
-    let which = opts.positional.first().map(String::as_str);
-
-    if matches!(which, None | Some("emu")) {
-        let mut emu = EmulatedConfig::default();
-        if !opts.paper {
-            emu.nodes = 32;
-            emu.blocks_per_node = 10;
-            emu.runs = 3;
+    if opts.selects("emu") {
+        let emu = emulated::base_config(opts);
+        for (title, ablation) in EMULATED {
+            print!("{}", render(title, &ablation(&emu)?));
+            println!();
         }
-        if let Some(nodes) = opts.nodes {
-            emu.nodes = nodes;
-        }
-        if let Some(runs) = opts.runs {
-            emu.runs = runs;
-        }
-        if let Some(seed) = opts.seed {
-            emu.seed = seed;
-        }
-
-        print!("{}", render("placement policies", &policy_ablation(&emu)?));
-        println!();
-        print!(
-            "{}",
-            render("m(k+1)/n threshold", &threshold_ablation(&emu)?)
-        );
-        println!();
-        print!(
-            "{}",
-            render("speculative execution", &speculation_ablation(&emu)?)
-        );
-        println!();
-        print!(
-            "{}",
-            render(
-                "collision-chain weighting",
-                &chain_weighting_ablation(&emu)?
-            )
-        );
-        println!();
-        print!(
-            "{}",
-            render(
-                "failure-detection latency",
-                &detection_delay_ablation(&emu)?
-            )
-        );
-        println!();
     }
-
-    if matches!(which, None | Some("sched")) {
-        let mut large = LargeScaleConfig::default();
-        if !opts.paper {
-            large.nodes = 256;
-            large.tasks_per_node = 20;
-            large.runs = 3;
-        }
-        if let Some(nodes) = opts.nodes {
-            large.nodes = nodes;
-        }
-        if let Some(runs) = opts.runs {
-            large.runs = runs;
-        }
-        if let Some(seed) = opts.seed {
-            large.seed = seed;
-        }
+    if opts.selects("sched") {
+        let large = largescale::base_config(opts);
         print!(
             "{}",
             render(
@@ -113,13 +69,7 @@ fn run(opts: &Options) -> Result<(), ExperimentError> {
 }
 
 fn main() {
-    let opts = match Options::from_env(FLAGS) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let opts = Options::from_env(FLAGS, &["emu", "sched"]);
     if let Err(e) = run(&opts) {
         eprintln!("ablations failed: {e}");
         std::process::exit(1);

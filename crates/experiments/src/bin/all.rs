@@ -5,14 +5,18 @@
 //! [--report-json PATH] [--trace-out PATH] [--metrics-out PATH]
 //! [--metrics-interval SECS] [--racks N] [--oversubscription X]`
 //!
-//! The last six flags write the outputs of one probe run
-//! (`adapt_experiments::run_report`) of `--nodes` hosts (default 256).
+//! The sub-figures and their x-values come from the declarations in
+//! `emulated::FIGURE3` and `largescale::FIGURE5`; each Figure 3 sweep
+//! runs once and serves Figure 4 too. The last six flags write the
+//! outputs of one probe run (`adapt_experiments::run_report`) of
+//! `--nodes` hosts (default 256); `--nodes` sizes nothing else.
 
 use adapt_experiments::cli::{Flag, Options};
-use adapt_experiments::config::{EmulatedConfig, LargeScaleConfig};
-use adapt_experiments::emulated::{self, FIGURE3_SERIES};
-use adapt_experiments::largescale::{self, FIGURE5_SERIES};
-use adapt_experiments::report::{elapsed_entries, locality_entries, overhead_table, pivot_table};
+use adapt_experiments::emulated::{self, SweepPoint, FIGURE3, FIGURE3_SERIES};
+use adapt_experiments::largescale::{self, FIGURE5, FIGURE5_SERIES};
+use adapt_experiments::report::{
+    elapsed_entries, locality_entries, overhead_table, pivot_table, Entry,
+};
 use adapt_experiments::table1::{render_comparison, run_table1};
 use adapt_experiments::ExperimentError;
 
@@ -30,6 +34,30 @@ const FLAGS: &[Flag] = &[
     Flag::Oversubscription,
 ];
 
+/// The heading and short axis label of each sub-figure of [`FIGURE3`].
+const FIGURE3_AXES: [(&str, &str); 3] = [
+    ("interrupted ratio", "ratio"),
+    ("bandwidth", "mbps"),
+    ("nodes", "nodes"),
+];
+
+/// The heading and short axis label of each sub-figure of [`FIGURE5`].
+const FIGURE5_AXES: [(&str, &str); 3] = [
+    ("bandwidth", "mbps"),
+    ("block size", "block_mb"),
+    ("nodes", "nodes"),
+];
+
+/// The entries a figure tabulates from a sweep.
+type Tabulate = fn(&[SweepPoint]) -> Vec<Entry>;
+
+/// Figures 3 and 4: the number, value and entries of each, from the same
+/// sweeps.
+const FIGURE3_PLOTS: [(&str, &str, Tabulate); 2] = [
+    ("3", "elapsed (s)", elapsed_entries),
+    ("4", "locality", locality_entries),
+];
+
 fn run(opts: &Options) -> Result<(), ExperimentError> {
     let seed = opts.seed.unwrap_or(2012);
 
@@ -39,88 +67,47 @@ fn run(opts: &Options) -> Result<(), ExperimentError> {
     print!("{}", render_comparison(&run_table1(hosts, seed)?));
     println!();
 
-    // Emulated cluster (Figures 3 and 4).
-    let mut emu = EmulatedConfig {
-        seed,
-        ..EmulatedConfig::default()
-    };
-    if !opts.paper {
-        emu.nodes = 32;
-        emu.blocks_per_node = 10;
-        emu.runs = 3;
-    }
-    if let Some(runs) = opts.runs {
-        emu.runs = runs;
-    }
-
-    let ratios = [0.25, 0.5, 0.75];
-    let bandwidths = [4.0, 8.0, 16.0, 32.0];
-    let node_ladder: Vec<usize> = if opts.paper {
-        vec![32, 64, 128, 256]
-    } else {
-        vec![16, 32, 64]
+    // The tables' options: `--nodes` sizes only the probe.
+    let tables = &Options {
+        nodes: None,
+        ..opts.clone()
     };
 
-    let a = emulated::sweep_interrupted_ratio(&emu, &ratios, &FIGURE3_SERIES)?;
-    let b = emulated::sweep_bandwidth(&emu, &bandwidths, &FIGURE3_SERIES)?;
-    let c = emulated::sweep_nodes(&emu, &node_ladder, &FIGURE3_SERIES)?;
-
-    println!("===== Figure 3(a): elapsed (s) vs interrupted ratio =====");
-    print!("{}", pivot_table(&elapsed_entries(&a), "ratio"));
-    println!("\n===== Figure 3(b): elapsed (s) vs bandwidth =====");
-    print!("{}", pivot_table(&elapsed_entries(&b), "mbps"));
-    println!("\n===== Figure 3(c): elapsed (s) vs nodes =====");
-    print!("{}", pivot_table(&elapsed_entries(&c), "nodes"));
-
-    println!("\n===== Figure 4(a): locality vs interrupted ratio =====");
-    print!("{}", pivot_table(&locality_entries(&a), "ratio"));
-    println!("\n===== Figure 4(b): locality vs bandwidth =====");
-    print!("{}", pivot_table(&locality_entries(&b), "mbps"));
-    println!("\n===== Figure 4(c): locality vs nodes =====");
-    print!("{}", pivot_table(&locality_entries(&c), "nodes"));
+    // Emulated cluster (Figures 3 and 4): one sweep per sub-figure
+    // serves both figures.
+    let emu = emulated::base_config(tables);
+    let sweeps = FIGURE3
+        .iter()
+        .map(|figure| emulated::sweep(&emu, figure, &figure.xs(tables), &FIGURE3_SERIES))
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut gap = "";
+    for (number, value, entries) in FIGURE3_PLOTS {
+        for ((figure, (name, label)), points) in FIGURE3.iter().zip(FIGURE3_AXES).zip(&sweeps) {
+            println!(
+                "{gap}===== Figure {number}({}): {value} vs {name} =====",
+                figure.letter
+            );
+            print!("{}", pivot_table(&entries(points), label));
+            gap = "\n";
+        }
+    }
 
     // Large-scale simulation (Figure 5).
-    let mut large = LargeScaleConfig {
-        seed,
-        ..LargeScaleConfig::default()
-    };
-    if !opts.paper {
-        large.nodes = 256;
-        large.tasks_per_node = 20;
-        large.runs = 3;
+    let large = largescale::base_config(tables);
+    for (figure, (name, label)) in FIGURE5.iter().zip(FIGURE5_AXES) {
+        let points = largescale::sweep(&large, figure, &figure.xs(tables), &FIGURE5_SERIES)?;
+        println!(
+            "\n===== Figure 5({}): overhead ratios vs {name} =====",
+            figure.letter
+        );
+        print!("{}", overhead_table(&points, label));
     }
-    if let Some(runs) = opts.runs {
-        large.runs = runs;
-    }
-
-    let fa = largescale::sweep_bandwidth(&large, &bandwidths, &FIGURE5_SERIES)?;
-    println!("\n===== Figure 5(a): overhead ratios vs bandwidth =====");
-    print!("{}", overhead_table(&fa, "mbps"));
-
-    let fb = largescale::sweep_block_size(&large, &[32, 64, 128, 256], &FIGURE5_SERIES)?;
-    println!("\n===== Figure 5(b): overhead ratios vs block size =====");
-    print!("{}", overhead_table(&fb, "block_mb"));
-
-    let large_ladder: Vec<usize> = if opts.paper {
-        vec![1_024, 2_048, 4_096, 8_192, 16_384]
-    } else {
-        vec![128, 256, 512]
-    };
-    let fc = largescale::sweep_nodes(&large, &large_ladder, &FIGURE5_SERIES)?;
-    println!("\n===== Figure 5(c): overhead ratios vs nodes =====");
-    print!("{}", overhead_table(&fc, "nodes"));
 
     Ok(())
 }
 
 fn main() {
-    let opts = match Options::from_env(FLAGS) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let opts = Options::from_env(FLAGS, &[]);
     if let Err(e) = run(&opts) {
         eprintln!("all failed: {e}");
         std::process::exit(1);

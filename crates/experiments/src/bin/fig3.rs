@@ -5,87 +5,22 @@
 //! [--report-json PATH] [--trace-out PATH] [--metrics-out PATH]
 //! [--metrics-interval SECS] [--racks N] [--oversubscription X]`
 //!
-//! The last six flags write the outputs of one probe run
-//! (`adapt_experiments::run_report`) at the same node count and seed.
-//!
-//! * `a` — sweep the interrupted-node ratio {¼, ½, ¾};
-//! * `b` — sweep the bandwidth {4, 8, 16, 32 Mb/s};
-//! * `c` — sweep the cluster size {32, 64, 128, 256};
-//! * no selector — all three.
+//! The selector picks one sub-figure of
+//! [`FIGURE3`](adapt_experiments::emulated::FIGURE3), which declares the
+//! sweeps; none runs all three. `fig4` runs the same sweeps and
+//! tabulates locality instead. The last six flags write the outputs of
+//! one probe run (`adapt_experiments::run_report`) at the same node
+//! count and seed.
 
-use adapt_experiments::cli::{Flag, Options};
-use adapt_experiments::config::EmulatedConfig;
-use adapt_experiments::emulated::{
-    sweep_bandwidth, sweep_interrupted_ratio, sweep_nodes, SweepPoint, FIGURE3_SERIES,
-};
-use adapt_experiments::report::{elapsed_entries, pivot_table, to_csv};
-use adapt_experiments::ExperimentError;
-
-fn base_config(opts: &Options) -> EmulatedConfig {
-    let mut config = EmulatedConfig::default();
-    if !opts.paper {
-        config.nodes = 32;
-        config.blocks_per_node = 10;
-        config.runs = 3;
-    }
-    if let Some(nodes) = opts.nodes {
-        config.nodes = nodes;
-    }
-    if let Some(runs) = opts.runs {
-        config.runs = runs;
-    }
-    if let Some(seed) = opts.seed {
-        config.seed = seed;
-    }
-    config
-}
-
-fn render(opts: &Options, label: &str, points: &[SweepPoint]) {
-    let entries = elapsed_entries(points);
-    if opts.csv {
-        print!("{}", to_csv(&entries, label, "elapsed_s"));
-    } else {
-        println!("-- Figure 3: elapsed time (s) vs {label} --");
-        print!("{}", pivot_table(&entries, label));
-        println!();
-    }
-}
-
-fn run(opts: &Options) -> Result<(), ExperimentError> {
-    let base = base_config(opts);
-    let which = opts.positional.first().map(String::as_str);
-    if matches!(which, None | Some("a")) {
-        let pts = sweep_interrupted_ratio(&base, &[0.25, 0.5, 0.75], &FIGURE3_SERIES)?;
-        render(opts, "interrupted_ratio", &pts);
-    }
-    if matches!(which, None | Some("b")) {
-        let pts = sweep_bandwidth(&base, &[4.0, 8.0, 16.0, 32.0], &FIGURE3_SERIES)?;
-        render(opts, "bandwidth_mbps", &pts);
-    }
-    if matches!(which, None | Some("c")) {
-        let counts: Vec<usize> = if opts.paper {
-            vec![32, 64, 128, 256]
-        } else {
-            vec![16, 32, 64]
-        };
-        let pts = sweep_nodes(&base, &counts, &FIGURE3_SERIES)?;
-        render(opts, "nodes", &pts);
-    }
-    Ok(())
-}
+use adapt_experiments::emulated::Plot;
+use adapt_experiments::report::elapsed_entries;
 
 fn main() {
-    let opts = match Options::from_env(&Flag::ALL) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(e) = run(&opts) {
-        eprintln!("fig3 failed: {e}");
-        std::process::exit(1);
+    Plot {
+        tool: "fig3",
+        title: "Figure 3: elapsed time (s)",
+        column: "elapsed_s",
+        entries: elapsed_entries,
     }
-    let base = base_config(&opts);
-    adapt_experiments::run_report::write_probe("fig3", &opts, base.nodes, base.seed, None);
+    .main();
 }

@@ -32,21 +32,12 @@ const FLAGS: &[Flag] = &[
 ];
 
 fn main() {
-    let opts = match Options::from_env(FLAGS) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
-    let sched = match opts.positional.first().map(String::as_str) {
-        None | Some("fair") => SchedPolicy::FairShare,
+    let opts = Options::from_env(FLAGS, &["fifo", "fair", "capacity"]);
+    let sched = match opts.selector.as_deref() {
         Some("fifo") => SchedPolicy::Fifo,
         Some("capacity") => SchedPolicy::Capacity,
-        Some(other) => {
-            eprintln!("jobstream: unknown scheduling policy `{other}` (fifo|fair|capacity)");
-            std::process::exit(2);
-        }
+        // `fair`, or no selector.
+        _ => SchedPolicy::FairShare,
     };
 
     let mut config = JobStreamConfig {

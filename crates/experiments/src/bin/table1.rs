@@ -33,13 +33,7 @@ const FLAGS: &[Flag] = &[
 ];
 
 fn main() {
-    let opts = match Options::from_env(FLAGS) {
-        Ok(o) => o,
-        Err(msg) => {
-            eprintln!("{msg}");
-            std::process::exit(2);
-        }
-    };
+    let opts = Options::from_env(FLAGS, &[]);
     let hosts = opts
         .nodes
         .unwrap_or(if opts.paper { 226_208 } else { 20_000 });

@@ -9,12 +9,13 @@
 //! explorable with the `metrics` binary), `--metrics-interval SECS`
 //! (scrape cadence in simulated seconds), `--racks N` and
 //! `--oversubscription X` (the network topology — `--racks 1
-//! --oversubscription 1` is the flat network), plus a free-form
-//! positional (the sub-figure selector `a`/`b`/`c` where applicable).
+//! --oversubscription 1` is the flat network), plus at most one
+//! selector word (the sub-figure `a`/`b`/`c` where applicable).
 //!
-//! Each binary passes the [`Flag`]s it reads to [`Options::parse`]; any
-//! other flag is rejected, so a flag a binary would ignore (and an
-//! output file it would never write) is an error, not a silent no-op.
+//! Each binary passes the [`Flag`]s it reads and the selector words it
+//! knows to [`Options::parse`]; any other flag or word is rejected, so a
+//! flag a binary would ignore (and an output file it would never write)
+//! or a mistyped selector is an error, not a silent no-op.
 
 /// A command-line flag of the experiment binaries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -82,13 +83,15 @@ impl Flag {
     }
 }
 
-/// `flags` as a usage line, in [`Flag::ALL`] order.
-fn usage(flags: &[Flag]) -> String {
-    let listed: Vec<&str> = Flag::ALL
-        .iter()
-        .filter(|f| flags.contains(f))
-        .map(|f| f.usage())
-        .collect();
+/// `selectors` and then `flags` as a usage line, the flags in
+/// [`Flag::ALL`] order.
+fn usage(flags: &[Flag], selectors: &[&str]) -> String {
+    let mut listed = Vec::new();
+    if !selectors.is_empty() {
+        listed.push(selectors.join("|"));
+    }
+    let flags = Flag::ALL.iter().filter(|f| flags.contains(f));
+    listed.extend(flags.map(|f| f.usage().to_string()));
     format!("[{}]", listed.join("] ["))
 }
 
@@ -117,33 +120,45 @@ pub struct Options {
     pub racks: Option<u32>,
     /// Core oversubscription ratio (`1.0` = non-blocking core).
     pub oversubscription: Option<f64>,
-    /// Positional arguments (e.g. the sub-figure selector).
-    pub positional: Vec<String>,
+    /// The selector word (e.g. the sub-figure), when one was given.
+    pub selector: Option<String>,
 }
 
 impl Options {
     /// Parses options from an argument iterator (excluding `argv[0]`),
-    /// accepting only `flags` — the flags the calling binary reads.
+    /// accepting only `flags` — the flags the calling binary reads — and
+    /// at most one of `selectors`, the words it knows.
     ///
     /// # Errors
     ///
     /// Returns a human-readable message for `--help`, for a flag outside
-    /// `flags` (naming the accepted ones), or for a malformed value.
-    pub fn parse(args: impl Iterator<Item = String>, flags: &[Flag]) -> Result<Options, String> {
+    /// `flags` or a word outside `selectors` or after the first (naming
+    /// the accepted ones), or for a malformed value.
+    pub fn parse(
+        args: impl Iterator<Item = String>,
+        flags: &[Flag],
+        selectors: &[&str],
+    ) -> Result<Options, String> {
         let mut opts = Options::default();
         let mut args = args.peekable();
         while let Some(arg) = args.next() {
             if arg == "--help" || arg == "-h" {
-                return Err(format!("usage: {}", usage(flags)));
+                return Err(format!("usage: {}", usage(flags, selectors)));
             }
             if !arg.starts_with("--") {
-                opts.positional.push(arg);
+                if opts.selector.is_some() || !selectors.contains(&arg.as_str()) {
+                    return Err(format!(
+                        "unexpected argument `{arg}` (this binary takes {})",
+                        usage(flags, selectors)
+                    ));
+                }
+                opts.selector = Some(arg);
                 continue;
             }
             let Some(&flag) = flags.iter().find(|f| f.name() == arg) else {
                 return Err(format!(
                     "unknown flag `{arg}` (this binary takes {})",
-                    usage(flags)
+                    usage(flags, selectors)
                 ));
             };
             match flag {
@@ -181,13 +196,19 @@ impl Options {
         Ok(opts)
     }
 
-    /// Parses from the process arguments, accepting only `flags`.
-    ///
-    /// # Errors
-    ///
-    /// See [`Options::parse`].
-    pub fn from_env(flags: &[Flag]) -> Result<Options, String> {
-        Options::parse(std::env::args().skip(1), flags)
+    /// Parses the process arguments as [`Options::parse`] does; on an
+    /// error, or `--help`, prints the message and exits with status 2.
+    pub fn from_env(flags: &[Flag], selectors: &[&str]) -> Options {
+        Options::parse(std::env::args().skip(1), flags, selectors).unwrap_or_else(|msg| {
+            eprintln!("{msg}");
+            std::process::exit(2);
+        })
+    }
+
+    /// Whether the command runs the part named `selector`: it chose
+    /// that one, or none, which runs every part.
+    pub fn selects(&self, selector: &str) -> bool {
+        self.selector.as_deref().is_none_or(|s| s == selector)
     }
 }
 
@@ -203,7 +224,7 @@ mod tests {
     use super::*;
 
     fn parse(args: &[&str]) -> Result<Options, String> {
-        Options::parse(args.iter().map(|s| s.to_string()), &Flag::ALL)
+        Options::parse(args.iter().map(|s| s.to_string()), &Flag::ALL, &["a", "b"])
     }
 
     #[test]
@@ -213,12 +234,17 @@ mod tests {
         assert!(o.csv);
         assert_eq!(o.runs, Some(3));
         assert_eq!(o.seed, Some(7));
-        assert_eq!(o.positional, vec!["a"]);
+        assert_eq!(o.selector.as_deref(), Some("a"));
+        assert!(o.selects("a"));
+        assert!(!o.selects("b"));
+        assert!(parse(&[]).unwrap().selects("b"));
     }
 
     #[test]
     fn rejects_unknown_flags_and_bad_values() {
         assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["c"]).is_err());
+        assert!(parse(&["a", "b"]).is_err());
         assert!(parse(&["--runs"]).is_err());
         assert!(parse(&["--runs", "x"]).is_err());
         assert!(parse(&["--report-json"]).is_err());

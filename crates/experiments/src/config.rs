@@ -110,9 +110,8 @@ impl EmulatedConfig {
 /// MTBI mean 150 s, outage mean 30 s, both heavy-tailed, ≈14 % of
 /// up-at-ingest hosts failing within a job) land every Figure 5 series
 /// in the paper's overhead range while preserving the availability
-/// heterogeneity that ADAPT exploits. Use
-/// [`LargeScaleConfig::with_table1_time_constants`] for the unfiltered
-/// archive profile; `EXPERIMENTS.md` documents both.
+/// heterogeneity that ADAPT exploits; `EXPERIMENTS.md` documents the
+/// choice.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LargeScaleConfig {
     /// Cluster size (Table 4 default 8 196).
@@ -162,17 +161,6 @@ impl Default for LargeScaleConfig {
 }
 
 impl LargeScaleConfig {
-    /// Switches the trace profile to the unfiltered Table 1 archive
-    /// statistics (see the type-level docs for why this is not the
-    /// default).
-    pub fn with_table1_time_constants(mut self) -> Self {
-        self.mtbi_mean = adapt_traces::synthetic::SETI_MTBI_MEAN;
-        self.mtbi_cov = adapt_traces::synthetic::SETI_MTBI_COV;
-        self.duration_mean = adapt_traces::synthetic::SETI_DURATION_MEAN;
-        self.duration_cov = adapt_traces::synthetic::SETI_DURATION_COV;
-        self
-    }
-
     /// Total number of blocks / map tasks.
     pub fn total_blocks(&self) -> usize {
         self.nodes * self.tasks_per_node
@@ -236,14 +224,6 @@ mod tests {
             ..LargeScaleConfig::default()
         };
         assert!((c.gamma() - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn table1_preset_applies() {
-        let c = LargeScaleConfig::default().with_table1_time_constants();
-        assert_eq!(c.mtbi_mean, adapt_traces::synthetic::SETI_MTBI_MEAN);
-        assert_eq!(c.duration_mean, adapt_traces::synthetic::SETI_DURATION_MEAN);
-        assert_eq!(c.duration_cov, adapt_traces::synthetic::SETI_DURATION_COV);
     }
 
     #[test]

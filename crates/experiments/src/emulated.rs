@@ -6,6 +6,10 @@
 //! phase measured. Each scenario is run `runs` times and averaged, as in
 //! the paper ("we had 10 runs for each scenario and derived their
 //! means").
+//!
+//! [`FIGURE3`] declares the three sweeps Figures 3 and 4 share; the
+//! `fig3` and `fig4` binaries share one `main`, [`Plot::main`], and
+//! differ only in the value they tabulate.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -16,10 +20,88 @@ use adapt_sim::engine::{MapPhaseSim, SimConfig};
 use adapt_sim::interrupt::InterruptionProcess;
 use adapt_sim::runner::{aggregate, placement_from_namenode, AggregateReport};
 
+use crate::cli::{Flag, Options};
 use crate::config::{EmulatedConfig, TABLE2_GROUPS};
 use crate::parallel::map_parallel;
 use crate::policies::PolicyKind;
+use crate::report::{pivot_table, to_csv, Entry};
+use crate::run_report::write_probe;
 use crate::ExperimentError;
+
+/// One sub-figure of the paper's evaluation: the selector word that
+/// picks it, the parameter it sweeps over a harness config `C`, and its
+/// x-values.
+#[derive(Debug)]
+pub struct SubFigure<C> {
+    /// The selector, e.g. `"a"`.
+    pub letter: &'static str,
+    /// The swept parameter as a table label, e.g. `"bandwidth_mbps"`.
+    pub label: &'static str,
+    /// Sets the swept parameter of a config to an x-value.
+    pub set: fn(&mut C, f64),
+    /// The x-values at quick scale.
+    pub quick: &'static [f64],
+    /// The x-values under `--paper`.
+    pub paper: &'static [f64],
+    /// Whether `--nodes N` replaces the x-values with the ladder
+    /// {N/4 (at least 16), N/2 (at least 32), N, 2N}.
+    pub around_nodes: bool,
+}
+
+impl<C> SubFigure<C> {
+    /// The x-values `opts` asks for: the `--nodes` ladder when this
+    /// sub-figure sweeps around `--nodes`, else the `--paper` or quick
+    /// values.
+    pub fn xs(&self, opts: &Options) -> Vec<f64> {
+        match opts.nodes.filter(|_| self.around_nodes) {
+            Some(n) => [(n / 4).max(16), (n / 2).max(32), n, n * 2]
+                .map(|n| n as f64)
+                .to_vec(),
+            None if opts.paper => self.paper.to_vec(),
+            None => self.quick.to_vec(),
+        }
+    }
+}
+
+/// The interrupted-node ratios of Figures 3(a) and 4(a).
+const RATIOS: &[f64] = &[0.25, 0.5, 0.75];
+
+/// The bandwidths (Mb/s) the paper sweeps in Figures 3(b), 4(b) and 5(a).
+pub(crate) const BANDWIDTHS_MBPS: &[f64] = &[4.0, 8.0, 16.0, 32.0];
+
+/// The sub-figures of Figures 3 and 4, which plot elapsed time and
+/// locality of the same runs:
+///
+/// * `a` — the interrupted-node ratio {¼, ½, ¾};
+/// * `b` — the bandwidth {4, 8, 16, 32 Mb/s};
+/// * `c` — the cluster size {16, 32, 64}, or {32, 64, 128, 256} under
+///   `--paper`.
+pub const FIGURE3: [SubFigure<EmulatedConfig>; 3] = [
+    SubFigure {
+        letter: "a",
+        label: "interrupted_ratio",
+        set: |config, x| config.interrupted_ratio = x,
+        quick: RATIOS,
+        paper: RATIOS,
+        around_nodes: false,
+    },
+    SubFigure {
+        letter: "b",
+        label: "bandwidth_mbps",
+        set: |config, x| config.bandwidth_mbps = x,
+        quick: BANDWIDTHS_MBPS,
+        paper: BANDWIDTHS_MBPS,
+        around_nodes: false,
+    },
+    SubFigure {
+        letter: "c",
+        label: "nodes",
+        set: |config, x| config.nodes = x as usize,
+        quick: &[16.0, 32.0, 64.0],
+        paper: &[32.0, 64.0, 128.0, 256.0],
+        around_nodes: false,
+    },
+];
 
 /// One sweep measurement: a policy/replication series at one x value.
 #[derive(Debug, Clone, PartialEq)]
@@ -165,26 +247,41 @@ pub const FIGURE3_SERIES: [(PolicyKind, usize); 4] = [
     (PolicyKind::Adapt, 2),
 ];
 
-/// Figure 3(a)/4(a): sweep the interrupted-node ratio.
+/// The base scenario of the emulated binaries: Table 3 under `--paper`,
+/// else a quick 32-node cluster with 10 blocks per node and 3 runs; then
+/// `--nodes`, `--runs` and `--seed`.
+pub fn base_config(opts: &Options) -> EmulatedConfig {
+    let mut config = EmulatedConfig::default();
+    if !opts.paper {
+        (config.nodes, config.blocks_per_node, config.runs) = (32, 10, 3);
+    }
+    config.nodes = opts.nodes.unwrap_or(config.nodes);
+    config.runs = opts.runs.unwrap_or(config.runs);
+    config.seed = opts.seed.unwrap_or(config.seed);
+    config
+}
+
+/// Runs every `series` at each of `xs` on `figure`'s axis of `base`.
 ///
 /// # Errors
 ///
 /// Propagates the first scenario failure.
-pub fn sweep_interrupted_ratio(
+pub fn sweep(
     base: &EmulatedConfig,
-    ratios: &[f64],
+    figure: &SubFigure<EmulatedConfig>,
+    xs: &[f64],
     series: &[(PolicyKind, usize)],
 ) -> Result<Vec<SweepPoint>, ExperimentError> {
     let mut out = Vec::new();
-    for &ratio in ratios {
+    for &x in xs {
         for &(policy, replication) in series {
-            let config = EmulatedConfig {
-                interrupted_ratio: ratio,
+            let mut config = EmulatedConfig {
                 replication,
                 ..*base
             };
+            (figure.set)(&mut config, x);
             out.push(SweepPoint {
-                x: ratio,
+                x,
                 policy,
                 replication,
                 agg: run_emulated(&config, policy)?,
@@ -194,62 +291,46 @@ pub fn sweep_interrupted_ratio(
     Ok(out)
 }
 
-/// Figure 3(b)/4(b): sweep the network bandwidth (Mb/s).
-///
-/// # Errors
-///
-/// Propagates the first scenario failure.
-pub fn sweep_bandwidth(
-    base: &EmulatedConfig,
-    bandwidths: &[f64],
-    series: &[(PolicyKind, usize)],
-) -> Result<Vec<SweepPoint>, ExperimentError> {
-    let mut out = Vec::new();
-    for &bw in bandwidths {
-        for &(policy, replication) in series {
-            let config = EmulatedConfig {
-                bandwidth_mbps: bw,
-                replication,
-                ..*base
-            };
-            out.push(SweepPoint {
-                x: bw,
-                policy,
-                replication,
-                agg: run_emulated(&config, policy)?,
-            });
-        }
-    }
-    Ok(out)
+/// What `fig3` or `fig4` tabulates from the sweeps of [`FIGURE3`].
+#[derive(Debug)]
+pub struct Plot {
+    /// The binary's name, e.g. `"fig3"`.
+    pub tool: &'static str,
+    /// The table title, e.g. `"Figure 3: elapsed time (s)"`.
+    pub title: &'static str,
+    /// The CSV value column, e.g. `"elapsed_s"`.
+    pub column: &'static str,
+    /// The tabulated value of each point.
+    pub entries: fn(&[SweepPoint]) -> Vec<Entry>,
 }
 
-/// Figure 3(c)/4(c): sweep the cluster size.
-///
-/// # Errors
-///
-/// Propagates the first scenario failure.
-pub fn sweep_nodes(
-    base: &EmulatedConfig,
-    node_counts: &[usize],
-    series: &[(PolicyKind, usize)],
-) -> Result<Vec<SweepPoint>, ExperimentError> {
-    let mut out = Vec::new();
-    for &nodes in node_counts {
-        for &(policy, replication) in series {
-            let config = EmulatedConfig {
-                nodes,
-                replication,
-                ..*base
+impl Plot {
+    /// The `main` of `fig3` and `fig4`: parses the command line, prints the
+    /// table (or, with `--csv`, the CSV) of each selected sub-figure of
+    /// [`FIGURE3`], then writes the probe outputs asked for. Exits 2 on
+    /// a bad command line and 1 on a failed run.
+    pub fn main(&self) {
+        let opts = Options::from_env(&Flag::ALL, &FIGURE3.map(|f| f.letter));
+        let base = base_config(&opts);
+        for figure in FIGURE3.iter().filter(|f| opts.selects(f.letter)) {
+            let points = match sweep(&base, figure, &figure.xs(&opts), &FIGURE3_SERIES) {
+                Ok(points) => points,
+                Err(e) => {
+                    eprintln!("{} failed: {e}", self.tool);
+                    std::process::exit(1);
+                }
             };
-            out.push(SweepPoint {
-                x: nodes as f64,
-                policy,
-                replication,
-                agg: run_emulated(&config, policy)?,
-            });
+            let entries = (self.entries)(&points);
+            if opts.csv {
+                print!("{}", to_csv(&entries, figure.label, self.column));
+            } else {
+                println!("-- {} vs {} --", self.title, figure.label);
+                print!("{}", pivot_table(&entries, figure.label));
+                println!();
+            }
         }
+        write_probe(self.tool, &opts, base.nodes, base.seed, None);
     }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -331,10 +412,39 @@ mod tests {
 
     #[test]
     fn sweep_produces_every_series_point() {
-        let points = sweep_bandwidth(&small(), &[8.0, 32.0], &[(PolicyKind::Random, 1)]).unwrap();
+        let bandwidth = &FIGURE3[1];
+        let points = sweep(
+            &small(),
+            bandwidth,
+            &[8.0, 32.0],
+            &[(PolicyKind::Random, 1)],
+        )
+        .unwrap();
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].x, 8.0);
         assert_eq!(points[0].series(), "existing-1rep");
+    }
+
+    #[test]
+    fn x_values_follow_scale_and_the_nodes_ladder() {
+        let quick = Options::default();
+        let paper = Options {
+            paper: true,
+            ..Options::default()
+        };
+        let nodes = |n| Options {
+            nodes: Some(n),
+            ..paper.clone()
+        };
+        let ladder = &crate::largescale::FIGURE5[2];
+        assert_eq!(FIGURE3[2].xs(&quick), FIGURE3[2].quick);
+        assert_eq!(FIGURE3[2].xs(&paper), FIGURE3[2].paper);
+        // Only a sub-figure that sweeps around `--nodes` reads it.
+        assert_eq!(FIGURE3[2].xs(&nodes(256)), FIGURE3[2].xs(&paper));
+        assert_eq!(ladder.xs(&nodes(256)), [64.0, 128.0, 256.0, 512.0]);
+        assert_eq!(ladder.xs(&nodes(16)), [16.0, 32.0, 16.0, 32.0]);
+        let letters: Vec<&str> = FIGURE3.iter().map(|f| f.letter).collect();
+        assert_eq!(letters, ["a", "b", "c"]);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! run-specific random offset. The harness reports the overhead
 //! decomposition (rework / recovery / migration / misc) relative to the
 //! aggregated failure-free execution time, exactly the stacks of
-//! Figure 5.
+//! Figure 5, whose three sweeps [`FIGURE5`] declares.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,7 +25,9 @@ use adapt_traces::record::{HostTrace, Trace};
 use adapt_traces::replay::InterruptionSchedule;
 use adapt_traces::synthetic::SyntheticPopulation;
 
+use crate::cli::Options;
 use crate::config::LargeScaleConfig;
+use crate::emulated::{SubFigure, SweepPoint, BANDWIDTHS_MBPS};
 use crate::parallel::map_parallel;
 use crate::policies::PolicyKind;
 use crate::ExperimentError;
@@ -282,113 +284,87 @@ pub const FIGURE5_SERIES: [(PolicyKind, usize); 6] = [
     (PolicyKind::Adapt, 2),
 ];
 
-/// One Figure 5 measurement.
-#[derive(Debug, Clone, PartialEq)]
-pub struct OverheadPoint {
-    /// The swept parameter's value.
-    pub x: f64,
-    /// Placement policy of this series.
-    pub policy: PolicyKind,
-    /// Replication factor of this series.
-    pub replication: usize,
-    /// Aggregated results.
-    pub agg: AggregateReport,
-}
+/// The block sizes (MB) of Figure 5(b).
+const BLOCK_SIZES_MB: &[f64] = &[32.0, 64.0, 128.0, 256.0];
 
-impl OverheadPoint {
-    /// Series label, e.g. `"ADAPT-2rep"`.
-    pub fn series(&self) -> String {
-        format!("{}-{}rep", self.policy.label(), self.replication)
+/// The sub-figures of Figure 5:
+///
+/// * `a` — the bandwidth {4, 8, 16, 32 Mb/s};
+/// * `b` — the block size {32, 64, 128, 256 MB}: task time scales with
+///   block size (12 s per 64 MB) while the *number* of tasks stays
+///   fixed, matching the paper's per-scenario workload description;
+/// * `c` — the cluster size {128, 256, 512}, or {1 024 … 16 384} under
+///   `--paper`; `--nodes N` centres the ladder on N.
+pub const FIGURE5: [SubFigure<LargeScaleConfig>; 3] = [
+    SubFigure {
+        letter: "a",
+        label: "bandwidth_mbps",
+        set: |config, x| config.bandwidth_mbps = x,
+        quick: BANDWIDTHS_MBPS,
+        paper: BANDWIDTHS_MBPS,
+        around_nodes: false,
+    },
+    SubFigure {
+        letter: "b",
+        label: "block_mb",
+        set: |config, x| config.block_size = adapt_dfs::BlockSize::from_mb(x as u64),
+        quick: BLOCK_SIZES_MB,
+        paper: BLOCK_SIZES_MB,
+        around_nodes: false,
+    },
+    SubFigure {
+        letter: "c",
+        label: "nodes",
+        set: |config, x| config.nodes = x as usize,
+        quick: &[128.0, 256.0, 512.0],
+        paper: &[1_024.0, 2_048.0, 4_096.0, 8_192.0, 16_384.0],
+        around_nodes: true,
+    },
+];
+
+/// The base scenario of the trace-driven binaries: Table 4 under
+/// `--paper`, else a quick 256-host population with 20 tasks per node
+/// and 3 runs; then `--nodes`, `--runs` and `--seed`.
+pub fn base_config(opts: &Options) -> LargeScaleConfig {
+    let mut config = LargeScaleConfig::default();
+    if !opts.paper {
+        (config.nodes, config.tasks_per_node, config.runs) = (256, 20, 3);
     }
+    config.nodes = opts.nodes.unwrap_or(config.nodes);
+    config.runs = opts.runs.unwrap_or(config.runs);
+    config.seed = opts.seed.unwrap_or(config.seed);
+    config
 }
 
-/// Figure 5(a): sweep network bandwidth.
+/// Runs every `series` at each of `xs` on `figure`'s axis of `base`.
+/// Points of one node count share one [`World`]; a point that changes
+/// the node count generates a population of its own size.
 ///
 /// # Errors
 ///
 /// Propagates the first scenario failure.
-pub fn sweep_bandwidth(
+pub fn sweep(
     base: &LargeScaleConfig,
-    bandwidths: &[f64],
+    figure: &SubFigure<LargeScaleConfig>,
+    xs: &[f64],
     series: &[(PolicyKind, usize)],
-) -> Result<Vec<OverheadPoint>, ExperimentError> {
-    let world = World::generate(base)?;
+) -> Result<Vec<SweepPoint>, ExperimentError> {
+    let mut world: Option<World> = None;
     let mut out = Vec::new();
-    for &bw in bandwidths {
+    for &x in xs {
+        let mut at = *base;
+        (figure.set)(&mut at, x);
+        let world = match world {
+            Some(ref world) if world.len() == at.nodes => world,
+            _ => world.insert(World::generate(&at)?),
+        };
         for &(policy, replication) in series {
-            let config = LargeScaleConfig {
-                bandwidth_mbps: bw,
-                replication,
-                ..*base
-            };
-            out.push(OverheadPoint {
-                x: bw,
+            let config = LargeScaleConfig { replication, ..at };
+            out.push(SweepPoint {
+                x,
                 policy,
                 replication,
-                agg: run_largescale_in(&config, policy, &world)?,
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// Figure 5(b): sweep the block size (MB). Task time scales with block
-/// size (12 s per 64 MB); the *number* of tasks stays fixed, matching the
-/// paper's per-scenario workload description.
-///
-/// # Errors
-///
-/// Propagates the first scenario failure.
-pub fn sweep_block_size(
-    base: &LargeScaleConfig,
-    block_sizes_mb: &[u64],
-    series: &[(PolicyKind, usize)],
-) -> Result<Vec<OverheadPoint>, ExperimentError> {
-    let world = World::generate(base)?;
-    let mut out = Vec::new();
-    for &mb in block_sizes_mb {
-        for &(policy, replication) in series {
-            let config = LargeScaleConfig {
-                block_size: adapt_dfs::BlockSize::from_mb(mb),
-                replication,
-                ..*base
-            };
-            out.push(OverheadPoint {
-                x: mb as f64,
-                policy,
-                replication,
-                agg: run_largescale_in(&config, policy, &world)?,
-            });
-        }
-    }
-    Ok(out)
-}
-
-/// Figure 5(c): sweep the cluster size. Each size generates its own
-/// world (the population must match the node count).
-///
-/// # Errors
-///
-/// Propagates the first scenario failure.
-pub fn sweep_nodes(
-    base: &LargeScaleConfig,
-    node_counts: &[usize],
-    series: &[(PolicyKind, usize)],
-) -> Result<Vec<OverheadPoint>, ExperimentError> {
-    let mut out = Vec::new();
-    for &nodes in node_counts {
-        let sized = LargeScaleConfig { nodes, ..*base };
-        let world = World::generate(&sized)?;
-        for &(policy, replication) in series {
-            let config = LargeScaleConfig {
-                replication,
-                ..sized
-            };
-            out.push(OverheadPoint {
-                x: nodes as f64,
-                policy,
-                replication,
-                agg: run_largescale_in(&config, policy, &world)?,
+                agg: run_largescale_in(&config, policy, world)?,
             });
         }
     }

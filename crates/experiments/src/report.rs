@@ -8,7 +8,6 @@
 use std::collections::BTreeSet;
 
 use crate::emulated::SweepPoint;
-use crate::largescale::OverheadPoint;
 
 /// A single (x, series, value) measurement for pivot rendering.
 pub type Entry = (f64, String, f64);
@@ -96,7 +95,7 @@ pub fn locality_entries(points: &[SweepPoint]) -> Vec<Entry> {
 
 /// Renders the Figure 5 overhead decomposition: one row per (x, series),
 /// columns rework/recovery/migration/misc/total (ratios to the base).
-pub fn overhead_table(points: &[OverheadPoint], x_label: &str) -> String {
+pub fn overhead_table(points: &[SweepPoint], x_label: &str) -> String {
     let mut xs: BTreeSet<u64> = BTreeSet::new();
     for p in points {
         xs.insert(p.x.to_bits());
@@ -124,7 +123,7 @@ pub fn overhead_table(points: &[OverheadPoint], x_label: &str) -> String {
 }
 
 /// Figure 5 CSV: one row per (x, series) with all components.
-pub fn overhead_csv(points: &[OverheadPoint], x_label: &str) -> String {
+pub fn overhead_csv(points: &[SweepPoint], x_label: &str) -> String {
     let mut out = format!("{x_label},series,rework,recovery,migration,misc,total\n");
     for p in points {
         out.push_str(&format!(
@@ -210,12 +209,7 @@ mod tests {
 
     #[test]
     fn overhead_table_contains_all_components() {
-        let p = OverheadPoint {
-            x: 8.0,
-            policy: PolicyKind::Random,
-            replication: 1,
-            agg: aggregate([report(100.0)]),
-        };
+        let p = sweep_point(1.0, PolicyKind::Random);
         let t = overhead_table(std::slice::from_ref(&p), "bw");
         assert!(t.contains("rework"));
         assert!(t.contains("existing-1rep"));

@@ -1,6 +1,7 @@
-//! Each experiment binary accepts only the flags it reads: a flag it
-//! would ignore exits 2 before any work, naming the flags it takes, and
-//! writes no file.
+//! Each experiment binary accepts only the flags it reads and the
+//! selector words it knows: a flag it would ignore, an unknown word or a
+//! second one exits 2 before any work, naming what it takes, and writes
+//! no file.
 
 use std::path::Path;
 use std::process::Command;
@@ -52,5 +53,63 @@ fn help_lists_only_the_binary_flags() {
     assert_eq!(
         stderr.trim_end(),
         "usage: [--runs N] [--seed N] [--report-json PATH]"
+    );
+    // A binary with selectors lists them first.
+    for (exe, selectors) in [
+        (env!("CARGO_BIN_EXE_fig3"), "[a|b|c]"),
+        (env!("CARGO_BIN_EXE_fig5"), "[a|b|c]"),
+        (env!("CARGO_BIN_EXE_ablations"), "[emu|sched]"),
+        (env!("CARGO_BIN_EXE_jobstream"), "[fifo|fair|capacity]"),
+    ] {
+        let (code, stderr) = run(exe, &["--help"]);
+        assert_eq!(code, Some(2));
+        assert!(
+            stderr.starts_with(&format!("usage: {selectors} [--paper]")),
+            "{stderr}"
+        );
+    }
+}
+
+#[test]
+fn unknown_or_second_selectors_exit_2_naming_the_selectors() {
+    let cases: [(&str, &[&str], &str); 8] = [
+        (
+            env!("CARGO_BIN_EXE_fig3"),
+            &["d", "--runs", "1", "--nodes", "16"],
+            "[a|b|c]",
+        ),
+        (env!("CARGO_BIN_EXE_fig3"), &["a", "b"], "[a|b|c]"),
+        (env!("CARGO_BIN_EXE_fig4"), &["a", "a"], "[a|b|c]"),
+        (env!("CARGO_BIN_EXE_fig5"), &["q"], "[a|b|c]"),
+        (env!("CARGO_BIN_EXE_ablations"), &["x"], "[emu|sched]"),
+        (
+            env!("CARGO_BIN_EXE_jobstream"),
+            &["bogus"],
+            "[fifo|fair|capacity]",
+        ),
+        (
+            env!("CARGO_BIN_EXE_table1"),
+            &["bogus", "--nodes", "100"],
+            "[--paper]",
+        ),
+        (env!("CARGO_BIN_EXE_fig-shuffle"), &["bogus"], "[--paper]"),
+    ];
+    for (exe, args, takes) in cases {
+        let (code, stderr) = run(exe, args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("unexpected argument `"),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            stderr.contains(&format!("(this binary takes {takes}")),
+            "{args:?}: {stderr}"
+        );
+    }
+    let (code, stderr) = run(env!("CARGO_BIN_EXE_verify"), &["extra", "--runs", "1"]);
+    assert_eq!(code, Some(2));
+    assert_eq!(
+        stderr.trim_end(),
+        "unexpected argument `extra` (this binary takes [--runs N] [--seed N] [--report-json PATH])"
     );
 }

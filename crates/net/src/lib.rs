@@ -83,10 +83,10 @@ impl std::error::Error for NetError {}
 /// assert_eq!(topo.rack_of(5), 1);
 /// assert!(!topo.same_rack(0, 5));
 /// // One uncontended cross-rack flow pays the oversubscription ratio:
-/// // 64 MB = 512 megabits over a unit link, times 2.5.
-/// assert!((topo.transfer_seconds(64.0, 0, 5, 1) - 1280.0).abs() < 1e-12);
+/// // a 512-s flat transfer takes 512 × 2.5 s.
+/// assert!((topo.fair_share_seconds(512.0, 0, 5, 1) - 1280.0).abs() < 1e-12);
 /// // The same flow inside a rack runs at the full link rate.
-/// assert!((topo.transfer_seconds(64.0, 0, 4, 1) - 512.0).abs() < 1e-12);
+/// assert!((topo.fair_share_seconds(512.0, 0, 4, 1) - 512.0).abs() < 1e-12);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Topology {
@@ -171,16 +171,6 @@ impl Topology {
         }
         base_seconds * self.oversubscription * (streams.max(1) as f64)
     }
-
-    /// [`fair_share_seconds`](Topology::fair_share_seconds) with the base
-    /// computed from a payload and a link rate: `bits / bandwidth`
-    /// shaped by rack locality and uplink sharing.
-    pub fn transfer_seconds(&self, megabytes: f64, source: u32, dest: u32, streams: usize) -> f64 {
-        // Matches `BlockSize::transfer_seconds`: MB → megabits at an
-        // 8 b/B factor over a Mb/s link of unit rate; callers scale by
-        // their own bandwidth before or after as the engines do.
-        self.fair_share_seconds(megabytes * 8.0, source, dest, streams)
-    }
 }
 
 impl Default for Topology {
@@ -255,13 +245,6 @@ mod tests {
         assert_eq!(t.fair_share_seconds(base, 0, 1, 3), 75.0);
         // A zero stream count is clamped to one flow (the caller's own).
         assert_eq!(t.fair_share_seconds(base, 0, 1, 0), 25.0);
-    }
-
-    #[test]
-    fn transfer_seconds_converts_megabytes() {
-        let t = Topology::flat();
-        // 64 MB over a unit link: 512 s of megabit payload.
-        assert_eq!(t.transfer_seconds(64.0, 0, 0, 1), 512.0);
     }
 
     proptest! {
