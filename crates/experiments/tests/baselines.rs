@@ -1,9 +1,10 @@
 //! The pinned baselines: each command below regenerates its committed
 //! `results/ci-baseline-*` file byte for byte, and a second run
-//! reproduces the first. Three commands also write a second file that
+//! reproduces the first. Four commands also write a second file that
 //! has no committed copy — the table1 probe's event trace, the
-//! fig-shuffle reduce-phase trace and the jobstream SLO-cell metrics
-//! document — and the second run must reproduce it byte for byte too.
+//! fig-shuffle reduce-phase trace and the SLO-cell metrics document of
+//! both job streams — and the second run must reproduce it byte for
+//! byte too.
 //! The five cheapest paper tables under `results/` are pinned the same
 //! way from the binary's stdout, in one run each.
 //!
@@ -64,6 +65,15 @@ const JOBSTREAM: Pin = Pin {
     out_flag: "--report-json",
     baseline: "ci-baseline-jobstream.json",
     extra_flag: Some("--metrics-out"),
+};
+
+/// A stream of jobs that are small slices of a large cluster: each job
+/// gets at most 16 of the 1,024 nodes, and its block count recurs across
+/// the 400 jobs, as in the benchmark's 2,048-node stream.
+const JOBSTREAM_1024: Pin = Pin {
+    args: &["fair", "--nodes", "1024", "--runs", "400"],
+    baseline: "ci-baseline-jobstream-1024.json",
+    ..JOBSTREAM
 };
 
 const FIG_SHUFFLE: Pin = Pin {
@@ -208,6 +218,15 @@ fn one_rack_report_matches_flat_baseline() {
 #[test]
 fn jobstream_report_matches_baseline() {
     let metrics = JOBSTREAM.check("jobstream.json");
+    assert!(
+        !metrics.is_empty(),
+        "the SLO-cell metrics document is empty"
+    );
+}
+
+#[test]
+fn jobstream_1024_report_matches_baseline() {
+    let metrics = JOBSTREAM_1024.check("jobstream-1024.json");
     assert!(
         !metrics.is_empty(),
         "the SLO-cell metrics document is empty"
