@@ -4,11 +4,18 @@
 //! `adapt-dfs` [`PlacementPolicy`] interface. At `prepare` time (once per
 //! file ingest — "the hash table … is created when ADAPT is called by the
 //! client, and deleted when the corresponding data blocks have been
-//! distributed") the policy computes per-node rates and builds the table;
-//! each `select` samples the table, retrying when the sampled node is
-//! ineligible (already a replica of the block, at capacity, or over the
-//! session threshold) and falling back to renormalized weighted selection
-//! if rejection sampling runs long.
+//! distributed") the policy obtains per-node rates and the table for the
+//! file's block count; each `select` samples the table, retrying when the
+//! sampled node is ineligible (already a replica of the block, at
+//! capacity, or over the session threshold) and falling back to
+//! renormalized weighted selection if rejection sampling runs long.
+//!
+//! The rates depend only on each node's `(λ, μ)` and liveness, and a
+//! table only on the rates and its number of keys, so the policy keeps
+//! both across sessions. It reuses its rates while every node's inputs
+//! are bit for bit those they were computed from, and recomputes them,
+//! dropping every table, as soon as one differs. A reused rate or table
+//! is therefore exactly the one a fresh policy would compute.
 
 #![expect(
     clippy::as_conversions,
@@ -18,7 +25,7 @@
 use rand::Rng;
 
 use adapt_availability::AvailabilityError;
-use adapt_dfs::placement::{ClusterView, Eligible, PlacementPolicy};
+use adapt_dfs::placement::{ClusterView, Eligible, NodeView, PlacementPolicy};
 use adapt_dfs::{DfsError, NodeId};
 
 use crate::hash_table::{ChainWeighting, PlacementHashTable};
@@ -30,6 +37,29 @@ use crate::weighted::weighted_select;
 /// selection over the eligible set.
 const MAX_REJECTIONS: usize = 64;
 
+/// Tables kept for reuse, one per block count. Small files dominate a job
+/// stream (most jobs have at most 8 blocks), and one table over 2,048
+/// nodes takes ~50 KB.
+const TABLES_KEPT: usize = 16;
+
+/// The per-node inputs of equation (5), compared bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Inputs {
+    lambda: u64,
+    mu: u64,
+    alive: bool,
+}
+
+impl Inputs {
+    fn of(node: &NodeView) -> Self {
+        Inputs {
+            lambda: node.availability.lambda.to_bits(),
+            mu: node.availability.mu.to_bits(),
+            alive: node.alive,
+        }
+    }
+}
+
 /// The ADAPT availability-aware placement policy (Algorithm 1).
 ///
 /// See the crate-level example for end-to-end use with a NameNode.
@@ -37,8 +67,11 @@ const MAX_REJECTIONS: usize = 64;
 pub struct AdaptPolicy {
     predictor: PerformancePredictor,
     weighting: ChainWeighting,
-    table: Option<PlacementHashTable>,
-    rates: Option<NodeRates>,
+    /// The rates, and each node's inputs they were computed from.
+    rates: Option<Kept>,
+    /// Tables built from `rates`, at most [`TABLES_KEPT`], least recently
+    /// used first: the last is the one the last `prepare` chose.
+    tables: Vec<PlacementHashTable>,
     /// Hash-table and selection counters; `predictor_evaluations` is
     /// filled from the predictor when a snapshot is taken.
     telemetry: PolicyTelemetrySnapshot,
@@ -56,8 +89,8 @@ impl AdaptPolicy {
         Ok(AdaptPolicy {
             predictor: PerformancePredictor::new(gamma)?,
             weighting: ChainWeighting::default(),
-            table: None,
             rates: None,
+            tables: Vec::new(),
             telemetry: PolicyTelemetrySnapshot::default(),
         })
     }
@@ -74,6 +107,7 @@ impl AdaptPolicy {
     /// Selects the collision-chain weighting (see [`ChainWeighting`]).
     pub fn with_weighting(mut self, weighting: ChainWeighting) -> Self {
         self.weighting = weighting;
+        self.tables.clear();
         self
     }
 
@@ -82,23 +116,25 @@ impl AdaptPolicy {
         &self.predictor
     }
 
-    /// The rates computed by the last `prepare`, if any.
+    /// The rates the last `prepare` used, if any.
     pub fn rates(&self) -> Option<&NodeRates> {
-        self.rates.as_ref()
+        self.rates.as_ref().map(|(rates, _)| rates)
     }
 
-    /// The hash table built by the last `prepare`, if any.
+    /// The hash table the last `prepare` used, if any.
     pub fn table(&self) -> Option<&PlacementHashTable> {
-        self.table.as_ref()
-    }
-
-    fn ensure_rates(&mut self, cluster: &ClusterView) -> &NodeRates {
-        // Disjoint field borrows keep this panic-free: no `expect` on an
-        // option this method just filled.
-        let predictor = &mut self.predictor;
-        self.rates.get_or_insert_with(|| predictor.rates(cluster))
+        self.tables.last()
     }
 }
+
+/// The rates of `cluster` with the inputs they come from.
+fn computed(predictor: &mut PerformancePredictor, cluster: &ClusterView) -> Kept {
+    let inputs = cluster.nodes().iter().map(Inputs::of).collect();
+    (predictor.rates(cluster), inputs)
+}
+
+/// Rates and the per-node inputs they were computed from.
+type Kept = (NodeRates, Vec<Inputs>);
 
 impl PlacementPolicy for AdaptPolicy {
     fn name(&self) -> &'static str {
@@ -106,12 +142,32 @@ impl PlacementPolicy for AdaptPolicy {
     }
 
     fn prepare(&mut self, cluster: &ClusterView, num_blocks: usize) -> Result<(), DfsError> {
-        let rates = self.predictor.rates(cluster);
+        let current = self.rates.as_ref().is_some_and(|(_, inputs)| {
+            inputs.len() == cluster.len()
+                && inputs
+                    .iter()
+                    .zip(cluster.nodes())
+                    .all(|(kept, node)| *kept == Inputs::of(node))
+        });
+        if !current {
+            self.rates = None;
+            self.tables.clear();
+        }
+        let predictor = &mut self.predictor;
+        let (rates, _) = self
+            .rates
+            .get_or_insert_with(|| computed(predictor, cluster));
         if !rates.any_usable() {
             return Err(DfsError::InsufficientNodes {
                 needed: 1,
                 eligible: 0,
             });
+        }
+        // A table's number of keys is its block count.
+        if let Some(at) = self.tables.iter().position(|t| t.len() == num_blocks) {
+            let table = self.tables.remove(at);
+            self.tables.push(table);
+            return Ok(());
         }
         let table = PlacementHashTable::build(rates.rates(), num_blocks, self.weighting)?;
         self.telemetry.tables_built += 1;
@@ -122,8 +178,10 @@ impl PlacementPolicy for AdaptPolicy {
             .telemetry
             .max_chain_len
             .max(table.max_chain_len() as u64);
-        self.table = Some(table);
-        self.rates = Some(rates);
+        if self.tables.len() == TABLES_KEPT {
+            self.tables.remove(0);
+        }
+        self.tables.push(table);
         Ok(())
     }
 
@@ -134,7 +192,7 @@ impl PlacementPolicy for AdaptPolicy {
         rng: &mut dyn Rng,
     ) -> Option<NodeId> {
         // Fast path: rejection-sample the hash table.
-        if let Some(table) = &self.table {
+        if let Some(table) = self.tables.last() {
             for _ in 0..MAX_REJECTIONS {
                 let node = NodeId(table.sample(rng) as u32);
                 if eligible.contains(node) {
@@ -145,7 +203,11 @@ impl PlacementPolicy for AdaptPolicy {
         // Slow path (crowded exclusions or no prepared table): weighted
         // selection renormalized over the eligible set.
         self.telemetry.select_fallbacks += 1;
-        weighted_select(self.ensure_rates(cluster).rates(), eligible, rng)
+        let predictor = &mut self.predictor;
+        let (rates, _) = self
+            .rates
+            .get_or_insert_with(|| computed(predictor, cluster));
+        weighted_select(rates.rates(), eligible, rng)
     }
 }
 
@@ -188,6 +250,54 @@ mod tests {
         p.prepare(&nn.cluster_view(), 160).unwrap();
         assert_eq!(p.table().unwrap().len(), 160);
         assert!(p.rates().unwrap().any_usable());
+    }
+
+    #[test]
+    fn kept_rates_and_tables_are_those_of_a_fresh_policy() {
+        let mut nn = emulated_cluster(12);
+        let fresh = |nn: &NameNode, weighting, m| {
+            let mut p = AdaptPolicy::new(12.0).unwrap().with_weighting(weighting);
+            p.prepare(&nn.cluster_view(), m).unwrap();
+            (p.rates().unwrap().clone(), p.table().unwrap().clone())
+        };
+        let mut kept = AdaptPolicy::new(12.0).unwrap();
+        let check = |kept: &mut AdaptPolicy, nn: &NameNode, m| {
+            kept.prepare(&nn.cluster_view(), m).unwrap();
+            let (rates, table) = fresh(nn, kept.weighting, m);
+            assert_eq!(kept.rates(), Some(&rates), "m = {m}");
+            assert_eq!(kept.table(), Some(&table), "m = {m}");
+        };
+        // Twenty block counts, twice over: more than the policy keeps, so
+        // the least recently used table goes each time and the second
+        // round builds every table again. Then one hit.
+        for m in (1..=20).chain(1..=20).chain([3, 3]) {
+            check(&mut kept, &nn, m);
+        }
+        let counters = kept.telemetry_snapshot();
+        assert_eq!(
+            (counters.tables_built, counters.predictor_evaluations),
+            (41, 12)
+        );
+        // New availability: new rates, and the kept table of 3 blocks goes.
+        let availability = NodeAvailability::from_mtbi(30.0, 2.0).unwrap();
+        nn.set_availability(NodeId(0), availability).unwrap();
+        check(&mut kept, &nn, 3);
+        // The same availability again changes nothing.
+        nn.set_availability(NodeId(0), availability).unwrap();
+        check(&mut kept, &nn, 3);
+        let counters = kept.telemetry_snapshot();
+        assert_eq!(
+            (counters.tables_built, counters.predictor_evaluations),
+            (42, 24)
+        );
+        // A new weighting keeps the rates but not the tables.
+        let mut kept = kept.with_weighting(ChainWeighting::Overlap);
+        check(&mut kept, &nn, 3);
+        let counters = kept.telemetry_snapshot();
+        assert_eq!(
+            (counters.tables_built, counters.predictor_evaluations),
+            (43, 24)
+        );
     }
 
     #[test]

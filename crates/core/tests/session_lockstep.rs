@@ -4,9 +4,13 @@
 //! The session keeps an [`Eligible`](adapt_dfs::placement::Eligible) set
 //! up to date and each policy draws from it. The reference below is the
 //! earlier session: eligibility as a predicate over node ids, and every
-//! policy scanning the whole cluster view with it on each replica. Both
-//! must choose the same nodes, count the same threshold relaxations, fail
-//! the same way, and leave the RNG at the same next draw.
+//! policy, prepared afresh for the session, scanning the whole cluster
+//! view with it on each replica. Both must choose the same nodes, count
+//! the same threshold relaxations, fail the same way, and leave the RNG
+//! at the same next draw. The second test keeps one policy of each kind
+//! across a sequence of sessions while nodes go down, come back, change
+//! availability and lose files, so a policy that reuses state from an
+//! earlier session must still place as a fresh one does.
 
 use adapt_availability::dist::uniform_open01;
 use adapt_core::{AdaptPolicy, ChainWeighting, NaivePolicy, PlacementHashTable, SpreadPolicy};
@@ -206,36 +210,38 @@ const KINDS: [Kind; 5] = [
     Kind::Spread,
 ];
 
-/// A fresh policy of `kind`, and its reference prepared on `view` the way
-/// the session prepares the policy (`None` if `prepare` fails).
-fn policies(
-    kind: Kind,
-    view: &ClusterView,
-    num_blocks: usize,
-) -> (Box<dyn PlacementPolicy>, Option<Reference>) {
+/// A fresh policy of `kind`.
+fn fresh(kind: Kind) -> Box<dyn PlacementPolicy> {
     match kind {
-        Kind::Random => (Box::new(RandomPolicy::new()), Some(Reference::Random)),
+        Kind::Random => Box::new(RandomPolicy::new()),
+        Kind::Naive => Box::new(NaivePolicy::new()),
+        Kind::Adapt(weighting) => {
+            Box::new(AdaptPolicy::new(12.0).unwrap().with_weighting(weighting))
+        }
+        Kind::Spread => Box::new(SpreadPolicy::new()),
+    }
+}
+
+/// The reference of `kind`, prepared on `view` the way a fresh policy is
+/// prepared for a session of `num_blocks` blocks (`None` if `prepare`
+/// fails).
+fn reference(kind: Kind, view: &ClusterView, num_blocks: usize) -> Option<Reference> {
+    match kind {
+        Kind::Random => Some(Reference::Random),
         Kind::Naive => {
             let mut p = NaivePolicy::new();
-            let reference = p
-                .prepare(view, num_blocks)
+            p.prepare(view, num_blocks)
                 .ok()
-                .and_then(|()| p.weights().map(|w| Reference::Naive(w.to_vec())));
-            (Box::new(NaivePolicy::new()), reference)
+                .and_then(|()| p.weights().map(|w| Reference::Naive(w.to_vec())))
         }
         Kind::Adapt(weighting) => {
-            let fresh = || AdaptPolicy::new(12.0).unwrap().with_weighting(weighting);
-            let mut p = fresh();
-            let reference = p.prepare(view, num_blocks).ok().map(|()| Reference::Adapt {
+            let mut p = AdaptPolicy::new(12.0).unwrap().with_weighting(weighting);
+            p.prepare(view, num_blocks).ok().map(|()| Reference::Adapt {
                 table: p.table().unwrap().clone(),
                 rates: p.rates().unwrap().rates().to_vec(),
-            });
-            (Box::new(fresh()), reference)
+            })
         }
-        Kind::Spread => (
-            Box::new(SpreadPolicy::new()),
-            Some(Reference::Spread { cursor: 0 }),
-        ),
+        Kind::Spread => Some(Reference::Spread { cursor: 0 }),
     }
 }
 
@@ -285,6 +291,108 @@ fn cluster(rng: &mut StdRng) -> NameNode {
     nn
 }
 
+/// One session's parameters.
+struct Params {
+    num_blocks: usize,
+    replication: usize,
+    threshold: Threshold,
+    subset: Option<Vec<NodeId>>,
+    seed: u64,
+}
+
+/// A threshold of each kind, the paper's among them.
+fn threshold(rng: &mut StdRng) -> Threshold {
+    match uniform_index(rng, 4) {
+        0 => Threshold::None,
+        1 => Threshold::PaperDefault,
+        2 => Threshold::Blocks(1),
+        _ => Threshold::Blocks(1 + uniform_index(rng, 4)),
+    }
+}
+
+/// Half the time, an unsorted subset of at least `replication` distinct
+/// nodes of an `n`-node cluster.
+fn subset(rng: &mut StdRng, n: usize, replication: usize) -> Option<Vec<NodeId>> {
+    (uniform_index(rng, 2) == 0).then(|| {
+        let mut ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
+        for i in (1..n).rev() {
+            ids.swap(i, uniform_index(rng, i + 1));
+        }
+        ids.truncate(replication + uniform_index(rng, n - replication + 1));
+        ids
+    })
+}
+
+/// Runs one session with `policy` on `nn` and its reference, prepared
+/// afresh, on the same cluster view; asserts they agree and returns the
+/// session with the file created, if any, or `None` if the reference
+/// could not be prepared (the session must then fail).
+fn compare(
+    nn: &mut NameNode,
+    kind: Kind,
+    policy: &mut dyn PlacementPolicy,
+    p: &Params,
+    what: &str,
+) -> Option<(Session, Option<FileId>)> {
+    let view = nn.cluster_view();
+    let reference = reference(kind, &view, p.num_blocks);
+    let mut real_rng = StdRng::seed_from_u64(p.seed);
+    let before = nn.telemetry_snapshot().threshold_rejections;
+    let created = match &p.subset {
+        Some(allowed) => nn.create_file_on(
+            "f",
+            p.num_blocks,
+            p.replication,
+            policy,
+            p.threshold,
+            &mut real_rng,
+            allowed,
+        ),
+        None => nn.create_file(
+            "f",
+            p.num_blocks,
+            p.replication,
+            policy,
+            p.threshold,
+            &mut real_rng,
+        ),
+    };
+    let what = format!(
+        "{what} ({kind:?}), {:?}, subset {:?}",
+        p.threshold, p.subset
+    );
+    let Some(mut reference) = reference else {
+        assert!(
+            created.is_err(),
+            "{what}: prepare failed only in the reference"
+        );
+        return None;
+    };
+    let mut ref_rng = StdRng::seed_from_u64(p.seed);
+    let expected = reference_session(
+        &view,
+        p.num_blocks,
+        p.replication,
+        &mut reference,
+        p.threshold,
+        &mut ref_rng,
+        p.subset.as_deref(),
+    );
+    let file = created.as_ref().ok().copied();
+    let got = Session {
+        placements: created.map(|f| placements_of(nn, f)),
+        relaxed: nn.telemetry_snapshot().threshold_rejections - before,
+    };
+    assert_eq!(got, expected, "{what}");
+    assert_eq!(
+        real_rng.next_u64(),
+        ref_rng.next_u64(),
+        "{what}: RNG diverged"
+    );
+    nn.validate().unwrap();
+    Some((got, file))
+}
+
 #[test]
 fn eligible_sessions_match_the_predicate_scan() {
     let mut rng = StdRng::seed_from_u64(2012);
@@ -295,79 +403,24 @@ fn eligible_sessions_match_the_predicate_scan() {
         for (k, &kind) in KINDS.iter().enumerate() {
             let num_blocks = 1 + uniform_index(&mut rng, 60);
             let replication = 1 + uniform_index(&mut rng, n.min(3));
-            let threshold = match uniform_index(&mut rng, 4) {
-                0 => Threshold::None,
-                1 => Threshold::PaperDefault,
-                2 => Threshold::Blocks(1),
-                _ => Threshold::Blocks(1 + uniform_index(&mut rng, 4)),
-            };
-            // An unsorted subset of at least `replication` distinct nodes.
-            let subset: Option<Vec<NodeId>> = (uniform_index(&mut rng, 2) == 0).then(|| {
-                let mut ids: Vec<NodeId> = (0..n as u32).map(NodeId).collect();
-                for i in (1..n).rev() {
-                    ids.swap(i, uniform_index(&mut rng, i + 1));
-                }
-                ids.truncate(replication + uniform_index(&mut rng, n - replication + 1));
-                ids
-            });
-            let seed = rng.next_u64();
-            let view = nn.cluster_view();
-            let (mut policy, reference) = policies(kind, &view, num_blocks);
-            let mut real_rng = StdRng::seed_from_u64(seed);
-            let before = nn.telemetry_snapshot().threshold_rejections;
-            let created = match &subset {
-                Some(allowed) => nn.create_file_on(
-                    "f",
-                    num_blocks,
-                    replication,
-                    policy.as_mut(),
-                    threshold,
-                    &mut real_rng,
-                    allowed,
-                ),
-                None => nn.create_file(
-                    "f",
-                    num_blocks,
-                    replication,
-                    policy.as_mut(),
-                    threshold,
-                    &mut real_rng,
-                ),
-            };
-            let what =
-                format!("case {case}, policy {k} ({kind:?}), {threshold:?}, subset {subset:?}");
-            let Some(mut reference) = reference else {
-                assert!(
-                    created.is_err(),
-                    "{what}: prepare failed only in the reference"
-                );
-                continue;
-            };
-            let mut ref_rng = StdRng::seed_from_u64(seed);
-            let expected = reference_session(
-                &view,
+            let threshold = threshold(&mut rng);
+            let subset = subset(&mut rng, n, replication);
+            let params = Params {
                 num_blocks,
                 replication,
-                &mut reference,
                 threshold,
-                &mut ref_rng,
-                subset.as_deref(),
-            );
-            let got = Session {
-                placements: created.map(|f| placements_of(&nn, f)),
-                relaxed: nn.telemetry_snapshot().threshold_rejections - before,
+                subset,
+                seed: rng.next_u64(),
             };
-            assert_eq!(got, expected, "{what}");
-            assert_eq!(
-                real_rng.next_u64(),
-                ref_rng.next_u64(),
-                "{what}: RNG diverged"
-            );
-            nn.validate().unwrap();
+            let what = format!("case {case}, policy {k}");
+            let Some((got, _)) = compare(&mut nn, kind, fresh(kind).as_mut(), &params, &what)
+            else {
+                continue;
+            };
             sessions += 1;
             relaxed += got.relaxed;
             failed += u64::from(got.placements.is_err());
-            subsets += u64::from(subset.is_some());
+            subsets += u64::from(params.subset.is_some());
         }
     }
     // The cases reach every path: relaxation, failure, and subsets.
@@ -375,5 +428,88 @@ fn eligible_sessions_match_the_predicate_scan() {
     assert!(
         relaxed > 0 && failed > 0 && subsets > 0,
         "{relaxed} {failed} {subsets}"
+    );
+}
+
+#[test]
+fn kept_policies_place_as_fresh_ones_across_sessions() {
+    let mut rng = StdRng::seed_from_u64(2013);
+    let (mut sessions, mut repeated, mut sorted, mut unsorted) = (0, 0, 0, 0);
+    let mut changes = [0u32; 5];
+    for case in 0..40 {
+        let mut nn = cluster(&mut rng);
+        let n = nn.node_count();
+        let mut kept: Vec<Box<dyn PlacementPolicy>> = KINDS.iter().map(|&k| fresh(k)).collect();
+        let mut sizes: Vec<usize> = Vec::new();
+        let mut files: Vec<FileId> = Vec::new();
+        for step in 0..24 {
+            // Change the cluster between sessions; a change may leave a
+            // node as it was (down again, or the same availability).
+            let node = NodeId(uniform_index(&mut rng, n) as u32);
+            let change = uniform_index(&mut rng, 8);
+            match change {
+                0 => nn.mark_down(node).unwrap(),
+                1 => nn.mark_up(node).unwrap(),
+                2 => {
+                    let availability = match uniform_index(&mut rng, 3) {
+                        0 => nn.availability(node).unwrap(),
+                        1 => NodeAvailability::reliable(),
+                        _ => NodeAvailability::from_mtbi(
+                            5.0 + uniform_index(&mut rng, 40) as f64,
+                            4.0,
+                        )
+                        .unwrap(),
+                    };
+                    nn.set_availability(node, availability).unwrap();
+                }
+                3 if !files.is_empty() => {
+                    let file = files.swap_remove(uniform_index(&mut rng, files.len()));
+                    nn.delete_file(file).unwrap();
+                }
+                _ => {}
+            }
+            changes[change.min(4)] += 1;
+            for (k, &kind) in KINDS.iter().enumerate() {
+                // Half the sessions repeat an earlier block count.
+                let num_blocks = if !sizes.is_empty() && uniform_index(&mut rng, 2) == 0 {
+                    repeated += 1;
+                    sizes[uniform_index(&mut rng, sizes.len())]
+                } else {
+                    let size = 1 + uniform_index(&mut rng, 30);
+                    sizes.push(size);
+                    size
+                };
+                let replication = 1 + uniform_index(&mut rng, n.min(3));
+                let threshold = threshold(&mut rng);
+                let mut subset = subset(&mut rng, n, replication);
+                if let Some(ids) = subset.as_mut() {
+                    if uniform_index(&mut rng, 2) == 0 {
+                        ids.sort();
+                        sorted += 1;
+                    } else {
+                        unsorted += u32::from(!ids.is_sorted());
+                    }
+                }
+                let params = Params {
+                    num_blocks,
+                    replication,
+                    threshold,
+                    subset,
+                    seed: rng.next_u64(),
+                };
+                let what = format!("case {case}, step {step}, policy {k}");
+                let created = compare(&mut nn, kind, kept[k].as_mut(), &params, &what);
+                files.extend(created.and_then(|(_, file)| file));
+                sessions += 1;
+            }
+        }
+    }
+    // Every kind of change happened, and sessions repeated block counts
+    // on both sorted and unsorted subsets.
+    assert!(sessions > 4_000, "{sessions} sessions compared");
+    assert!(changes.iter().all(|&c| c > 20), "{changes:?}");
+    assert!(
+        repeated > 1_000 && sorted > 500 && unsorted > 500,
+        "{repeated} {sorted} {unsorted}"
     );
 }

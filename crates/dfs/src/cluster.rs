@@ -135,11 +135,6 @@ impl NodeSpec {
         self.availability
     }
 
-    /// Replaces the node's interruption parameters (heartbeat updates).
-    pub fn set_availability(&mut self, availability: NodeAvailability) {
-        self.availability = availability;
-    }
-
     /// Storage capacity in blocks, if limited.
     pub fn capacity_blocks(&self) -> Option<usize> {
         self.capacity_blocks

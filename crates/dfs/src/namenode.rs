@@ -105,32 +105,78 @@ impl BlockMeta {
     }
 }
 
-#[derive(Debug, Clone)]
-struct NodeEntry {
-    spec: NodeSpec,
-    alive: bool,
-    /// The blocks stored here, ascending. One vector per node: block ids
-    /// grow as files are created, so placement appends, and a namespace
-    /// of 10⁵ blocks frees in thousands of deallocations, not a B-tree
-    /// node per dozen blocks.
-    stored: Vec<BlockId>,
+/// The nodes one placement session may place on, ascending.
+enum Members {
+    /// Every node of an `n`-node cluster; a node's index is its id.
+    Cluster(usize),
+    /// A validated subset of the cluster (ascending and distinct); a
+    /// node's index is its position.
+    Subset(Vec<NodeId>),
 }
 
-impl NodeEntry {
-    fn store(&mut self, block: BlockId) {
-        if let Err(at) = self.stored.binary_search(&block) {
-            self.stored.insert(at, block);
+impl Members {
+    /// Validates `allowed` as a subset of an `n`-node cluster in
+    /// O(k log k). The error names the first member, in input order, that
+    /// is out of range or repeats an earlier one.
+    fn subset(allowed: &[NodeId], n: usize) -> Result<Members, DfsError> {
+        let mut sorted: Vec<(NodeId, usize)> = allowed.iter().copied().zip(0..).collect();
+        sorted.sort_unstable();
+        // The second occurrence of each repeated id, and every id out of
+        // range, are offending positions; report the earliest.
+        let repeats = sorted
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .map(|w| w[1].1);
+        let out_of_range = sorted
+            .iter()
+            .filter(|(id, _)| id.0 as usize >= n)
+            .map(|&(_, at)| at);
+        if let Some(at) = repeats.chain(out_of_range).min() {
+            let id = allowed[at];
+            let reason = if id.0 as usize >= n {
+                format!("node {} is outside the {n}-node cluster", id.0)
+            } else {
+                format!("node {} appears twice in the subset", id.0)
+            };
+            return Err(DfsError::InvalidArgument {
+                name: "allowed",
+                reason,
+            });
+        }
+        Ok(Members::Subset(
+            sorted.into_iter().map(|(id, _)| id).collect(),
+        ))
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            Members::Cluster(n) => *n,
+            Members::Subset(ids) => ids.len(),
         }
     }
 
-    fn unstore(&mut self, block: BlockId) {
-        if let Ok(at) = self.stored.binary_search(&block) {
-            self.stored.remove(at);
+    /// The id of the member at `index`.
+    fn id(&self, index: usize) -> NodeId {
+        match self {
+            Members::Cluster(_) => NodeId(index as u32),
+            Members::Subset(ids) => ids[index],
         }
     }
 
-    fn holds(&self, block: BlockId) -> bool {
-        self.stored.binary_search(&block).is_ok()
+    /// The index of member `id`, or `None` if `id` is not a member.
+    fn index(&self, id: NodeId) -> Option<usize> {
+        match self {
+            Members::Cluster(n) => Some(id.0 as usize).filter(|&i| i < *n),
+            Members::Subset(ids) => ids.binary_search(&id).ok(),
+        }
+    }
+
+    /// The alive members of `view` for which `candidate` holds, all open.
+    fn eligible(&self, view: &ClusterView, candidate: impl FnMut(NodeId) -> bool) -> Eligible {
+        match self {
+            Members::Cluster(_) => Eligible::from_fn(view, candidate),
+            Members::Subset(ids) => Eligible::from_subset(view, ids, candidate),
+        }
     }
 }
 
@@ -139,7 +185,15 @@ impl NodeEntry {
 /// See the crate-level example for typical use.
 #[derive(Debug, Clone)]
 pub struct NameNode {
-    nodes: Vec<NodeEntry>,
+    /// Every node as placement sees it. Each call that changes a node's
+    /// liveness, availability or stored blocks updates it, and each
+    /// placement session borrows it instead of taking a snapshot.
+    view: ClusterView,
+    /// The blocks stored on each node, ascending. One vector per node:
+    /// block ids grow as files are created, so placement appends, and a
+    /// namespace of 10⁵ blocks frees in thousands of deallocations, not a
+    /// B-tree node per dozen blocks.
+    stored: Vec<Vec<BlockId>>,
     files: BTreeMap<FileId, FileMeta>,
     blocks: BTreeMap<BlockId, BlockMeta>,
     next_file: u64,
@@ -154,15 +208,24 @@ impl NameNode {
     /// Creates a NameNode managing the given DataNodes. `NodeId`s are
     /// assigned by position.
     pub fn new(specs: Vec<NodeSpec>) -> Self {
-        NameNode {
-            nodes: specs
+        let stored = vec![Vec::new(); specs.len()];
+        let view = ClusterView::new(
+            specs
                 .into_iter()
-                .map(|spec| NodeEntry {
-                    spec,
+                .enumerate()
+                .map(|(i, spec)| NodeView {
+                    id: NodeId(i as u32),
+                    availability: spec.availability(),
                     alive: true,
-                    stored: Vec::new(),
+                    stored_blocks: 0,
+                    capacity_blocks: spec.capacity_blocks(),
+                    rack: 0,
                 })
                 .collect(),
+        );
+        NameNode {
+            view,
+            stored,
             files: BTreeMap::new(),
             blocks: BTreeMap::new(),
             next_file: 0,
@@ -228,12 +291,12 @@ impl NameNode {
 
     /// Number of registered DataNodes.
     pub fn node_count(&self) -> usize {
-        self.nodes.len()
+        self.view.len()
     }
 
     /// Number of currently alive DataNodes.
     pub fn alive_count(&self) -> usize {
-        self.nodes.iter().filter(|n| n.alive).count()
+        self.view.alive_count()
     }
 
     /// The interruption parameters recorded for a node.
@@ -242,7 +305,7 @@ impl NameNode {
     ///
     /// Returns [`DfsError::UnknownNode`] for an unregistered node.
     pub fn availability(&self, node: NodeId) -> Result<NodeAvailability, DfsError> {
-        Ok(self.entry(node)?.spec.availability())
+        Ok(self.entry(node)?.availability)
     }
 
     /// Updates a node's interruption parameters (the heartbeat-collector
@@ -256,7 +319,7 @@ impl NameNode {
         node: NodeId,
         availability: NodeAvailability,
     ) -> Result<(), DfsError> {
-        self.entry_mut(node)?.spec.set_availability(availability);
+        self.entry_mut(node)?.availability = availability;
         Ok(())
     }
 
@@ -290,22 +353,9 @@ impl NameNode {
         Ok(self.entry(node)?.alive)
     }
 
-    /// Takes a consistent snapshot of the cluster for a placement session.
+    /// A snapshot of the cluster as placement sessions see it.
     pub fn cluster_view(&self) -> ClusterView {
-        ClusterView::new(
-            self.nodes
-                .iter()
-                .enumerate()
-                .map(|(i, n)| NodeView {
-                    id: NodeId(i as u32),
-                    availability: n.spec.availability(),
-                    alive: n.alive,
-                    stored_blocks: n.stored.len(),
-                    capacity_blocks: n.spec.capacity_blocks(),
-                    rack: 0,
-                })
-                .collect(),
-        )
+        self.view.clone()
     }
 
     /// Creates a file of `num_blocks` blocks with `replication` replicas
@@ -332,7 +382,16 @@ impl NameNode {
         threshold: Threshold,
         rng: &mut dyn Rng,
     ) -> Result<FileId, DfsError> {
-        self.create_file_inner(name, num_blocks, replication, policy, threshold, rng, None)
+        let members = Members::Cluster(self.view.len());
+        self.create_file_inner(
+            name,
+            num_blocks,
+            replication,
+            policy,
+            threshold,
+            rng,
+            &members,
+        )
     }
 
     /// Like [`create_file`](NameNode::create_file) but every replica is
@@ -344,12 +403,18 @@ impl NameNode {
     /// replica, then falls back to weighted selection over the subset's
     /// open nodes.
     ///
+    /// The session is sized to the subset, not the cluster: for `k`
+    /// nodes in `allowed`, in any order, its setup costs O(k log k), each
+    /// replica O(log k) beyond the policy's own draw, and it allocates
+    /// nothing of the cluster's length. The policy's open nodes are the
+    /// subset's in ascending id order, as for a whole-cluster session.
+    ///
     /// # Errors
     ///
     /// Everything [`create_file`](NameNode::create_file) returns, plus
     /// [`DfsError::InvalidArgument`] for an empty subset, an
-    /// out-of-range subset member, or `replication` exceeding the subset
-    /// size.
+    /// out-of-range or repeated subset member (naming the first, in the
+    /// order of `allowed`), or `replication` exceeding the subset size.
     #[expect(clippy::too_many_arguments, reason = "create_file plus a node subset")]
     pub fn create_file_on(
         &mut self,
@@ -367,26 +432,7 @@ impl NameNode {
                 reason: "node subset must not be empty".into(),
             });
         }
-        let mut member = vec![false; self.nodes.len()];
-        for id in allowed {
-            let Some(slot) = member.get_mut(id.0 as usize) else {
-                return Err(DfsError::InvalidArgument {
-                    name: "allowed",
-                    reason: format!(
-                        "node {} is outside the {}-node cluster",
-                        id.0,
-                        self.nodes.len()
-                    ),
-                });
-            };
-            if *slot {
-                return Err(DfsError::InvalidArgument {
-                    name: "allowed",
-                    reason: format!("node {} appears twice in the subset", id.0),
-                });
-            }
-            *slot = true;
-        }
+        let members = Members::subset(allowed, self.view.len())?;
         if replication > allowed.len() {
             return Err(DfsError::InvalidArgument {
                 name: "replication",
@@ -403,13 +449,14 @@ impl NameNode {
             policy,
             threshold,
             rng,
-            Some(&member),
+            &members,
         )
     }
 
     /// Shared placement loop behind [`create_file`](NameNode::create_file)
-    /// and [`create_file_on`](NameNode::create_file_on). `allowed` is a
-    /// per-node membership mask (`None` = whole cluster).
+    /// and [`create_file_on`](NameNode::create_file_on). Its per-node
+    /// state is indexed by member, so a subset session is sized to the
+    /// subset.
     #[expect(clippy::too_many_arguments, reason = "both callers' arguments")]
     fn create_file_inner(
         &mut self,
@@ -419,7 +466,7 @@ impl NameNode {
         policy: &mut dyn PlacementPolicy,
         threshold: Threshold,
         rng: &mut dyn Rng,
-        allowed: Option<&[bool]>,
+        members: &Members,
     ) -> Result<FileId, DfsError> {
         if num_blocks == 0 {
             return Err(DfsError::InvalidArgument {
@@ -433,65 +480,73 @@ impl NameNode {
                 reason: "replication factor must be at least 1".into(),
             });
         }
-        if replication > self.nodes.len() {
+        if replication > self.view.len() {
             return Err(DfsError::InvalidArgument {
                 name: "replication",
                 reason: format!(
                     "replication {replication} exceeds cluster size {}",
-                    self.nodes.len()
+                    self.view.len()
                 ),
             });
         }
 
-        let view = self.cluster_view();
-        policy.prepare(&view, num_blocks)?;
+        let policy_name = policy.name();
+        let view = &self.view;
+        policy.prepare(view, num_blocks)?;
         // The threshold cap spreads the file over the nodes it may
         // actually use: the subset when one is given, else the cluster.
-        let span = allowed.map_or(self.nodes.len(), |m| {
-            m.iter().filter(|&&member| member).count()
-        });
-        let cap = threshold.cap(num_blocks, replication, span);
+        let cap = threshold.cap(num_blocks, replication, members.len());
 
-        // Live per-node counts: stored blocks (capacity) and blocks of
+        // Live per-member counts: stored blocks (capacity) and blocks of
         // this file placed so far (threshold).
-        let mut stored: Vec<usize> = self.nodes.iter().map(|n| n.stored.len()).collect();
-        let mut session: Vec<usize> = vec![0; self.nodes.len()];
-        let in_subset = |id: NodeId| allowed.is_none_or(|m| m.get(id.0 as usize) == Some(&true));
-        let has_room = |id: NodeId, stored: &[usize]| {
-            let i = id.0 as usize;
-            self.nodes[i]
-                .spec
-                .capacity_blocks()
-                .is_none_or(|c| stored[i] < c)
+        let nodes = view.nodes();
+        let mut stored: Vec<usize> = (0..members.len())
+            .map(|i| nodes[members.id(i).0 as usize].stored_blocks)
+            .collect();
+        let mut session: Vec<usize> = vec![0; members.len()];
+        let capacity = |id: NodeId| nodes[id.0 as usize].capacity_blocks;
+        let has_room =
+            |i: usize, stored: &[usize]| capacity(members.id(i)).is_none_or(|c| stored[i] < c);
+        let under_cap = |i: usize, session: &[usize]| cap.is_none_or(|c| session[i] < c);
+        let index = |node: NodeId| {
+            members
+                .index(node)
+                .ok_or_else(|| DfsError::InvalidArgument {
+                    name: "policy",
+                    reason: format!("{policy_name} chose {node}, which the session did not offer"),
+                })
         };
-        let under_cap =
-            |id: NodeId, session: &[usize]| cap.is_none_or(|c| session[id.0 as usize] < c);
 
         // The open nodes are those a replica of the current block may go
         // to: maintained incrementally, so a draw never scans the cluster.
-        let mut eligible = Eligible::from_fn(&view, |id| {
-            in_subset(id) && has_room(id, &stored) && under_cap(id, &session)
+        // No block of this file is placed yet, so every member is under
+        // the cap unless the cap is zero.
+        let mut eligible = members.eligible(view, |id| {
+            capacity(id).is_none_or(|c| nodes[id.0 as usize].stored_blocks < c)
+                && cap.is_none_or(|c| c > 0)
         });
         let mut placements: Vec<Vec<NodeId>> = Vec::with_capacity(num_blocks);
         for _ in 0..num_blocks {
             let mut replicas: Vec<NodeId> = Vec::with_capacity(replication);
             for _ in 0..replication {
-                let chosen = match policy.select(&view, &eligible, rng) {
+                let chosen = match policy.select(view, &eligible, rng) {
                     Some(node) => Some(node),
                     // Threshold made placement impossible: relax it
                     // rather than fail ingestion.
                     None => {
                         self.telemetry.threshold_rejections += 1;
-                        let relaxed = Eligible::from_fn(&view, |id| {
-                            in_subset(id) && !replicas.contains(&id) && has_room(id, &stored)
+                        let relaxed = members.eligible(view, |id| {
+                            !replicas.contains(&id)
+                                && members.index(id).is_some_and(|i| has_room(i, &stored))
                         });
-                        policy.select(&view, &relaxed, rng)
+                        policy.select(view, &relaxed, rng)
                     }
                 };
                 match chosen {
                     Some(node) => {
-                        stored[node.0 as usize] += 1;
-                        session[node.0 as usize] += 1;
+                        let i = index(node)?;
+                        stored[i] += 1;
+                        session[i] += 1;
                         eligible.set(node, false);
                         replicas.push(node);
                     }
@@ -505,7 +560,8 @@ impl NameNode {
                 }
             }
             for &node in &replicas {
-                eligible.set(node, has_room(node, &stored) && under_cap(node, &session));
+                let i = index(node)?;
+                eligible.set(node, has_room(i, &stored) && under_cap(i, &session));
             }
             placements.push(replicas);
         }
@@ -531,8 +587,12 @@ impl NameNode {
         for (index, replicas) in placements.into_iter().enumerate() {
             let block_id = BlockId(self.next_block);
             self.next_block += 1;
-            for node in &replicas {
-                self.nodes[node.0 as usize].store(block_id);
+            for &node in &replicas {
+                // The new block's id is the largest yet, so it goes last.
+                let list = &mut self.stored[node.0 as usize];
+                if list.last() != Some(&block_id) {
+                    list.push(block_id);
+                }
                 if let Some(recorder) = self.trace.as_mut() {
                     recorder.record(TraceEvent::BlockPlaced {
                         block: block_id.0,
@@ -549,6 +609,16 @@ impl NameNode {
                 },
             );
             block_ids.push(block_id);
+        }
+        // Bring the view's counts in step once per member, not once per
+        // replica: a pass over the members costs less than a scattered
+        // write per replica.
+        for i in 0..members.len() {
+            let id = members.id(i);
+            let count = self.stored[id.0 as usize].len();
+            if let Some(view) = self.view.node_mut(id) {
+                view.stored_blocks = count;
+            }
         }
         self.files.insert(
             file_id,
@@ -574,7 +644,7 @@ impl NameNode {
         for block in meta.blocks {
             if let Some(bm) = self.blocks.remove(&block) {
                 for node in bm.replicas {
-                    self.nodes[node.0 as usize].unstore(block);
+                    self.unstore(node, block);
                 }
             }
         }
@@ -610,7 +680,7 @@ impl NameNode {
     ///
     /// Returns [`DfsError::UnknownNode`] for an unregistered node.
     pub fn node_block_count(&self, node: NodeId) -> Result<usize, DfsError> {
-        Ok(self.entry(node)?.stored.len())
+        Ok(self.entry(node)?.stored_blocks)
     }
 
     /// The blocks stored on a node, ascending.
@@ -619,7 +689,10 @@ impl NameNode {
     ///
     /// Returns [`DfsError::UnknownNode`] for an unregistered node.
     pub fn node_blocks(&self, node: NodeId) -> Result<&[BlockId], DfsError> {
-        Ok(&self.entry(node)?.stored)
+        self.stored
+            .get(node.0 as usize)
+            .map(Vec::as_slice)
+            .ok_or(DfsError::UnknownNode(node))
     }
 
     /// Per-node replica counts for one file (a length-`n` histogram).
@@ -629,7 +702,7 @@ impl NameNode {
     /// Returns [`DfsError::UnknownFile`] for an unregistered file.
     pub fn file_distribution(&self, file: FileId) -> Result<Vec<usize>, DfsError> {
         let meta = self.files.get(&file).ok_or(DfsError::UnknownFile(file))?;
-        let mut counts = vec![0usize; self.nodes.len()];
+        let mut counts = vec![0usize; self.view.len()];
         for block in &meta.blocks {
             for node in self.blocks[block].replicas() {
                 counts[node.0 as usize] += 1;
@@ -640,7 +713,7 @@ impl NameNode {
 
     /// Total replicas stored across the cluster.
     pub fn total_stored(&self) -> usize {
-        self.nodes.iter().map(|n| n.stored.len()).sum()
+        self.stored.iter().map(Vec::len).sum()
     }
 
     /// Moves one replica of `block` from `from` to `to`, keeping metadata
@@ -657,10 +730,10 @@ impl NameNode {
         from: NodeId,
         to: NodeId,
     ) -> Result<(), DfsError> {
-        if from.0 as usize >= self.nodes.len() {
+        if from.0 as usize >= self.view.len() {
             return Err(DfsError::UnknownNode(from));
         }
-        if to.0 as usize >= self.nodes.len() {
+        if to.0 as usize >= self.view.len() {
             return Err(DfsError::UnknownNode(to));
         }
         let meta = self
@@ -680,8 +753,8 @@ impl NameNode {
             });
         }
         meta.replicas[pos] = to;
-        self.nodes[from.0 as usize].unstore(block);
-        self.nodes[to.0 as usize].store(block);
+        self.unstore(from, block);
+        self.store(to, block);
         if let Some(recorder) = self.trace.as_mut() {
             recorder.record(TraceEvent::BlockRebalanced {
                 block: block.0,
@@ -704,14 +777,10 @@ impl NameNode {
     /// unregistered ids and [`DfsError::InvalidArgument`] if the node
     /// already holds the block or is at capacity.
     pub fn add_replica(&mut self, block: BlockId, node: NodeId) -> Result<(), DfsError> {
-        if node.0 as usize >= self.nodes.len() {
-            return Err(DfsError::UnknownNode(node));
-        }
-        let entry = &self.nodes[node.0 as usize];
+        let entry = self.entry(node)?;
         if entry
-            .spec
-            .capacity_blocks()
-            .is_some_and(|c| entry.stored.len() >= c)
+            .capacity_blocks
+            .is_some_and(|c| entry.stored_blocks >= c)
         {
             return Err(DfsError::InvalidArgument {
                 name: "node",
@@ -729,7 +798,7 @@ impl NameNode {
             });
         }
         meta.replicas.push(node);
-        self.nodes[node.0 as usize].store(block);
+        self.store(node, block);
         if let Some(hub) = self.metrics.as_mut() {
             hub.registry.incr("dfs.replicas_rereplicated", 1);
             hub.profiler.add_placements(1);
@@ -746,7 +815,7 @@ impl NameNode {
     /// no replica or it is the block's last replica (metadata must never
     /// lose a block entirely).
     pub fn remove_replica(&mut self, block: BlockId, node: NodeId) -> Result<(), DfsError> {
-        if node.0 as usize >= self.nodes.len() {
+        if node.0 as usize >= self.view.len() {
             return Err(DfsError::UnknownNode(node));
         }
         let meta = self
@@ -766,7 +835,7 @@ impl NameNode {
             });
         }
         meta.replicas.remove(pos);
-        self.nodes[node.0 as usize].unstore(block);
+        self.unstore(node, block);
         if let Some(hub) = self.metrics.as_mut() {
             hub.registry.incr("dfs.replicas_trimmed", 1);
         }
@@ -789,7 +858,7 @@ impl NameNode {
         for (id, meta) in &self.blocks {
             let mut seen = BTreeSet::new();
             for node in meta.replicas() {
-                if node.0 as usize >= self.nodes.len() {
+                if node.0 as usize >= self.view.len() {
                     return Err(DfsError::CorruptMetadata {
                         reason: format!("{id} references unregistered {node}"),
                     });
@@ -799,7 +868,7 @@ impl NameNode {
                         reason: format!("{id} has duplicate replica on {node}"),
                     });
                 }
-                if !self.nodes[node.0 as usize].holds(*id) {
+                if self.stored[node.0 as usize].binary_search(id).is_err() {
                     return Err(DfsError::CorruptMetadata {
                         reason: format!("{id} lists {node} but node does not store it"),
                     });
@@ -815,8 +884,18 @@ impl NameNode {
                 });
             }
         }
-        for (i, node) in self.nodes.iter().enumerate() {
-            for block in &node.stored {
+        for (i, (node, stored)) in self.view.nodes().iter().zip(&self.stored).enumerate() {
+            if node.id != NodeId(i as u32) || node.stored_blocks != stored.len() {
+                return Err(DfsError::CorruptMetadata {
+                    reason: format!(
+                        "node{i}'s view is {} holding {} blocks, but it stores {}",
+                        node.id,
+                        node.stored_blocks,
+                        stored.len()
+                    ),
+                });
+            }
+            for block in stored {
                 if !self
                     .blocks
                     .get(block)
@@ -829,12 +908,12 @@ impl NameNode {
                     });
                 }
             }
-            if let Some(cap) = node.spec.capacity_blocks() {
-                if node.stored.len() > cap {
+            if let Some(cap) = node.capacity_blocks {
+                if stored.len() > cap {
                     return Err(DfsError::CorruptMetadata {
                         reason: format!(
                             "node{i} stores {} blocks above capacity {cap}",
-                            node.stored.len()
+                            stored.len()
                         ),
                     });
                 }
@@ -843,16 +922,36 @@ impl NameNode {
         Ok(())
     }
 
-    fn entry(&self, node: NodeId) -> Result<&NodeEntry, DfsError> {
-        self.nodes
-            .get(node.0 as usize)
-            .ok_or(DfsError::UnknownNode(node))
+    fn entry(&self, node: NodeId) -> Result<&NodeView, DfsError> {
+        self.view.node(node).ok_or(DfsError::UnknownNode(node))
     }
 
-    fn entry_mut(&mut self, node: NodeId) -> Result<&mut NodeEntry, DfsError> {
-        self.nodes
-            .get_mut(node.0 as usize)
-            .ok_or(DfsError::UnknownNode(node))
+    fn entry_mut(&mut self, node: NodeId) -> Result<&mut NodeView, DfsError> {
+        self.view.node_mut(node).ok_or(DfsError::UnknownNode(node))
+    }
+
+    /// Records `block` on `node` (a registered node), keeping the view's
+    /// count in step.
+    fn store(&mut self, node: NodeId, block: BlockId) {
+        let i = node.0 as usize;
+        if let Err(at) = self.stored[i].binary_search(&block) {
+            self.stored[i].insert(at, block);
+            if let Some(view) = self.view.node_mut(node) {
+                view.stored_blocks += 1;
+            }
+        }
+    }
+
+    /// Removes `block` from `node` (a registered node), keeping the
+    /// view's count in step.
+    fn unstore(&mut self, node: NodeId, block: BlockId) {
+        let i = node.0 as usize;
+        if let Ok(at) = self.stored[i].binary_search(&block) {
+            self.stored[i].remove(at);
+            if let Some(view) = self.view.node_mut(node) {
+                view.stored_blocks -= 1;
+            }
+        }
     }
 }
 
@@ -1073,6 +1172,28 @@ mod tests {
         assert!(nn
             .create_file_on("f", 1, 1, &mut p, Threshold::None, &mut rng, &[NodeId(9)])
             .is_err());
+        // The error names the first offending member in input order.
+        for (allowed, reason) in [
+            (&[3, 9, 3, 7][..], "node 9 is outside the 4-node cluster"),
+            (&[3, 3, 9], "node 3 appears twice in the subset"),
+            (&[2, 1, 2, 1], "node 2 appears twice in the subset"),
+            (&[1, 2, 2, 1], "node 2 appears twice in the subset"),
+            (&[9, 9], "node 9 is outside the 4-node cluster"),
+            (&[0, 1, 9, 8], "node 9 is outside the 4-node cluster"),
+        ] {
+            let allowed: Vec<NodeId> = allowed.iter().map(|&i| NodeId(i)).collect();
+            let err = nn
+                .create_file_on("f", 1, 1, &mut p, Threshold::None, &mut rng, &allowed)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                DfsError::InvalidArgument {
+                    name: "allowed",
+                    reason: reason.into()
+                },
+                "{allowed:?}"
+            );
+        }
         // Duplicate member.
         assert!(nn
             .create_file_on(

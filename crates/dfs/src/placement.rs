@@ -82,6 +82,12 @@ impl ClusterView {
     pub fn same_rack(&self, a: NodeId, b: NodeId) -> bool {
         self.rack_of(a) == self.rack_of(b)
     }
+
+    /// The mutable snapshot of one node, for the NameNode that keeps the
+    /// view current.
+    pub(crate) fn node_mut(&mut self, id: NodeId) -> Option<&mut NodeView> {
+        self.nodes.get_mut(id.0 as usize)
+    }
 }
 
 /// A replica-placement decision procedure.
@@ -128,8 +134,12 @@ pub trait PlacementPolicy: std::fmt::Debug {
 /// under its capacity and the threshold.
 ///
 /// A Fenwick tree over the open flags makes [`nth`](Eligible::nth) and
-/// [`set`](Eligible::set) O(log n) and [`contains`](Eligible::contains)
-/// O(1), so drawing one replica never scans the cluster.
+/// [`set`](Eligible::set) O(log n), so drawing one replica never scans
+/// the cluster. A set built over the whole cluster
+/// ([`from_fn`](Eligible::from_fn)) finds a node's position in O(1)
+/// through a table sized to the cluster; one built over a subset of `k`
+/// nodes ([`from_subset`](Eligible::from_subset)) binary-searches its
+/// candidates instead, so nothing in it is sized to the cluster.
 ///
 /// # Examples
 ///
@@ -159,8 +169,8 @@ pub trait PlacementPolicy: std::fmt::Debug {
 pub struct Eligible {
     /// Candidate ids, ascending.
     ids: Vec<NodeId>,
-    /// Each cluster node's position in `ids`, if it is a candidate.
-    slot: Vec<Option<usize>>,
+    /// How a node's position in `ids` is found.
+    index: Index,
     /// Whether each candidate is open, by position.
     open: Vec<bool>,
     /// Fenwick tree over `open`: `tree[i]` counts the open candidates at
@@ -168,6 +178,15 @@ pub struct Eligible {
     tree: Vec<usize>,
     /// Number of open candidates.
     len: usize,
+}
+
+/// How an [`Eligible`] set finds a node's position among its candidates.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Index {
+    /// Each cluster node's position, if it is a candidate: O(1).
+    Dense(Vec<Option<usize>>),
+    /// A binary search of the ascending candidates: O(log k).
+    Sorted,
 }
 
 impl Eligible {
@@ -181,6 +200,33 @@ impl Eligible {
                 ids.push(n.id);
             }
         }
+        Eligible::open_all(ids, Index::Dense(slot))
+    }
+
+    /// The alive nodes of `subset` for which `candidate` holds, all open.
+    /// Ids outside `cluster` are never candidates.
+    ///
+    /// Building the set costs O(k) for an ascending subset of `k` nodes
+    /// (O(k log k) otherwise), and nothing in it is sized to the cluster.
+    pub fn from_subset(
+        cluster: &ClusterView,
+        subset: &[NodeId],
+        mut candidate: impl FnMut(NodeId) -> bool,
+    ) -> Self {
+        let mut ids: Vec<NodeId> = subset
+            .iter()
+            .copied()
+            .filter(|&id| cluster.node(id).is_some_and(|n| n.alive) && candidate(id))
+            .collect();
+        if !ids.is_sorted_by(|a, b| a < b) {
+            ids.sort_unstable();
+            ids.dedup();
+        }
+        Eligible::open_all(ids, Index::Sorted)
+    }
+
+    /// The set of candidates `ids` (ascending), every one open.
+    fn open_all(ids: Vec<NodeId>, index: Index) -> Self {
         let len = ids.len();
         // Linear-time Fenwick build over all-ones: each node adds its own
         // count into its parent.
@@ -194,7 +240,7 @@ impl Eligible {
         }
         Eligible {
             ids,
-            slot,
+            index,
             open: vec![true; len],
             tree,
             len,
@@ -274,7 +320,10 @@ impl Eligible {
     }
 
     fn position(&self, id: NodeId) -> Option<usize> {
-        self.slot.get(id.0 as usize).copied().flatten()
+        match &self.index {
+            Index::Dense(slot) => slot.get(id.0 as usize).copied().flatten(),
+            Index::Sorted => self.ids.binary_search(&id).ok(),
+        }
     }
 }
 
@@ -501,7 +550,18 @@ mod tests {
                 .filter(|n| n.alive && in_subset(n.id))
                 .map(|n| n.id)
                 .collect();
-            let mut eligible = Eligible::from_fn(&v, in_subset);
+            // The same set built over the subset, listed in reverse and
+            // twice over, with ids past the end of the cluster.
+            let subset: Vec<NodeId> = (0..nodes.len() as u32 + 4)
+                .rev()
+                .map(NodeId)
+                .filter(|id| nodes.get(id.0 as usize).is_none_or(|n| n.1 != 0))
+                .flat_map(|id| [id, id])
+                .collect();
+            let mut sets = [
+                Eligible::from_fn(&v, in_subset),
+                Eligible::from_subset(&v, &subset, |_| true),
+            ];
             let mut open = candidates.clone();
             let agree = |eligible: &Eligible, open: &[NodeId]| -> TestCaseResult {
                 prop_assert_eq!(eligible.len(), open.len());
@@ -515,10 +575,14 @@ mod tests {
                 }
                 Ok(())
             };
-            agree(&eligible, &open)?;
+            for eligible in &sets {
+                agree(eligible, &open)?;
+            }
             for (id, flag) in ops {
                 let id = NodeId(id);
-                eligible.set(id, flag == 1);
+                for eligible in &mut sets {
+                    eligible.set(id, flag == 1);
+                }
                 if candidates.contains(&id) {
                     match (open.binary_search(&id), flag == 1) {
                         (Ok(p), false) => {
@@ -528,7 +592,9 @@ mod tests {
                         _ => {}
                     }
                 }
-                agree(&eligible, &open)?;
+                for eligible in &sets {
+                    agree(eligible, &open)?;
+                }
             }
         }
     }

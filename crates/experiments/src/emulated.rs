@@ -44,7 +44,8 @@ pub struct SubFigure<C> {
     /// The x-values under `--paper`.
     pub paper: &'static [f64],
     /// Whether `--nodes N` replaces the x-values with the ladder
-    /// {N/4 (at least 16), N/2 (at least 32), N, 2N}.
+    /// {N/4 (at least 16), N/2 (at least 32), N, 2N}, ascending and
+    /// without repeats.
     pub around_nodes: bool,
 }
 
@@ -54,9 +55,12 @@ impl<C> SubFigure<C> {
     /// values.
     pub fn xs(&self, opts: &Options) -> Vec<f64> {
         match opts.nodes.filter(|_| self.around_nodes) {
-            Some(n) => [(n / 4).max(16), (n / 2).max(32), n, n * 2]
-                .map(|n| n as f64)
-                .to_vec(),
+            Some(n) => {
+                let mut ladder = vec![(n / 4).max(16), (n / 2).max(32), n, n.saturating_mul(2)];
+                ladder.sort_unstable();
+                ladder.dedup();
+                ladder.into_iter().map(|n| n as f64).collect()
+            }
             None if opts.paper => self.paper.to_vec(),
             None => self.quick.to_vec(),
         }
@@ -441,8 +445,17 @@ mod tests {
         assert_eq!(FIGURE3[2].xs(&paper), FIGURE3[2].paper);
         // Only a sub-figure that sweeps around `--nodes` reads it.
         assert_eq!(FIGURE3[2].xs(&nodes(256)), FIGURE3[2].xs(&paper));
-        assert_eq!(ladder.xs(&nodes(256)), [64.0, 128.0, 256.0, 512.0]);
-        assert_eq!(ladder.xs(&nodes(16)), [16.0, 32.0, 16.0, 32.0]);
+        // The ladder is ascending and simulates no size twice.
+        for (n, xs) in [
+            (8, &[8.0, 16.0, 32.0][..]),
+            (16, &[16.0, 32.0]),
+            (20, &[16.0, 20.0, 32.0, 40.0]),
+            (32, &[16.0, 32.0, 64.0]),
+            (64, &[16.0, 32.0, 64.0, 128.0]),
+            (256, &[64.0, 128.0, 256.0, 512.0]),
+        ] {
+            assert_eq!(ladder.xs(&nodes(n)), xs, "--nodes {n}");
+        }
         let letters: Vec<&str> = FIGURE3.iter().map(|f| f.letter).collect();
         assert_eq!(letters, ["a", "b", "c"]);
     }

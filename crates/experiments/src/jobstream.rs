@@ -24,6 +24,7 @@
 
 use adapt_dfs::cluster::NodeSpec;
 use adapt_dfs::namenode::{NameNode, Threshold};
+use adapt_dfs::placement::PlacementPolicy;
 use adapt_dfs::{BlockSize, DfsError, FileId, NodeId};
 use adapt_metrics::window::nearest_rank;
 use adapt_metrics::{MetricsHub, SloTarget};
@@ -206,11 +207,15 @@ fn placement_sim_err(e: DfsError) -> SimError {
 /// the job's granted nodes ([`NameNode::create_file_on`]); releasing the
 /// job deletes the file — per-job block namespaces under one shared node
 /// state, so the policy's threshold accounting spans concurrent jobs.
+///
+/// One policy places every job, so ADAPT computes its equation-(5) rates
+/// once and builds one table per block count, reusing both while the
+/// nodes' availability and liveness are unchanged (which places exactly
+/// as a fresh policy per job would).
 #[derive(Debug)]
 pub struct NameNodePlacer {
     namenode: NameNode,
-    policy: PolicyKind,
-    gamma: f64,
+    policy: Box<dyn PlacementPolicy>,
     replication: usize,
     files: Vec<(u32, FileId)>,
 }
@@ -243,8 +248,7 @@ impl NameNodePlacer {
         }
         Ok(NameNodePlacer {
             namenode: NameNode::new(specs),
-            policy,
-            gamma,
+            policy: policy.build(gamma),
             replication,
             files: Vec::new(),
         })
@@ -261,7 +265,6 @@ impl JobPlacer for NameNodePlacer {
         // Same paired-seed discipline as the single-job harnesses: the
         // placement RNG stream is independent of the engine's.
         let mut rng = placement_rng(seed);
-        let mut policy = self.policy.build(self.gamma);
         let replication = self.replication.min(alloc.len()).max(1);
         let file = self
             .namenode
@@ -269,7 +272,7 @@ impl JobPlacer for NameNodePlacer {
                 &format!("job-{}", job.id),
                 job.tasks,
                 replication,
-                policy.as_mut(),
+                self.policy.as_mut(),
                 Threshold::PaperDefault,
                 &mut rng,
                 alloc,
@@ -601,6 +604,122 @@ mod tests {
         // again.
         placer.release(&job).unwrap();
         placer.place(&job, &alloc, 42).unwrap();
+    }
+
+    /// The placer as it was before it kept one policy: a fresh policy
+    /// for every job.
+    struct FreshPolicyPlacer {
+        namenode: NameNode,
+        policy: PolicyKind,
+        gamma: f64,
+        replication: usize,
+        files: Vec<(u32, FileId)>,
+    }
+
+    impl JobPlacer for FreshPolicyPlacer {
+        fn place(
+            &mut self,
+            job: &JobSpec,
+            alloc: &[NodeId],
+            seed: u64,
+        ) -> Result<Vec<Vec<NodeId>>, SimError> {
+            let mut rng = placement_rng(seed);
+            let mut policy = self.policy.build(self.gamma);
+            let replication = self.replication.min(alloc.len()).max(1);
+            let file = self
+                .namenode
+                .create_file_on(
+                    &format!("job-{}", job.id),
+                    job.tasks,
+                    replication,
+                    policy.as_mut(),
+                    Threshold::PaperDefault,
+                    &mut rng,
+                    alloc,
+                )
+                .map_err(placement_sim_err)?;
+            let global =
+                placement_from_namenode(&self.namenode, file).map_err(placement_sim_err)?;
+            self.files.push((job.id, file));
+            Ok(global
+                .iter()
+                .map(|replicas| {
+                    replicas
+                        .iter()
+                        .map(|g| NodeId(alloc.binary_search(g).unwrap() as u32))
+                        .collect()
+                })
+                .collect())
+        }
+
+        fn release(&mut self, job: &JobSpec) -> Result<(), SimError> {
+            if let Some(pos) = self.files.iter().position(|&(id, _)| id == job.id) {
+                let (_, file) = self.files.swap_remove(pos);
+                self.namenode.delete_file(file).map_err(placement_sim_err)?;
+            }
+            Ok(())
+        }
+    }
+
+    /// Every placement a placer returns, in call order.
+    struct Recorded<P> {
+        inner: P,
+        placements: Vec<(u32, Vec<NodeId>, Vec<Vec<NodeId>>)>,
+    }
+
+    impl<P: JobPlacer> JobPlacer for Recorded<P> {
+        fn place(
+            &mut self,
+            job: &JobSpec,
+            alloc: &[NodeId],
+            seed: u64,
+        ) -> Result<Vec<Vec<NodeId>>, SimError> {
+            let placement = self.inner.place(job, alloc, seed)?;
+            self.placements
+                .push((job.id, alloc.to_vec(), placement.clone()));
+            Ok(placement)
+        }
+
+        fn release(&mut self, job: &JobSpec) -> Result<(), SimError> {
+            self.inner.release(job)
+        }
+    }
+
+    #[test]
+    fn one_kept_policy_places_every_job_as_a_fresh_policy_would() {
+        // Jobs of at most 16 of 256 nodes, whose block counts recur.
+        let config = JobStreamConfig {
+            nodes: 256,
+            jobs: 150,
+            ..JobStreamConfig::default()
+        };
+        let (world, tracker) = config.tracker().unwrap();
+        let jobs = config.jobs(SATURATED_PM).unwrap();
+        for policy in PolicyKind::ALL {
+            let (gamma, replication) = (config.gamma, config.replication);
+            let mut kept = Recorded {
+                inner: NameNodePlacer::new(world.node_specs(), policy, gamma, replication).unwrap(),
+                placements: Vec::new(),
+            };
+            let mut fresh = Recorded {
+                inner: FreshPolicyPlacer {
+                    namenode: NameNode::new(world.node_specs()),
+                    policy,
+                    gamma,
+                    replication,
+                    files: Vec::new(),
+                },
+                placements: Vec::new(),
+            };
+            let engine = &OptimizedEngine;
+            let a = tracker.run_with(&jobs, config.seed, engine, &mut kept, false);
+            let b = tracker.run_with(&jobs, config.seed, engine, &mut fresh, false);
+            assert_eq!(kept.placements.len(), jobs.len(), "{policy}");
+            assert_eq!(kept.placements, fresh.placements, "{policy}");
+            let (a, b) = (a.unwrap(), b.unwrap());
+            assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{policy}");
+            assert_eq!(a.telemetry, b.telemetry, "{policy}");
+        }
     }
 
     #[test]
