@@ -9,41 +9,30 @@
 
 use rand::Rng;
 
-use adapt_dfs::placement::{ClusterView, Eligible, PlacementPolicy};
+use adapt_dfs::placement::{ClusterView, Eligible, NodeView, PlacementPolicy};
 use adapt_dfs::{DfsError, NodeId};
 
 use crate::weighted::weighted_select;
 
 /// Weights nodes by the steady-state availability `(MTBI − μ)/MTBI`
-/// (equivalently `1 − λμ`, clamped at zero).
+/// (equivalently `1 − λμ`, clamped at zero). The weight comes from the
+/// view at each selection, so the policy keeps no per-session state.
 #[derive(Debug, Clone, Default)]
-pub struct NaivePolicy {
-    weights: Option<Vec<f64>>,
-}
+pub struct NaivePolicy;
 
 impl NaivePolicy {
     /// Creates the naive policy.
     pub fn new() -> Self {
-        NaivePolicy { weights: None }
+        NaivePolicy
     }
+}
 
-    /// The weights computed by the last `prepare`, if any.
-    pub fn weights(&self) -> Option<&[f64]> {
-        self.weights.as_deref()
+/// A node's naive weight: `(1 − λμ)⁺`, or 0 for a dead node.
+fn weight(node: &NodeView) -> f64 {
+    if !node.alive {
+        return 0.0;
     }
-
-    fn compute_weights(cluster: &ClusterView) -> Vec<f64> {
-        cluster
-            .nodes()
-            .iter()
-            .map(|n| {
-                if !n.alive {
-                    return 0.0;
-                }
-                (1.0 - n.availability.lambda * n.availability.mu).max(0.0)
-            })
-            .collect()
-    }
+    (1.0 - node.availability.lambda * node.availability.mu).max(0.0)
 }
 
 impl PlacementPolicy for NaivePolicy {
@@ -52,14 +41,12 @@ impl PlacementPolicy for NaivePolicy {
     }
 
     fn prepare(&mut self, cluster: &ClusterView, _num_blocks: usize) -> Result<(), DfsError> {
-        let weights = NaivePolicy::compute_weights(cluster);
-        if weights.iter().all(|&w| w <= 0.0) && cluster.alive_count() == 0 {
+        if !cluster.nodes().iter().any(|n| n.alive) {
             return Err(DfsError::InsufficientNodes {
                 needed: 1,
                 eligible: 0,
             });
         }
-        self.weights = Some(weights);
         Ok(())
     }
 
@@ -69,10 +56,7 @@ impl PlacementPolicy for NaivePolicy {
         eligible: &Eligible,
         rng: &mut dyn Rng,
     ) -> Option<NodeId> {
-        let weights = self
-            .weights
-            .get_or_insert_with(|| NaivePolicy::compute_weights(cluster));
-        weighted_select(weights, eligible, rng)
+        weighted_select(|id| cluster.node(id).map_or(0.0, weight), eligible, rng)
     }
 }
 
@@ -94,10 +78,8 @@ mod tests {
             // MTBI 10, mu 8: availability 0.2.
             NodeSpec::new(NodeAvailability::from_mtbi(10.0, 8.0).unwrap()),
         ];
-        let nn = NameNode::new(specs);
-        let mut p = NaivePolicy::new();
-        p.prepare(&nn.cluster_view(), 10).unwrap();
-        let w = p.weights().unwrap();
+        let view = NameNode::new(specs).cluster_view();
+        let w: Vec<f64> = view.nodes().iter().map(weight).collect();
         assert!((w[0] - 1.0).abs() < 1e-12);
         assert!((w[1] - 0.6).abs() < 1e-12);
         assert!((w[2] - 0.2).abs() < 1e-12);
@@ -111,10 +93,10 @@ mod tests {
             NodeSpec::new(NodeAvailability::reliable()),
         ]);
         let mut p = NaivePolicy::new();
-        p.prepare(&nn.cluster_view(), 10).unwrap();
-        assert_eq!(p.weights().unwrap()[0], 0.0);
-        let mut rng = StdRng::seed_from_u64(0);
         let view = nn.cluster_view();
+        p.prepare(&view, 10).unwrap();
+        assert_eq!(weight(&view.nodes()[0]), 0.0);
+        let mut rng = StdRng::seed_from_u64(0);
         let all = Eligible::from_fn(&view, |_| true);
         for _ in 0..50 {
             assert_eq!(p.select(&view, &all, &mut rng), Some(NodeId(1)));

@@ -207,7 +207,12 @@ impl PlacementPolicy for AdaptPolicy {
         let (rates, _) = self
             .rates
             .get_or_insert_with(|| computed(predictor, cluster));
-        weighted_select(rates.rates(), eligible, rng)
+        let rates = rates.rates();
+        weighted_select(
+            |id| rates.get(id.0 as usize).copied().unwrap_or(0.0),
+            eligible,
+            rng,
+        )
     }
 }
 

@@ -11,20 +11,24 @@ use adapt_dfs::placement::Eligible;
 use adapt_dfs::NodeId;
 
 /// Selects one open node of `eligible` with probability proportional to
-/// its weight.
+/// its weight, `weight(id)`, which is asked only about open nodes.
 ///
-/// Nodes whose weight is zero, non-finite, or missing from `weights` count
-/// as weight zero. If every open node has zero weight, selection falls
-/// back to uniform among them (the cluster is unusable by the model but
-/// ingestion must still make progress). Returns `None` only when no node
-/// is open at all.
-pub fn weighted_select(weights: &[f64], eligible: &Eligible, rng: &mut dyn Rng) -> Option<NodeId> {
+/// Nodes whose weight is not finite and positive count as weight zero.
+/// If every open node has zero weight, selection falls back to uniform
+/// among them (the cluster is unusable by the model but ingestion must
+/// still make progress). Returns `None` only when no node is open at all.
+pub fn weighted_select(
+    weight: impl Fn(NodeId) -> f64,
+    eligible: &Eligible,
+    rng: &mut dyn Rng,
+) -> Option<NodeId> {
     let weight = |id: NodeId| {
-        weights
-            .get(id.0 as usize)
-            .copied()
-            .filter(|w| w.is_finite() && *w > 0.0)
-            .unwrap_or(0.0)
+        let w = weight(id);
+        if w.is_finite() && w > 0.0 {
+            w
+        } else {
+            0.0
+        }
     };
     if eligible.is_empty() {
         return None;
@@ -56,6 +60,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// Node `i`'s entry of `weights`, NaN when it has none.
+    fn by_index(weights: &[f64]) -> impl Fn(NodeId) -> f64 + '_ {
+        |id| weights.get(id.0 as usize).copied().unwrap_or(f64::NAN)
+    }
+
     /// The alive nodes of an `n`-node cluster with `dead` down, filtered
     /// by `open`.
     fn eligible(n: u32, dead: &[u32], open: impl FnMut(NodeId) -> bool) -> Eligible {
@@ -81,7 +90,7 @@ mod tests {
     fn returns_none_when_nothing_eligible() {
         let mut rng = StdRng::seed_from_u64(0);
         assert_eq!(
-            weighted_select(&[1.0, 1.0, 1.0], &eligible(3, &[], |_| false), &mut rng),
+            weighted_select(by_index(&[1.0; 3]), &eligible(3, &[], |_| false), &mut rng),
             None
         );
     }
@@ -94,7 +103,7 @@ mod tests {
         let mut counts = [0usize; 3];
         let trials = 50_000;
         for _ in 0..trials {
-            let id = weighted_select(&weights, &all, &mut rng).unwrap();
+            let id = weighted_select(by_index(&weights), &all, &mut rng).unwrap();
             counts[id.0 as usize] += 1;
         }
         let expected = [0.6, 0.3, 0.1];
@@ -113,7 +122,7 @@ mod tests {
         let alive = eligible(3, &[0], |_| true);
         let mut rng = StdRng::seed_from_u64(2);
         for _ in 0..100 {
-            let id = weighted_select(&[100.0, 1.0, 1.0], &alive, &mut rng).unwrap();
+            let id = weighted_select(by_index(&[100.0, 1.0, 1.0]), &alive, &mut rng).unwrap();
             assert_ne!(id, NodeId(0));
         }
     }
@@ -124,7 +133,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut seen = [false; 4];
         for _ in 0..200 {
-            let id = weighted_select(&[0.0; 4], &all, &mut rng).unwrap();
+            let id = weighted_select(by_index(&[0.0; 4]), &all, &mut rng).unwrap();
             seen[id.0 as usize] = true;
         }
         assert!(seen.iter().all(|&s| s), "uniform fallback covers all nodes");
@@ -138,7 +147,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let mut counts = [0usize; 3];
         for _ in 0..20_000 {
-            let id = weighted_select(&weights, &rest, &mut rng).unwrap();
+            let id = weighted_select(by_index(&weights), &rest, &mut rng).unwrap();
             counts[id.0 as usize] += 1;
         }
         assert_eq!(counts[0], 0);
@@ -150,9 +159,10 @@ mod tests {
     fn missing_or_invalid_weights_count_as_zero() {
         let all = eligible(3, &[], |_| true);
         let mut rng = StdRng::seed_from_u64(5);
-        // Short weight vector: node 2 has no weight; NaN treated as zero.
+        // Node 0's weight is NaN and node 2 has none (NaN too): both
+        // count as zero.
         for _ in 0..100 {
-            let id = weighted_select(&[f64::NAN, 1.0], &all, &mut rng).unwrap();
+            let id = weighted_select(by_index(&[f64::NAN, 1.0]), &all, &mut rng).unwrap();
             assert_eq!(id, NodeId(1));
         }
     }

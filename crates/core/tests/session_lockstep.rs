@@ -230,9 +230,17 @@ fn reference(kind: Kind, view: &ClusterView, num_blocks: usize) -> Option<Refere
         Kind::Random => Some(Reference::Random),
         Kind::Naive => {
             let mut p = NaivePolicy::new();
-            p.prepare(view, num_blocks)
-                .ok()
-                .and_then(|()| p.weights().map(|w| Reference::Naive(w.to_vec())))
+            p.prepare(view, num_blocks).ok().map(|()| {
+                let weights = view.nodes().iter().map(|n| {
+                    let rho = n.availability.lambda * n.availability.mu;
+                    if n.alive {
+                        (1.0 - rho).max(0.0)
+                    } else {
+                        0.0
+                    }
+                });
+                Reference::Naive(weights.collect())
+            })
         }
         Kind::Adapt(weighting) => {
             let mut p = AdaptPolicy::new(12.0).unwrap().with_weighting(weighting);

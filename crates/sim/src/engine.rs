@@ -41,10 +41,9 @@ use adapt_metrics::{MetricsHub, MetricsRegistry, WorkCounts};
 use adapt_net::Topology;
 use adapt_telemetry::micros;
 use adapt_trace::{KillCause, Trace, TraceEvent, TraceMeta, TraceRecorder};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 use crate::event::EventQueue;
+use crate::hosts::{Hosts, Uplinks};
 use crate::interrupt::InterruptionProcess;
 use crate::telemetry::EngineTelemetrySnapshot;
 use crate::SimError;
@@ -106,7 +105,6 @@ pub struct SimConfig {
     max_source_streams: usize,
     scheduling: SchedulingMode,
     detection_delay: f64,
-    fetch_failure: bool,
     horizon: f64,
     topology: Topology,
 }
@@ -150,7 +148,6 @@ impl SimConfig {
             max_source_streams: 4,
             scheduling: SchedulingMode::default(),
             detection_delay: 0.0,
-            fetch_failure: false,
             horizon: 1e9,
             topology: Topology::flat(),
         })
@@ -243,19 +240,6 @@ impl SimConfig {
     /// The failure-detection latency in seconds.
     pub fn detection_delay(&self) -> f64 {
         self.detection_delay
-    }
-
-    /// Makes in-flight block fetches *fail* when the source host dies
-    /// mid-transfer (default off: a fetch survives brief source outages,
-    /// approximating Hadoop's fetch retries).
-    pub fn with_fetch_failure(mut self, on: bool) -> Self {
-        self.fetch_failure = on;
-        self
-    }
-
-    /// Whether fetches fail on source death.
-    pub fn fetch_failure(&self) -> bool {
-        self.fetch_failure
     }
 
     /// Selects the steal-ordering discipline (default FIFO, like Hadoop
@@ -404,15 +388,6 @@ const STRAGGLER_SLOWDOWN: f64 = 1.2;
 /// slowdown) than the straggler's host.
 const STRAGGLER_ADVANTAGE: f64 = 1.5;
 
-/// Derives a per-node RNG seed from the run seed (splitmix64 finalizer —
-/// adjacent node ids decorrelate fully).
-pub(crate) fn mix_seed(seed: u64, node: u64) -> u64 {
-    let mut z = seed ^ node.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 #[derive(Debug, Clone, Copy)]
 enum Event {
     /// Initial dispatch of every node, after time-zero outages apply.
@@ -452,28 +427,14 @@ struct Attempt {
     source: Option<u32>,
 }
 
-/// An in-flight outbound transfer served by a node, so the fetches can be
-/// failed if the source dies mid-transfer.
-#[derive(Debug, Clone, Copy)]
-struct Outbound {
-    dest: u32,
-    dest_seq: u64,
-    end: f64,
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum KillReason {
     Interruption,
     DuplicateLost,
-    /// The block fetch failed because the source host died mid-transfer;
-    /// the fetcher notices immediately (no detection delay).
-    SourceLost,
 }
 
 #[derive(Debug)]
 struct NodeState {
-    process: InterruptionProcess,
-    up: bool,
     epoch: u64,
     running: Option<Attempt>,
     local_pending: SortedVecSet,
@@ -485,14 +446,8 @@ struct NodeState {
     /// node, ascending (per-flow shaped; capacity bounded by
     /// `max_source_streams`).
     serving: Vec<f64>,
-    /// The fetchers currently reading from this node, so their attempts
-    /// can be failed if this node dies mid-transfer.
-    outbound: Vec<Outbound>,
-    /// Monotone per-node attempt counter (identifies which attempt an
-    /// outbound record refers to).
+    /// Monotone per-node attempt counter (the trace's attempt ids).
     attempt_seq: u64,
-    pending_up_at: f64,
-    down_since: Option<f64>,
     downtime: f64,
     busy: f64,
     recovery_mark: Option<f64>,
@@ -516,6 +471,8 @@ struct TaskState {
 #[derive(Debug)]
 pub struct MapPhaseSim {
     cfg: SimConfig,
+    hosts: Hosts,
+    uplinks: Uplinks,
     nodes: Vec<NodeState>,
     /// Per-node expected slowdown E[T]/γ from equation (5) — the
     /// JobTracker's availability-aware view used by speculation ETAs.
@@ -632,20 +589,15 @@ impl MapPhaseSim {
             })
             .collect();
 
-        let mut nodes: Vec<NodeState> = processes
-            .into_iter()
-            .map(|process| NodeState {
-                process,
-                up: true,
+        let hosts = Hosts::new(processes);
+        let mut nodes: Vec<NodeState> = (0..n)
+            .map(|_| NodeState {
                 epoch: 0,
                 running: None,
                 local_pending: SortedVecSet::new(),
                 held_candidates: SortedVecSet::new(),
                 serving: Vec::new(),
-                outbound: Vec::new(),
                 attempt_seq: 0,
-                pending_up_at: 0.0,
-                down_since: None,
                 downtime: 0.0,
                 busy: 0.0,
                 recovery_mark: None,
@@ -672,6 +624,8 @@ impl MapPhaseSim {
         let spec_index = ThresholdIndex::new(tasks.len());
         Ok(MapPhaseSim {
             cfg,
+            hosts,
+            uplinks: Uplinks::new(cfg.topology),
             nodes,
             slowdown,
             tasks,
@@ -794,22 +748,13 @@ impl MapPhaseSim {
         seed: u64,
         mut metrics: Option<&mut MetricsHub>,
     ) -> Result<DetailedReport, SimError> {
-        // Per-node RNG streams: each node's interruption randomness is a
-        // pure function of (seed, node id), independent of scheduling
-        // order. Two runs over the same cluster and seed but different
-        // placements therefore see identical failure realizations —
-        // paired comparisons across policies, like the paper's
-        // same-trace methodology.
-        let mut rngs: Vec<StdRng> = (0..self.nodes.len())
-            .map(|i| StdRng::seed_from_u64(mix_seed(seed, i as u64)))
-            .collect();
-
         // Schedule each node's first outage, then the initial dispatch.
-        for (i, rng) in rngs.iter_mut().enumerate() {
-            if let Some(outage) = self.nodes[i].process.next_outage(0.0, rng) {
-                self.nodes[i].pending_up_at = outage.up_at;
-                self.queue.push(outage.down_at, Event::Down(i as u32))?;
-            }
+        // Outages depend only on (seed, node), so two runs over the same
+        // cluster and seed but different placements see identical
+        // failure realizations — paired comparisons across policies,
+        // like the paper's same-trace methodology.
+        for (n, down_at) in self.hosts.start(seed) {
+            self.queue.push(down_at, Event::Down(n))?;
         }
         self.queue.push(0.0, Event::Kick)?;
 
@@ -862,7 +807,7 @@ impl MapPhaseSim {
                 }
                 Event::Up(n) => {
                     self.telemetry.events_up += 1;
-                    self.on_up(n, t, &mut rngs[n as usize])?;
+                    self.on_up(n, t)?;
                 }
                 Event::AttemptDone { node, epoch } => {
                     self.telemetry.events_attempt_done += 1;
@@ -919,7 +864,9 @@ impl MapPhaseSim {
         registry.set_gauge("engine.done_tasks", self.done_count);
         registry.set_gauge(
             "engine.up_nodes",
-            self.nodes.iter().filter(|n| n.up).count(),
+            (0..self.hosts.len() as u32)
+                .filter(|&n| self.hosts.is_up(n))
+                .count(),
         );
         registry.set_gauge(
             "engine.running_attempts",
@@ -939,7 +886,7 @@ impl MapPhaseSim {
     /// Attempts to hand the node a task; returns whether one was started.
     fn try_assign(&mut self, n: u32, t: f64) -> Result<bool, SimError> {
         let ni = n as usize;
-        if !self.nodes[ni].up || self.nodes[ni].running.is_some() {
+        if !self.hosts.is_up(n) || self.nodes[ni].running.is_some() {
             return Ok(false);
         }
         // 1. Local pending work.
@@ -1145,7 +1092,7 @@ impl MapPhaseSim {
         let has_source = state
             .replicas
             .iter()
-            .any(|&r| self.nodes[r as usize].up && self.free_at(r) <= t);
+            .any(|&r| self.hosts.is_up(r) && self.free_at(r) <= t);
         debug_assert_eq!(
             has_source,
             self.least_loaded_source(task, t, self.cfg.max_source_streams)
@@ -1211,26 +1158,6 @@ impl MapPhaseSim {
             .count()
     }
 
-    /// Cross-rack outbound flows active on `rack`'s uplink at `t`.
-    /// Lazy scan over the rack's members (`rack_of` is `node % racks`,
-    /// so they sit at stride `racks`); entries whose window already
-    /// closed are skipped by the `end > t` filter and pruned whenever
-    /// their source commits its next transfer.
-    fn cross_rack_streams(&self, rack: u32, t: f64) -> usize {
-        let topo = self.cfg.topology;
-        let mut count = 0;
-        let mut ni = rack as usize;
-        while ni < self.nodes.len() {
-            count += self.nodes[ni]
-                .outbound
-                .iter()
-                .filter(|o| o.end > t && topo.rack_of(o.dest) != rack)
-                .count();
-            ni += topo.racks() as usize;
-        }
-        count
-    }
-
     /// The least-loaded alive replica of `task` serving fewer than `cap`
     /// streams at `t`, or `None` if there is none. (Completed-transfer
     /// entries are ignored by the count and pruned when the next
@@ -1241,7 +1168,7 @@ impl MapPhaseSim {
         // which the deterministic baselines were recorded under.
         let mut best: Option<(usize, u32)> = None;
         for &r in &self.tasks[task].replicas {
-            if !self.nodes[r as usize].up {
+            if !self.hosts.is_up(r) {
                 continue;
             }
             let streams = self.active_streams(r, t);
@@ -1284,7 +1211,7 @@ impl MapPhaseSim {
     /// signals an engine bug rather than a reachable state.
     fn start_task(&mut self, n: u32, task: usize, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
-        debug_assert!(self.nodes[ni].up && self.nodes[ni].running.is_none());
+        debug_assert!(self.hosts.is_up(n) && self.nodes[ni].running.is_none());
         self.telemetry.attempts_started += 1;
         self.idle.remove(ni);
 
@@ -1304,38 +1231,20 @@ impl MapPhaseSim {
                     what: "remote attempt started without an alive source replica",
                 },
             )?;
-            // Cross-rack fetches pay the oversubscribed uplink,
-            // fair-shared over the cross-rack flows active right now
-            // (committed at start, like the flat window always was).
-            // Intra-rack fetches keep the flat time *bit-identically* —
-            // `fair_share_seconds` returns the base unchanged.
-            let cross_rack = !self.cfg.topology.same_rack(source, n);
-            let streams = if cross_rack {
-                self.cross_rack_streams(self.cfg.topology.rack_of(source), t) + 1
-            } else {
-                1
-            };
-            let end = t + self.cfg.topology.fair_share_seconds(
-                self.cfg.transfer_seconds(),
-                source,
-                n,
-                streams,
-            );
+            // The window is committed at start; a cross-rack one pays
+            // the uplink shared with the cross-rack flows open now.
+            let (end, uplink_streams) =
+                self.uplinks
+                    .commit(source, n, self.cfg.transfer_seconds(), t)?;
             let src = &mut self.nodes[source as usize];
             src.serving.retain(|&e| e > t);
             let at = src.serving.partition_point(|&e| e <= end);
             src.serving.insert(at, end);
-            src.outbound.retain(|o| o.end > t);
-            src.outbound.push(Outbound {
-                dest: n,
-                dest_seq: seq,
-                end,
-            });
             self.telemetry.transfers_started += 1;
             self.telemetry
                 .transfer_bytes
                 .record(self.cfg.block_size.bytes());
-            if cross_rack {
+            if let Some(streams) = uplink_streams {
                 self.telemetry.transfers_cross_rack += 1;
                 self.telemetry.link_streams_hwm =
                     self.telemetry.link_streams_hwm.max(streams as u64);
@@ -1501,10 +1410,6 @@ impl MapPhaseSim {
                 self.dup_compute += compute_lost;
                 self.telemetry.speculative_losses += 1;
             }
-            KillReason::SourceLost => {
-                self.dup_compute += compute_lost;
-                self.telemetry.kills_source_lost += 1;
-            }
         }
         if !attempt.local {
             // The transfer window was committed on both links either way.
@@ -1515,7 +1420,6 @@ impl MapPhaseSim {
             let cause = match reason {
                 KillReason::Interruption => KillCause::Interruption,
                 KillReason::DuplicateLost => KillCause::DuplicateLost,
-                KillReason::SourceLost => KillCause::SourceLost,
             };
             self.emit(TraceEvent::AttemptKilled {
                 node: n,
@@ -1565,7 +1469,7 @@ impl MapPhaseSim {
         if self.tasks[task]
             .replicas
             .iter()
-            .any(|&r| self.nodes[r as usize].up)
+            .any(|&r| self.hosts.is_up(r))
         {
             self.stealable.insert(task);
         }
@@ -1573,40 +1477,13 @@ impl MapPhaseSim {
 
     fn on_down(&mut self, n: u32, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
-        debug_assert!(self.nodes[ni].up);
         self.telemetry.interruptions += 1;
         self.emit(TraceEvent::NodeDown { node: n, t });
         self.kill_attempt(n, t, KillReason::Interruption)?;
-        self.nodes[ni].up = false;
+        let up_at = self.hosts.go_down(n, t);
         self.rekey_held(n, t);
-        self.nodes[ni].down_since = Some(t);
         self.idle.remove(ni);
-        let up_at = self.nodes[ni].pending_up_at.max(t);
         self.queue.push(up_at, Event::Up(n))?;
-
-        // Optionally, fetches being served by this node fail; the
-        // fetchers notice immediately and their tasks re-queue without
-        // detection delay. (This runs after the node is marked down so a
-        // freed fetcher cannot simply re-fetch from the dead source.)
-        if self.cfg.fetch_failure {
-            let failed_fetches: Vec<Outbound> = self.nodes[ni]
-                .outbound
-                .iter()
-                .copied()
-                .filter(|o| o.end > t)
-                .collect();
-            self.nodes[ni].outbound.clear();
-            for o in failed_fetches {
-                let still_same_attempt = self.nodes[o.dest as usize]
-                    .running
-                    .as_ref()
-                    .is_some_and(|a| a.seq == o.dest_seq);
-                if still_same_attempt {
-                    self.kill_attempt(o.dest, t, KillReason::SourceLost)?;
-                    self.try_assign(o.dest, t)?;
-                }
-            }
-        }
 
         // Tasks stranded on this node lose their steal source if it was
         // the last alive replica. The killed task (if re-pending) may be
@@ -1621,7 +1498,7 @@ impl MapPhaseSim {
             if !self.tasks[task]
                 .replicas
                 .iter()
-                .any(|&r| self.nodes[r as usize].up)
+                .any(|&r| self.hosts.is_up(r))
             {
                 self.stealable.remove(task);
             } else if self.pending.contains(task) {
@@ -1637,15 +1514,12 @@ impl MapPhaseSim {
         result
     }
 
-    fn on_up(&mut self, n: u32, t: f64, rng: &mut StdRng) -> Result<(), SimError> {
+    fn on_up(&mut self, n: u32, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
-        debug_assert!(!self.nodes[ni].up);
-        self.nodes[ni].up = true;
+        let (since, next_down) = self.hosts.go_up(n, t);
         self.rekey_held(n, t);
-        if let Some(since) = self.nodes[ni].down_since.take() {
-            self.nodes[ni].downtime += t - since;
-            self.emit(TraceEvent::NodeUp { node: n, since, t });
-        }
+        self.nodes[ni].downtime += t - since;
+        self.emit(TraceEvent::NodeUp { node: n, since, t });
         if let Some(mark) = self.nodes[ni].recovery_mark.take() {
             self.nodes[ni].recovery += t - mark;
             self.emit(TraceEvent::RecoverySpan {
@@ -1667,9 +1541,8 @@ impl MapPhaseSim {
             }
         }
         // Schedule the next outage.
-        if let Some(outage) = self.nodes[ni].process.next_outage(t, rng) {
-            self.nodes[ni].pending_up_at = outage.up_at;
-            self.queue.push(outage.down_at, Event::Down(n))?;
+        if let Some(down_at) = next_down {
+            self.queue.push(down_at, Event::Down(n))?;
         }
         let result = self.try_assign(n, t).and_then(|_| {
             // This node returning may unblock idle nodes (new steal
@@ -1709,7 +1582,7 @@ impl MapPhaseSim {
     fn add_local_pending(&mut self, n: u32, task: usize, t: f64) {
         let ni = n as usize;
         self.nodes[ni].local_pending.insert(task);
-        if !self.nodes[ni].up && self.nodes[ni].recovery_mark.is_none() {
+        if !self.hosts.is_up(n) && self.nodes[ni].recovery_mark.is_none() {
             self.nodes[ni].recovery_mark = Some(t);
         }
     }
@@ -1736,7 +1609,7 @@ impl MapPhaseSim {
         let mut up_idle = 0.0;
         let mut node_stats = Vec::with_capacity(self.nodes.len());
         for (ni, node) in self.nodes.iter_mut().enumerate() {
-            if let Some(since) = node.down_since.take() {
+            if let Some(since) = self.hosts.down_since(ni as u32) {
                 node.downtime += (elapsed - since).max(0.0);
             }
             if let Some(mark) = node.recovery_mark.take() {
@@ -1853,6 +1726,7 @@ impl MapPhaseSim {
 #[expect(clippy::wildcard_enum_match_arm, reason = "picks one event kind")]
 mod tests {
     use super::*;
+    use crate::interrupt::outage;
     use adapt_availability::dist::{Dist, Gamma};
 
     fn reliable(n: usize) -> Vec<InterruptionProcess> {
@@ -2023,21 +1897,7 @@ mod tests {
         // Node 0 goes down at t=5 for 100 s, killing its 12 s task. Node 1
         // holds no replica and the block's only copy is on the downed
         // host, so the task waits for recovery: restart at 105, done 117.
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
-        let host = HostTrace::new(
-            HostId(0),
-            1e6,
-            vec![Interruption {
-                start: 5.0,
-                duration: 100.0,
-            }],
-        )
-        .unwrap();
-        let processes = vec![
-            InterruptionProcess::trace(InterruptionSchedule::from_host_trace(&host)),
-            InterruptionProcess::none(),
-        ];
+        let processes = vec![outage(5.0, 100.0), InterruptionProcess::none()];
         let placement = single_replica(&[0]);
         let report = MapPhaseSim::new(processes, placement, cfg())
             .unwrap()
@@ -2069,20 +1929,7 @@ mod tests {
     fn task_waits_for_its_only_holder_when_stealing_is_impossible() {
         // Single node cluster: interrupted at t=5 for 50 s; the task must
         // wait (recovery cost) and re-execute (rework).
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
-        let host = HostTrace::new(
-            HostId(0),
-            1e6,
-            vec![Interruption {
-                start: 5.0,
-                duration: 50.0,
-            }],
-        )
-        .unwrap();
-        let processes = vec![InterruptionProcess::trace(
-            InterruptionSchedule::from_host_trace(&host),
-        )];
+        let processes = vec![outage(5.0, 50.0)];
         let report = MapPhaseSim::new(processes, single_replica(&[0]), cfg())
             .unwrap()
             .run(6)
@@ -2204,21 +2051,8 @@ mod tests {
 
     #[test]
     fn horizon_reports_incomplete() {
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
         // The only replica holder is down from 0 to 1e5; horizon 100.
-        let host = HostTrace::new(
-            HostId(0),
-            1e6,
-            vec![Interruption {
-                start: 0.0,
-                duration: 1e5,
-            }],
-        )
-        .unwrap();
-        let processes = vec![InterruptionProcess::trace(
-            InterruptionSchedule::from_host_trace(&host),
-        )];
+        let processes = vec![outage(0.0, 1e5)];
         let report = MapPhaseSim::new(processes, single_replica(&[0]), cfg().with_horizon(100.0))
             .unwrap()
             .run(9)
@@ -2229,23 +2063,9 @@ mod tests {
 
     #[test]
     fn node_down_at_start_defers_its_local_tasks() {
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
         // Node 0 down [0, 30); its 2 tasks must wait or be stolen by
         // node 1 (which has its own task first).
-        let host = HostTrace::new(
-            HostId(0),
-            1e6,
-            vec![Interruption {
-                start: 0.0,
-                duration: 30.0,
-            }],
-        )
-        .unwrap();
-        let processes = vec![
-            InterruptionProcess::trace(InterruptionSchedule::from_host_trace(&host)),
-            InterruptionProcess::none(),
-        ];
+        let processes = vec![outage(0.0, 30.0), InterruptionProcess::none()];
         let placement = single_replica(&[0, 0, 1]);
         let report = MapPhaseSim::new(processes, placement, cfg())
             .unwrap()
@@ -2291,93 +2111,7 @@ mod tests {
     }
 
     #[test]
-    fn fetch_failure_and_availability_aware_compose() {
-        let groups = [(10.0, 4.0), (20.0, 8.0)];
-        let processes: Vec<InterruptionProcess> = (0..8)
-            .map(|i| {
-                if i < 4 {
-                    InterruptionProcess::none()
-                } else {
-                    let (mtbi, mu) = groups[i % 2];
-                    InterruptionProcess::synthetic(mtbi, Dist::exponential_from_mean(mu).unwrap())
-                        .unwrap()
-                }
-            })
-            .collect();
-        let placement: Vec<Vec<NodeId>> = (0..40).map(|i| vec![NodeId(i % 8)]).collect();
-        let cfg = SimConfig::new(8.0, BlockSize::DEFAULT, 5.0)
-            .unwrap()
-            .with_fetch_failure(true)
-            .with_scheduling(SchedulingMode::AvailabilityAware)
-            .with_detection_delay(5.0)
-            .unwrap();
-        let report = MapPhaseSim::new(processes, placement, cfg)
-            .unwrap()
-            .run(42)
-            .unwrap();
-        assert!(report.completed);
-        assert!(report.misc >= -1e-6);
-        assert!(report.rework >= 0.0);
-        assert!((0.0..=1.0).contains(&report.locality()));
-    }
-
-    #[test]
-    fn fetch_failure_kills_in_flight_transfers_when_enabled() {
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
-        // Tasks 0 and 1 on node 0 (64 s transfers at 8 Mb/s). Node 1
-        // steals task 1 at t=0; node 0 dies at t=10 until t=200.
-        let mk = |fetch_failure: bool| {
-            let host = HostTrace::new(
-                HostId(0),
-                1e6,
-                vec![Interruption {
-                    start: 10.0,
-                    duration: 190.0,
-                }],
-            )
-            .unwrap();
-            let processes = vec![
-                InterruptionProcess::trace(InterruptionSchedule::from_host_trace(&host)),
-                InterruptionProcess::none(),
-            ];
-            let placement = single_replica(&[0, 0]);
-            let cfg = cfg().with_fetch_failure(fetch_failure);
-            MapPhaseSim::new(processes, placement, cfg)
-                .unwrap()
-                .run(31)
-                .unwrap()
-        };
-        // Default: the transfer survives; node 1 finishes task 1 at 76,
-        // node 0 resumes task 0 at 200 and finishes at 212.
-        let lenient = mk(false);
-        assert!(
-            (lenient.elapsed - 212.0).abs() < 1e-9,
-            "lenient {}",
-            lenient.elapsed
-        );
-        // With fetch failure: node 1's fetch dies at t=10; both tasks
-        // wait for node 0's recovery at 200. Node 0 runs task 0 locally
-        // (200..212) while node 1 re-fetches task 1 (compute would start
-        // at 264); at 212 node 0 sees the straggler's ETA and duplicates
-        // task 1 locally, winning at 224.
-        let strict = mk(true);
-        assert!(
-            strict.elapsed > lenient.elapsed,
-            "strict {}",
-            strict.elapsed
-        );
-        assert!(
-            (strict.elapsed - 224.0).abs() < 1e-9,
-            "strict {}",
-            strict.elapsed
-        );
-    }
-
-    #[test]
     fn detection_delay_postpones_requeue() {
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
         // Node 0 dies at t=5 for 50 s, killing its 12 s task. With oracle
         // detection (0 s) the task re-pends at 5 and restarts at 55
         // (done 67). With a 30 s timeout the JobTracker requeues at 35 —
@@ -2385,18 +2119,7 @@ mod tests {
         // make the delay extend past the recovery to observe the shift:
         // an 80 s delay requeues at 85, restart 85, done 97.
         let mk = |delay: f64| {
-            let host = HostTrace::new(
-                HostId(0),
-                1e6,
-                vec![Interruption {
-                    start: 5.0,
-                    duration: 50.0,
-                }],
-            )
-            .unwrap();
-            let processes = vec![InterruptionProcess::trace(
-                InterruptionSchedule::from_host_trace(&host),
-            )];
+            let processes = vec![outage(5.0, 50.0)];
             let cfg = cfg().with_detection_delay(delay).unwrap();
             MapPhaseSim::new(processes, single_replica(&[0]), cfg)
                 .unwrap()
@@ -2428,27 +2151,13 @@ mod tests {
 
     #[test]
     fn requeue_after_task_resolved_elsewhere_is_a_noop() {
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
         // Task replicated on nodes 0 and 1. Node 0 dies at t=5 (its copy
         // killed, detection delayed 100 s); node 1 holds a replica and
         // picks the task up as soon as it goes idle... since the task
         // never re-pended, node 1 can only get it via the Requeue at 105
         // — unless it was already RUNNING a duplicate. Simplest check:
         // the run completes and the late Requeue does not double-run it.
-        let host = HostTrace::new(
-            HostId(0),
-            1e6,
-            vec![Interruption {
-                start: 5.0,
-                duration: 500.0,
-            }],
-        )
-        .unwrap();
-        let processes = vec![
-            InterruptionProcess::trace(InterruptionSchedule::from_host_trace(&host)),
-            InterruptionProcess::none(),
-        ];
+        let processes = vec![outage(5.0, 500.0), InterruptionProcess::none()];
         let placement = vec![vec![NodeId(0), NodeId(1)]];
         let cfg = cfg().with_detection_delay(100.0).unwrap();
         let report = MapPhaseSim::new(processes, placement, cfg)
@@ -2491,20 +2200,7 @@ mod tests {
 
     #[test]
     fn incomplete_run_has_none_winners() {
-        use adapt_traces::record::{HostId, HostTrace, Interruption};
-        use adapt_traces::replay::InterruptionSchedule;
-        let host = HostTrace::new(
-            HostId(0),
-            1e9,
-            vec![Interruption {
-                start: 0.0,
-                duration: 1e8,
-            }],
-        )
-        .unwrap();
-        let processes = vec![InterruptionProcess::trace(
-            InterruptionSchedule::from_host_trace(&host),
-        )];
+        let processes = vec![outage(0.0, 1e8)];
         let detailed = MapPhaseSim::new(processes, single_replica(&[0]), cfg().with_horizon(50.0))
             .unwrap()
             .run_detailed(12)
@@ -2925,5 +2621,53 @@ mod tests {
         assert!((fetch_end(1) - 128.0).abs() < 1e-9);
         assert!((fetch_end(2) - 64.0).abs() < 1e-9);
         assert!((fetch_end(3) - 256.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_killed_fetch_keeps_its_uplink_share_until_its_window_ends() {
+        use adapt_trace::TraceRecorder;
+        // Racks {0, 2} and {1, 3}. At t = 0 node 1 fetches task 1 from
+        // node 0 across the core (window [0, 128)), then dies at t = 10.
+        // Node 3 runs its local task until t = 12 and then fetches task
+        // 2 from node 0: the dead fetcher's window still holds the
+        // uplink, so the two share it (window [12, 268)). Node 2 is
+        // down throughout.
+        let processes = vec![
+            InterruptionProcess::none(),
+            outage(10.0, 990.0),
+            outage(0.0, 1e5),
+            InterruptionProcess::none(),
+        ];
+        let topo = Topology::new(2, 2.0).unwrap();
+        let detailed = MapPhaseSim::new(
+            processes,
+            single_replica(&[0, 0, 0, 3]),
+            cfg().with_speculation(false).with_topology(topo),
+        )
+        .unwrap()
+        .with_trace(TraceRecorder::new())
+        .run_detailed(7)
+        .unwrap();
+        assert!(detailed.report.completed);
+        assert_eq!(detailed.telemetry.link_streams_hwm, 2);
+        let events = &detailed.trace.as_ref().unwrap().events;
+        let contention: Vec<(u32, u32, f64)> = events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::LinkContention { rack, streams, t } => Some((rack, streams, t)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(contention, [(0, 2, 12.0)]);
+        let fetches: Vec<(u32, f64, f64)> = events
+            .iter()
+            .filter_map(|e| match *e {
+                TraceEvent::TransferStarted {
+                    dest, start, end, ..
+                } => Some((dest, start, end)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(fetches, [(1, 0.0, 128.0), (3, 12.0, 268.0)]);
     }
 }

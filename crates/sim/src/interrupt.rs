@@ -193,6 +193,13 @@ fn sample_exp(mean: f64, rng: &mut dyn Rng) -> f64 {
     -uniform_open01(rng).ln() * mean
 }
 
+/// A trace replay with one outage, `[start, start + duration)`.
+#[cfg(test)]
+pub(crate) fn outage(start: f64, duration: f64) -> InterruptionProcess {
+    let outage = adapt_traces::record::Interruption { start, duration };
+    InterruptionProcess::trace(InterruptionSchedule::from_events(vec![outage], 1e9))
+}
+
 #[cfg(test)]
 #[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {

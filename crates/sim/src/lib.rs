@@ -55,6 +55,7 @@
 
 pub mod engine;
 pub mod event;
+mod hosts;
 pub mod interrupt;
 pub mod jobtracker;
 pub mod reduce;

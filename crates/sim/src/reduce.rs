@@ -37,11 +37,10 @@
 use adapt_dfs::NodeId;
 use adapt_ds::SortedVecSet;
 use adapt_trace::{Trace, TraceEvent, TraceMeta, TraceRecorder};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::engine::{mix_seed, SimConfig};
+use crate::engine::SimConfig;
 use crate::event::EventQueue;
+use crate::hosts::{Hosts, Uplinks};
 use crate::interrupt::InterruptionProcess;
 use crate::SimError;
 
@@ -96,14 +95,6 @@ struct ReducerState {
     /// Network bytes fetched by this reducer across all attempts.
     net_bytes: u64,
     finish: Option<f64>,
-}
-
-#[derive(Debug)]
-struct HostState {
-    process: InterruptionProcess,
-    up: bool,
-    pending_up_at: f64,
-    down_since: Option<f64>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -192,7 +183,7 @@ pub struct ReducePhaseSim {
     /// any replicas of the intermediate data).
     holders: Vec<Vec<u32>>,
     output_bytes: Vec<u64>,
-    hosts: Vec<HostState>,
+    hosts: Hosts,
     reducers: Vec<ReducerState>,
     /// The reducers pinned to each host, ascending (fixed at
     /// construction): the only reducers its outage or recovery restarts.
@@ -203,9 +194,8 @@ pub struct ReducePhaseSim {
     waiters: Vec<Vec<u32>>,
     /// Per source, the reducers with a fetch in flight from it.
     fetchers: Vec<SortedVecSet>,
-    /// Per rack, the window ends of the cross-rack fetches committed from
-    /// it; windows that closed by the clock are popped at the next commit.
-    uplinks: Vec<EventQueue<()>>,
+    /// The cross-rack fetch windows each rack's uplink carries.
+    uplinks: Uplinks,
     /// `on_up`'s candidate buffer, kept to reuse its allocation.
     wake: Vec<u32>,
     queue: EventQueue<Event>,
@@ -308,15 +298,6 @@ impl ReducePhaseSim {
             }
         }
 
-        let hosts = processes
-            .into_iter()
-            .map(|process| HostState {
-                process,
-                up: true,
-                pending_up_at: 0.0,
-                down_since: None,
-            })
-            .collect();
         let mut hosted = vec![Vec::new(); n];
         for (r, host) in reducer_nodes.iter().enumerate() {
             hosted[host.0 as usize].push(r as u32);
@@ -338,12 +319,12 @@ impl ReducePhaseSim {
             reduce_gamma,
             holders: holder_ids,
             output_bytes,
-            hosts,
+            hosts: Hosts::new(processes),
             reducers: reducer_states,
             hosted,
             waiters: vec![Vec::new(); n],
             fetchers: vec![SortedVecSet::new(); n],
-            uplinks: vec![EventQueue::new(); cfg.topology().racks() as usize],
+            uplinks: Uplinks::new(cfg.topology()),
             wake: Vec::new(),
             cfg,
             queue,
@@ -381,39 +362,18 @@ impl ReducePhaseSim {
         (bytes as f64 / BYTES_PER_MB) * 8.0 / self.cfg.bandwidth_mbps()
     }
 
-    /// Cross-rack shuffle flows active on `rack`'s uplink at `t`: the
-    /// committed windows that end after `t`. A window counts until its
-    /// end even if its fetch aborted — its links were reserved at commit
-    /// (the map engine instead drops a dead source's windows under
-    /// [`SimConfig::with_fetch_failure`]). The clock never runs back, so
-    /// a window popped here never counts again.
-    fn cross_rack_streams(&mut self, rack: u32, t: f64) -> usize {
-        let uplink = &mut self.uplinks[rack as usize];
-        while uplink.peek_time().is_some_and(|end| end <= t) {
-            uplink.pop();
-        }
-        uplink.len()
-    }
-
     /// Runs the reduce phase to completion (or the horizon) and returns
     /// the report plus the sealed trace (when one was attached). All
-    /// randomness derives from `seed` via the same per-node stream
-    /// construction as the map engine.
+    /// randomness derives from `seed`: each host draws the outages a map
+    /// phase over the same processes and seed would draw.
     ///
     /// # Errors
     ///
     /// An exceeded horizon is reported via [`ReduceReport::completed`].
     /// [`SimError::InvariantViolation`] signals an internal bug.
     pub fn run(mut self, seed: u64) -> Result<ReduceDetailed, SimError> {
-        let mut rngs: Vec<StdRng> = (0..self.hosts.len())
-            .map(|i| StdRng::seed_from_u64(mix_seed(seed, i as u64)))
-            .collect();
-
-        for (i, rng) in rngs.iter_mut().enumerate() {
-            if let Some(outage) = self.hosts[i].process.next_outage(0.0, rng) {
-                self.hosts[i].pending_up_at = outage.up_at;
-                self.queue.push(outage.down_at, Event::Down(i as u32))?;
-            }
+        for (n, down_at) in self.hosts.start(seed) {
+            self.queue.push(down_at, Event::Down(n))?;
         }
         self.queue.push(0.0, Event::Kick)?;
 
@@ -425,7 +385,7 @@ impl ReducePhaseSim {
             match event {
                 Event::Kick => {
                     for r in 0..self.reducers.len() as u32 {
-                        if self.hosts[self.reducers[r as usize].node as usize].up {
+                        if self.hosts.is_up(self.reducers[r as usize].node) {
                             self.start_attempt(r, t)?;
                         } else {
                             self.reducers[r as usize].phase = ReducerPhase::WaitingRecovery;
@@ -433,7 +393,7 @@ impl ReducePhaseSim {
                     }
                 }
                 Event::Down(n) => self.on_down(n, t)?,
-                Event::Up(n) => self.on_up(n, t, &mut rngs[n as usize])?,
+                Event::Up(n) => self.on_up(n, t)?,
                 Event::FetchDone { reducer, epoch } => {
                     if self.reducers[reducer as usize].epoch == epoch {
                         self.on_fetch_done(reducer, t)?;
@@ -505,29 +465,21 @@ impl ReducePhaseSim {
             }
             // Lowest-id alive holder; map-output availability gates the
             // fetch — with every holder down the reducer blocks.
-            let Some(&source) = self.holders[m].iter().find(|&&h| self.hosts[h as usize].up) else {
+            let Some(&source) = self.holders[m].iter().find(|&&h| self.hosts.is_up(h)) else {
                 self.reducers[ri].phase = ReducerPhase::Blocked;
                 for &h in &self.holders[m] {
                     self.waiters[h as usize].push(r);
                 }
                 return Ok(());
             };
-            let topo = self.cfg.topology();
-            let cross_rack = !topo.same_rack(source, node);
-            let streams = if cross_rack {
-                self.cross_rack_streams(topo.rack_of(source), t) + 1
-            } else {
-                1
-            };
-            let end = t + topo.fair_share_seconds(self.bytes_seconds(bytes), source, node, streams);
-            if cross_rack {
-                self.uplinks[topo.rack_of(source) as usize].push(end, ())?;
-            }
+            let (end, uplink_streams) =
+                self.uplinks
+                    .commit(source, node, self.bytes_seconds(bytes), t)?;
             self.fetchers[source as usize].insert(ri);
             self.fetches += 1;
-            if cross_rack && streams > 1 {
+            if let Some(streams) = uplink_streams.filter(|&streams| streams > 1) {
                 self.emit(TraceEvent::LinkContention {
-                    rack: topo.rack_of(source),
+                    rack: self.cfg.topology().rack_of(source),
                     streams: streams as u32,
                     t,
                 });
@@ -538,7 +490,7 @@ impl ReducePhaseSim {
                 start: t,
                 end,
                 bytes,
-                cross_rack,
+                cross_rack: uplink_streams.is_some(),
             };
             let epoch = self.reducers[ri].epoch;
             return self.queue.push(end, Event::FetchDone { reducer: r, epoch });
@@ -625,12 +577,9 @@ impl ReducePhaseSim {
 
     fn on_down(&mut self, n: u32, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
-        debug_assert!(self.hosts[ni].up);
         self.interruptions += 1;
         self.emit(TraceEvent::NodeDown { node: n, t });
-        self.hosts[ni].up = false;
-        self.hosts[ni].down_since = Some(t);
-        let up_at = self.hosts[ni].pending_up_at.max(t);
+        let up_at = self.hosts.go_down(n, t);
         self.queue.push(up_at, Event::Up(n))?;
 
         // Reducers hosted here lose everything shuffled so far —
@@ -682,16 +631,12 @@ impl ReducePhaseSim {
         Ok(())
     }
 
-    fn on_up(&mut self, n: u32, t: f64, rng: &mut StdRng) -> Result<(), SimError> {
+    fn on_up(&mut self, n: u32, t: f64) -> Result<(), SimError> {
         let ni = n as usize;
-        debug_assert!(!self.hosts[ni].up);
-        self.hosts[ni].up = true;
-        if let Some(since) = self.hosts[ni].down_since.take() {
-            self.emit(TraceEvent::NodeUp { node: n, since, t });
-        }
-        if let Some(outage) = self.hosts[ni].process.next_outage(t, rng) {
-            self.hosts[ni].pending_up_at = outage.up_at;
-            self.queue.push(outage.down_at, Event::Down(n))?;
+        let (since, next_down) = self.hosts.go_up(n, t);
+        self.emit(TraceEvent::NodeUp { node: n, since, t });
+        if let Some(down_at) = next_down {
+            self.queue.push(down_at, Event::Down(n))?;
         }
         // Hosted reducers restart their attempt from scratch; reducers
         // blocked on a map output this node holds resume from it. Every
@@ -774,26 +719,15 @@ impl ReducePhaseSim {
 #[expect(clippy::float_cmp, reason = "exact reruns and representable values")]
 mod tests {
     use super::*;
+    use crate::interrupt::outage;
     use adapt_dfs::BlockSize;
     use adapt_net::Topology;
-    use adapt_traces::record::{HostId, HostTrace, Interruption};
-    use adapt_traces::replay::InterruptionSchedule;
 
     const MB: u64 = 1_048_576;
 
     fn cfg() -> SimConfig {
         // 8 Mb/s, 64 MB blocks, gamma 12 s: 8 MB moves in 8 s.
         SimConfig::new(8.0, BlockSize::DEFAULT, 12.0).unwrap()
-    }
-
-    fn outage(start: f64, duration: f64) -> InterruptionProcess {
-        let host = HostTrace::new(
-            HostId(0),
-            1_000_000.0,
-            vec![Interruption { start, duration }],
-        )
-        .unwrap();
-        InterruptionProcess::trace(InterruptionSchedule::from_host_trace(&host))
     }
 
     #[test]

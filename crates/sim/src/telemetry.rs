@@ -47,7 +47,10 @@ pub struct EngineTelemetrySnapshot {
     pub interruptions: u64,
     /// Attempts killed by an interruption of their host.
     pub kills_interruption: u64,
-    /// Attempts killed because the block fetch's source host died.
+    /// Attempts killed because the block fetch's source host died. The
+    /// engine no longer produces such kills (a fetch outlives its
+    /// source's outage), so this stays 0; the field keeps the report
+    /// layout.
     pub kills_source_lost: u64,
     /// Tasks returned to the pending pool after losing every attempt.
     pub requeues: u64,

@@ -22,8 +22,9 @@ pub enum KillCause {
     /// Another copy of the task finished first; the burned compute is
     /// *misc* (duplicated straggler execution).
     DuplicateLost,
-    /// The block fetch's source host died mid-transfer (fetch-failure
-    /// mode); accounted like a lost duplicate.
+    /// The block fetch's source host died mid-transfer; accounted like a
+    /// lost duplicate. The map engine no longer kills for this cause;
+    /// traces written by earlier builds still parse.
     SourceLost,
 }
 

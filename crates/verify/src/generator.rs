@@ -111,7 +111,8 @@ pub fn generate(seed: u64) -> Scenario {
     let max_source_streams = 1 + pick(&mut rng, 4) as usize;
     let availability_aware = chance(&mut rng, 1, 2);
     let detection_delay = if chance(&mut rng, 1, 4) { 5.0 } else { 0.0 };
-    let fetch_failure = chance(&mut rng, 1, 3);
+    // The draw of a retired flag, kept so each seed's later draws stay put.
+    chance(&mut rng, 1, 3);
 
     // With probability 1/8 every node shares one blackout window: the
     // whole cluster is down at once, so every task strands.
@@ -196,7 +197,6 @@ pub fn generate(seed: u64) -> Scenario {
         max_source_streams,
         availability_aware,
         detection_delay,
-        fetch_failure,
         horizon,
         reducers,
         reduce_gamma,
@@ -324,7 +324,8 @@ pub fn generate_wide(seed: u64) -> Scenario {
     let max_source_streams = 1 + pick(&mut rng, 2) as usize;
     let availability_aware = chance(&mut rng, 1, 2);
     let detection_delay = if chance(&mut rng, 1, 4) { 5.0 } else { 0.0 };
-    let fetch_failure = chance(&mut rng, 1, 3);
+    // The draw of a retired flag, kept so each seed's later draws stay put.
+    chance(&mut rng, 1, 3);
     let racks = if chance(&mut rng, 1, 2) {
         2 + pick(&mut rng, 3) as u32
     } else {
@@ -366,7 +367,6 @@ pub fn generate_wide(seed: u64) -> Scenario {
         max_source_streams,
         availability_aware,
         detection_delay,
-        fetch_failure,
         horizon,
         // Only the map oracle runs on this corpus.
         reducers: 1,
@@ -399,7 +399,8 @@ pub fn generate_jobstream(seed: u64) -> JobStreamScenario {
     let max_source_streams = 1 + pick(&mut rng, 4) as usize;
     let availability_aware = chance(&mut rng, 1, 2);
     let detection_delay = if chance(&mut rng, 1, 4) { 5.0 } else { 0.0 };
-    let fetch_failure = chance(&mut rng, 1, 3);
+    // The draw of a retired flag, kept so each seed's later draws stay put.
+    chance(&mut rng, 1, 3);
     let replication = (1 + pick(&mut rng, 2) as usize).min(n_nodes);
     // Often cap per-job allocations well below the cluster so several
     // jobs run concurrently.
@@ -453,7 +454,6 @@ pub fn generate_jobstream(seed: u64) -> JobStreamScenario {
         max_source_streams,
         availability_aware,
         detection_delay,
-        fetch_failure,
         horizon,
     }
 }

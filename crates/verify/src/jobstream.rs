@@ -77,8 +77,6 @@ pub struct JobStreamScenario {
     pub availability_aware: bool,
     /// Failure-detection latency, seconds.
     pub detection_delay: f64,
-    /// Whether in-flight fetches fail when the source dies.
-    pub fetch_failure: bool,
     /// Per-job engine horizon, seconds.
     pub horizon: f64,
 }
@@ -114,7 +112,6 @@ impl JobStreamScenario {
         .with_max_copies(self.max_copies)?
         .with_max_source_streams(self.max_source_streams)?
         .with_detection_delay(self.detection_delay)?
-        .with_fetch_failure(self.fetch_failure)
         .with_scheduling(scheduling)
         .with_horizon(self.horizon))
     }
@@ -215,7 +212,6 @@ impl JobStreamScenario {
         v.insert("block_bytes", self.block_bytes);
         v.insert("capacity_fraction", self.capacity_fraction);
         v.insert("detection_delay", self.detection_delay);
-        v.insert("fetch_failure", self.fetch_failure);
         v.insert("gamma", self.gamma);
         v.insert("horizon", self.horizon);
         v.insert("jobs", jobs);
@@ -735,7 +731,6 @@ mod tests {
             max_source_streams: 4,
             availability_aware: false,
             detection_delay: 0.0,
-            fetch_failure: false,
             horizon: 1e6,
         }
     }

@@ -97,7 +97,6 @@ struct Attempt {
 #[derive(Debug, Clone, Copy)]
 struct Outbound {
     dest: u32,
-    dest_seq: u64,
     end: f64,
 }
 
@@ -105,7 +104,6 @@ struct Outbound {
 enum KillReason {
     Interruption,
     DuplicateLost,
-    SourceLost,
 }
 
 #[derive(Debug)]
@@ -602,11 +600,7 @@ impl ReferenceSim {
             src.serving.retain(|&e| e > t);
             src.serving.push(end);
             src.outbound.retain(|o| o.end > t);
-            src.outbound.push(Outbound {
-                dest: n,
-                dest_seq: seq,
-                end,
-            });
+            src.outbound.push(Outbound { dest: n, end });
             self.transfers += 1;
             self.telemetry.transfers_started += 1;
             self.telemetry
@@ -751,10 +745,6 @@ impl ReferenceSim {
                 self.dup_compute += compute_lost;
                 self.telemetry.speculative_losses += 1;
             }
-            KillReason::SourceLost => {
-                self.dup_compute += compute_lost;
-                self.telemetry.kills_source_lost += 1;
-            }
         }
         if !attempt.local {
             self.migration += attempt.compute_start - attempt.reserve_start;
@@ -764,7 +754,6 @@ impl ReferenceSim {
             let cause = match reason {
                 KillReason::Interruption => KillCause::Interruption,
                 KillReason::DuplicateLost => KillCause::DuplicateLost,
-                KillReason::SourceLost => KillCause::SourceLost,
             };
             self.emit(TraceEvent::AttemptKilled {
                 node: n,
@@ -826,26 +815,6 @@ impl ReferenceSim {
         self.idle.remove(&ni);
         let up_at = self.nodes[ni].pending_up_at.max(t);
         self.queue.push(up_at, Event::Up(n))?;
-
-        if self.cfg.fetch_failure() {
-            let failed_fetches: Vec<Outbound> = self.nodes[ni]
-                .outbound
-                .iter()
-                .copied()
-                .filter(|o| o.end > t)
-                .collect();
-            self.nodes[ni].outbound.clear();
-            for o in failed_fetches {
-                let still_same_attempt = self.nodes[o.dest as usize]
-                    .running
-                    .as_ref()
-                    .is_some_and(|a| a.seq == o.dest_seq);
-                if still_same_attempt {
-                    self.kill_attempt(o.dest, t, KillReason::SourceLost)?;
-                    self.try_assign(o.dest, t)?;
-                }
-            }
-        }
 
         // Snapshot before iterating: the naive engine trades the
         // optimized engine's aliasing argument for an obvious copy.

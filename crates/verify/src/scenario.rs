@@ -71,8 +71,6 @@ pub struct Scenario {
     pub availability_aware: bool,
     /// Failure-detection latency, seconds.
     pub detection_delay: f64,
-    /// Whether in-flight fetches fail when the source dies.
-    pub fetch_failure: bool,
     /// Simulation horizon, seconds.
     pub horizon: f64,
     /// Number of reduce tasks the scenario's reduce phase runs.
@@ -201,7 +199,6 @@ impl Scenario {
         .with_max_copies(self.max_copies)?
         .with_max_source_streams(self.max_source_streams)?
         .with_detection_delay(self.detection_delay)?
-        .with_fetch_failure(self.fetch_failure)
         .with_scheduling(scheduling)
         .with_horizon(self.horizon))
     }
@@ -461,7 +458,6 @@ impl Scenario {
         v.insert("bandwidth_mbps", self.bandwidth_mbps);
         v.insert("block_bytes", self.block_bytes);
         v.insert("detection_delay", self.detection_delay);
-        v.insert("fetch_failure", self.fetch_failure);
         v.insert("gamma", self.gamma);
         v.insert("horizon", self.horizon);
         v.insert("max_copies", self.max_copies);
@@ -497,7 +493,6 @@ mod tests {
             max_source_streams: 4,
             availability_aware: false,
             detection_delay: 0.0,
-            fetch_failure: false,
             horizon: 1e6,
             reducers: 2,
             reduce_gamma: 10.0,

@@ -29,7 +29,6 @@ pub fn size(s: &Scenario) -> usize {
         })
         .sum();
     let flags = usize::from(s.speculation)
-        + usize::from(s.fetch_failure)
         + usize::from(s.availability_aware)
         + usize::from(s.detection_delay > 0.0)
         + s.max_copies;
@@ -124,11 +123,6 @@ fn candidates(s: &Scenario) -> Vec<Scenario> {
     if s.speculation {
         let mut c = s.clone();
         c.speculation = false;
-        out.push(c);
-    }
-    if s.fetch_failure {
-        let mut c = s.clone();
-        c.fetch_failure = false;
         out.push(c);
     }
     if s.availability_aware {
@@ -247,7 +241,6 @@ mod tests {
         assert_eq!(min.placement.len(), 1);
         assert_eq!(min.nodes.len(), 1);
         assert!(matches!(min.nodes[0], NodeKind::Reliable));
-        assert!(!min.fetch_failure);
         assert_eq!(min.max_copies, 1);
         // Reduce dimensions irrelevant to the predicate collapse too.
         assert_eq!(min.reducers, 1);

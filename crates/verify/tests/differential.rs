@@ -110,7 +110,6 @@ fn engines_agree_on_handpicked_edge_cases() {
         max_source_streams: 2,
         availability_aware: true,
         detection_delay: 5.0,
-        fetch_failure: true,
         horizon: 1_000.0,
         reducers: 2,
         reduce_gamma: 10.0,
@@ -140,7 +139,6 @@ fn engines_agree_on_handpicked_edge_cases() {
         max_source_streams: 1,
         availability_aware: false,
         detection_delay: 0.0,
-        fetch_failure: false,
         horizon: 10_000.0,
         reducers: 2,
         reduce_gamma: 10.0,

@@ -257,7 +257,6 @@ fn mtbi_shorter_than_block_compute_time_still_completes() {
         max_source_streams: 4,
         availability_aware: true,
         detection_delay: 0.0,
-        fetch_failure: false,
         horizon: 1e6,
         reducers: 2,
         reduce_gamma: 10.0,
@@ -326,7 +325,6 @@ fn all_nodes_down_window_strands_and_resumes_every_task() {
         max_source_streams: 4,
         availability_aware: false,
         detection_delay: 0.0,
-        fetch_failure: true,
         horizon: 1e6,
         reducers: 2,
         reduce_gamma: 10.0,
