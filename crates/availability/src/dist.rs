@@ -6,7 +6,7 @@
 //! inter-arrival and service times; the synthetic SETI@home trace generator
 //! samples heavy-tailed host profiles). This module provides both faces
 //! behind one object-safe trait, [`Sample`], plus a closed enum,
-//! [`Dist`], that holds any of them by value.
+//! [`Dist`], that holds a recovery-time distribution by value.
 //!
 //! All samplers draw through [`rand::Rng`] so they can be used behind trait
 //! objects, and all are implemented from first principles (inverse-CDF
@@ -47,10 +47,10 @@ pub trait Sample: std::fmt::Debug + Send + Sync {
     /// Draws one value.
     fn sample(&self, rng: &mut dyn Rng) -> f64;
 
-    /// The distribution mean. May be `+∞` (e.g. Pareto with `α ≤ 1`).
+    /// The distribution mean.
     fn mean(&self) -> f64;
 
-    /// The distribution variance. May be `+∞`.
+    /// The distribution variance.
     fn variance(&self) -> f64;
 
     /// Coefficient of variation `σ/μ`, the heterogeneity measure the paper
@@ -117,59 +117,6 @@ impl Sample for Exponential {
 
     fn variance(&self) -> f64 {
         1.0 / (self.rate * self.rate)
-    }
-}
-
-/// Weibull distribution with shape `k` and scale `λ`.
-///
-/// `k < 1` yields a decreasing hazard rate, the empirically observed shape
-/// for desktop-grid host failures; the synthetic trace generator uses it
-/// for per-host availability periods.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Weibull {
-    shape: f64,
-    scale: f64,
-}
-
-impl Weibull {
-    /// Creates a Weibull distribution with shape `k > 0` and scale `λ > 0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AvailabilityError::InvalidParameter`] if either parameter
-    /// is not finite and positive.
-    pub fn new(shape: f64, scale: f64) -> Result<Self, AvailabilityError> {
-        Ok(Weibull {
-            shape: require_positive("shape", shape)?,
-            scale: require_positive("scale", scale)?,
-        })
-    }
-
-    /// The shape parameter `k`.
-    pub fn shape(&self) -> f64 {
-        self.shape
-    }
-
-    /// The scale parameter `λ`.
-    pub fn scale(&self) -> f64 {
-        self.scale
-    }
-}
-
-impl Sample for Weibull {
-    fn sample(&self, rng: &mut dyn Rng) -> f64 {
-        // Inverse CDF: x = λ (−ln U)^{1/k}.
-        self.scale * (-uniform_open01(rng).ln()).powf(1.0 / self.shape)
-    }
-
-    fn mean(&self) -> f64 {
-        self.scale * gamma_fn(1.0 + 1.0 / self.shape)
-    }
-
-    fn variance(&self) -> f64 {
-        let g1 = gamma_fn(1.0 + 1.0 / self.shape);
-        let g2 = gamma_fn(1.0 + 2.0 / self.shape);
-        self.scale * self.scale * (g2 - g1 * g1)
     }
 }
 
@@ -252,70 +199,10 @@ impl Sample for LogNormal {
     }
 }
 
-/// Pareto (type I) distribution with minimum `xm` and tail index `α`.
-///
-/// The heaviest-tailed option for interruption durations; with `α ≤ 2` the
-/// variance is infinite, matching the extreme CoV values of production
-/// desktop-grid traces.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Pareto {
-    xm: f64,
-    alpha: f64,
-}
-
-impl Pareto {
-    /// Creates a Pareto distribution with scale `xm > 0` and shape `α > 0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AvailabilityError::InvalidParameter`] if either parameter
-    /// is not finite and positive.
-    pub fn new(xm: f64, alpha: f64) -> Result<Self, AvailabilityError> {
-        Ok(Pareto {
-            xm: require_positive("xm", xm)?,
-            alpha: require_positive("alpha", alpha)?,
-        })
-    }
-
-    /// The scale (minimum value) parameter.
-    pub fn xm(&self) -> f64 {
-        self.xm
-    }
-
-    /// The tail index.
-    pub fn alpha(&self) -> f64 {
-        self.alpha
-    }
-}
-
-impl Sample for Pareto {
-    fn sample(&self, rng: &mut dyn Rng) -> f64 {
-        self.xm / uniform_open01(rng).powf(1.0 / self.alpha)
-    }
-
-    fn mean(&self) -> f64 {
-        if self.alpha <= 1.0 {
-            f64::INFINITY
-        } else {
-            self.alpha * self.xm / (self.alpha - 1.0)
-        }
-    }
-
-    fn variance(&self) -> f64 {
-        if self.alpha <= 2.0 {
-            f64::INFINITY
-        } else {
-            let a = self.alpha;
-            self.xm * self.xm * a / ((a - 1.0) * (a - 1.0) * (a - 2.0))
-        }
-    }
-}
-
 /// Gamma distribution with shape `k` and scale `θ` (mean `kθ`).
 ///
-/// Serves as the tunable-CoV "G" in M/G/1 service-time ablations:
-/// `CoV = 1/√k`, so `k > 1` is *less* variable than exponential and
-/// `k < 1` more.
+/// A recovery-time distribution with a tunable CoV: `CoV = 1/√k`, so
+/// `k > 1` is *less* variable than exponential and `k < 1` more.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gamma {
     shape: f64,
@@ -400,110 +287,10 @@ impl Sample for Gamma {
     }
 }
 
-/// Continuous uniform distribution on `[low, high)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Uniform {
-    low: f64,
-    high: f64,
-}
-
-impl Uniform {
-    /// Creates a uniform distribution on `[low, high)` with
-    /// `0 ≤ low < high`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AvailabilityError::InvalidParameter`] if the bounds are
-    /// not finite, `low` is negative, or `low >= high`.
-    pub fn new(low: f64, high: f64) -> Result<Self, AvailabilityError> {
-        if !low.is_finite() || low < 0.0 {
-            return Err(AvailabilityError::InvalidParameter {
-                name: "low",
-                value: low,
-                requirement: "must be finite and >= 0",
-            });
-        }
-        if !high.is_finite() || high <= low {
-            return Err(AvailabilityError::InvalidParameter {
-                name: "high",
-                value: high,
-                requirement: "must be finite and > low",
-            });
-        }
-        Ok(Uniform { low, high })
-    }
-
-    /// Lower bound (inclusive).
-    pub fn low(&self) -> f64 {
-        self.low
-    }
-
-    /// Upper bound (exclusive).
-    pub fn high(&self) -> f64 {
-        self.high
-    }
-}
-
-impl Sample for Uniform {
-    fn sample(&self, rng: &mut dyn Rng) -> f64 {
-        self.low + (self.high - self.low) * uniform_open01(rng)
-    }
-
-    fn mean(&self) -> f64 {
-        (self.low + self.high) / 2.0
-    }
-
-    fn variance(&self) -> f64 {
-        let w = self.high - self.low;
-        w * w / 12.0
-    }
-}
-
-/// A point mass: always returns the same value.
-///
-/// Used for failure-free task lengths (the paper's `γ` is deterministic:
-/// "12 s per 64 MB block") and for the threshold ablation's control runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Deterministic {
-    value: f64,
-}
-
-impl Deterministic {
-    /// Creates a point mass at `value ≥ 0`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AvailabilityError::InvalidParameter`] if `value` is not
-    /// finite and non-negative.
-    pub fn new(value: f64) -> Result<Self, AvailabilityError> {
-        Ok(Deterministic {
-            value: crate::error::require_non_negative("value", value)?,
-        })
-    }
-
-    /// The constant value.
-    pub fn value(&self) -> f64 {
-        self.value
-    }
-}
-
-impl Sample for Deterministic {
-    fn sample(&self, _rng: &mut dyn Rng) -> f64 {
-        self.value
-    }
-
-    fn mean(&self) -> f64 {
-        self.value
-    }
-
-    fn variance(&self) -> f64 {
-        0.0
-    }
-}
-
-/// A closed sum of every distribution in this module: a `Copy` value
-/// that compares with `==`, which a boxed [`Sample`] is not. Synthetic
-/// interruption processes hold their service time as one.
+/// A closed sum of the recovery-time distributions, [`Exponential`] and
+/// [`Gamma`]: a `Copy` value that compares with `==`, which a boxed
+/// [`Sample`] is not. Synthetic interruption processes hold their service
+/// time as one.
 ///
 /// # Examples
 ///
@@ -525,18 +312,8 @@ impl Sample for Deterministic {
 pub enum Dist {
     /// See [`Exponential`].
     Exponential(Exponential),
-    /// See [`Weibull`].
-    Weibull(Weibull),
-    /// See [`LogNormal`].
-    LogNormal(LogNormal),
-    /// See [`Pareto`].
-    Pareto(Pareto),
     /// See [`Gamma`].
     Gamma(Gamma),
-    /// See [`Uniform`].
-    Uniform(Uniform),
-    /// See [`Deterministic`].
-    Deterministic(Deterministic),
 }
 
 impl Dist {
@@ -550,25 +327,10 @@ impl Dist {
         Ok(Dist::Exponential(Exponential::from_mean(mean)?))
     }
 
-    /// Shorthand for a point mass at `value`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AvailabilityError::InvalidParameter`] if `value` is not
-    /// finite and non-negative.
-    pub fn constant(value: f64) -> Result<Self, AvailabilityError> {
-        Ok(Dist::Deterministic(Deterministic::new(value)?))
-    }
-
     fn as_sample(&self) -> &dyn Sample {
         match self {
             Dist::Exponential(d) => d,
-            Dist::Weibull(d) => d,
-            Dist::LogNormal(d) => d,
-            Dist::Pareto(d) => d,
             Dist::Gamma(d) => d,
-            Dist::Uniform(d) => d,
-            Dist::Deterministic(d) => d,
         }
     }
 }
@@ -593,71 +355,9 @@ impl From<Exponential> for Dist {
     }
 }
 
-impl From<Weibull> for Dist {
-    fn from(d: Weibull) -> Self {
-        Dist::Weibull(d)
-    }
-}
-
-impl From<LogNormal> for Dist {
-    fn from(d: LogNormal) -> Self {
-        Dist::LogNormal(d)
-    }
-}
-
-impl From<Pareto> for Dist {
-    fn from(d: Pareto) -> Self {
-        Dist::Pareto(d)
-    }
-}
-
 impl From<Gamma> for Dist {
     fn from(d: Gamma) -> Self {
         Dist::Gamma(d)
-    }
-}
-
-impl From<Uniform> for Dist {
-    fn from(d: Uniform) -> Self {
-        Dist::Uniform(d)
-    }
-}
-
-impl From<Deterministic> for Dist {
-    fn from(d: Deterministic) -> Self {
-        Dist::Deterministic(d)
-    }
-}
-
-/// Lanczos approximation of the gamma function `Γ(x)` for `x > 0`.
-///
-/// Accuracy is better than 1e-10 over the range used by [`Weibull`]
-/// moments (`x ∈ (1, 3]`), verified against known values in the tests.
-fn gamma_fn(x: f64) -> f64 {
-    // g = 7, n = 9 Lanczos coefficients.
-    const G: f64 = 7.0;
-    const COEF: [f64; 9] = [
-        0.999_999_999_999_81,
-        676.520_368_121_885_1,
-        -1_259.139_216_722_402_8,
-        771.323_428_777_653_1,
-        -176.615_029_162_140_6,
-        12.507_343_278_686_905,
-        -0.138_571_095_265_720_12,
-        9.984_369_578_019_572e-6,
-        1.505_632_735_149_311_6e-7,
-    ];
-    if x < 0.5 {
-        // Reflection formula.
-        std::f64::consts::PI / ((std::f64::consts::PI * x).sin() * gamma_fn(1.0 - x))
-    } else {
-        let x = x - 1.0;
-        let mut a = COEF[0];
-        let t = x + G + 0.5;
-        for (i, &c) in COEF.iter().enumerate().skip(1) {
-            a += c / (x + crate::num::exact_f64(i));
-        }
-        (2.0 * std::f64::consts::PI).sqrt() * t.powf(x + 0.5) * (-t).exp() * a
     }
 }
 
@@ -700,18 +400,6 @@ mod tests {
     }
 
     #[test]
-    fn gamma_function_known_values() {
-        // Γ(1) = 1, Γ(2) = 1, Γ(3) = 2, Γ(4) = 6, Γ(0.5) = √π, Γ(1.5) = √π/2.
-        assert!((gamma_fn(1.0) - 1.0).abs() < 1e-10);
-        assert!((gamma_fn(2.0) - 1.0).abs() < 1e-10);
-        assert!((gamma_fn(3.0) - 2.0).abs() < 1e-9);
-        assert!((gamma_fn(4.0) - 6.0).abs() < 1e-9);
-        let sqrt_pi = std::f64::consts::PI.sqrt();
-        assert!((gamma_fn(0.5) - sqrt_pi).abs() < 1e-9);
-        assert!((gamma_fn(1.5) - sqrt_pi / 2.0).abs() < 1e-9);
-    }
-
-    #[test]
     fn exponential_moments_match() {
         let d = Exponential::from_mean(5.0).unwrap();
         assert!((d.mean() - 5.0).abs() < 1e-12);
@@ -728,22 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn weibull_moments_match() {
-        // Shape 1 degenerates to exponential with mean = scale.
-        let d = Weibull::new(1.0, 3.0).unwrap();
-        assert!((d.mean() - 3.0).abs() < 1e-9);
-        check_moments(&d, 2, 0.02, 0.06);
-
-        // Heavy-ish tail.
-        let d = Weibull::new(0.7, 100.0).unwrap();
-        check_moments(&d, 3, 0.03, 0.12);
-
-        // Light tail.
-        let d = Weibull::new(2.0, 10.0).unwrap();
-        check_moments(&d, 4, 0.02, 0.05);
-    }
-
-    #[test]
     fn lognormal_moments_match() {
         let d = LogNormal::new(1.0, 0.5).unwrap();
         check_moments(&d, 5, 0.02, 0.1);
@@ -755,16 +427,6 @@ mod tests {
         let d = LogNormal::from_mean_cov(160_290.0, 4.376).unwrap();
         assert!((d.mean() - 160_290.0).abs() / 160_290.0 < 1e-12);
         assert!((d.cov() - 4.376).abs() < 1e-9);
-    }
-
-    #[test]
-    fn pareto_moments_match() {
-        let d = Pareto::new(1.0, 3.5).unwrap();
-        check_moments(&d, 6, 0.03, 0.35); // heavy tail: loose variance tolerance
-
-        // Infinite-moment regimes are flagged, not mis-computed.
-        assert!(Pareto::new(1.0, 0.9).unwrap().mean().is_infinite());
-        assert!(Pareto::new(1.0, 1.5).unwrap().variance().is_infinite());
     }
 
     #[test]
@@ -785,38 +447,12 @@ mod tests {
     }
 
     #[test]
-    fn uniform_moments_match() {
-        let d = Uniform::new(2.0, 6.0).unwrap();
-        assert!((d.mean() - 4.0).abs() < 1e-12);
-        assert!((d.variance() - 16.0 / 12.0).abs() < 1e-12);
-        check_moments(&d, 9, 0.01, 0.04);
-    }
-
-    #[test]
-    fn uniform_rejects_bad_bounds() {
-        assert!(Uniform::new(-1.0, 2.0).is_err());
-        assert!(Uniform::new(3.0, 3.0).is_err());
-        assert!(Uniform::new(3.0, 1.0).is_err());
-    }
-
-    #[test]
-    fn deterministic_is_constant() {
-        let d = Deterministic::new(12.0).unwrap();
-        let mut rng = StdRng::seed_from_u64(0);
-        for _ in 0..100 {
-            assert_eq!(d.sample(&mut rng), 12.0);
-        }
-        assert_eq!(d.variance(), 0.0);
-        assert_eq!(d.cov(), 0.0);
-    }
-
-    #[test]
     fn dist_enum_delegates() {
         let d: Dist = Exponential::from_mean(10.0).unwrap().into();
         assert!((d.mean() - 10.0).abs() < 1e-12);
-        let d = Dist::constant(3.0).unwrap();
+        let d: Dist = Gamma::from_mean_cov(3.0, 0.5).unwrap().into();
         assert_eq!(d.mean(), 3.0);
-        assert_eq!(d.variance(), 0.0);
+        assert_eq!(d.variance(), 2.25);
     }
 
     #[test]
@@ -833,7 +469,7 @@ mod tests {
     fn sample_trait_is_object_safe() {
         let dists: Vec<Box<dyn Sample>> = vec![
             Box::new(Exponential::from_mean(1.0).unwrap()),
-            Box::new(Deterministic::new(1.0).unwrap()),
+            Box::new(LogNormal::new(0.0, 1.0).unwrap()),
         ];
         let mut rng = StdRng::seed_from_u64(0);
         for d in &dists {
@@ -849,12 +485,10 @@ mod tests {
             seed in 0u64..1000,
         ) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let dists: Vec<Dist> = vec![
-                Exponential::from_mean(mean).unwrap().into(),
-                LogNormal::from_mean_cov(mean, cov).unwrap().into(),
-                Gamma::from_mean_cov(mean, cov).unwrap().into(),
-                Weibull::new(1.0 / cov.max(0.2), mean).unwrap().into(),
-                Pareto::new(mean, 1.0 + cov).unwrap().into(),
+            let dists: Vec<Box<dyn Sample>> = vec![
+                Box::new(Exponential::from_mean(mean).unwrap()),
+                Box::new(LogNormal::from_mean_cov(mean, cov).unwrap()),
+                Box::new(Gamma::from_mean_cov(mean, cov).unwrap()),
             ];
             for d in &dists {
                 let x = d.sample(&mut rng);

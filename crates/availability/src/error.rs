@@ -53,22 +53,6 @@ pub(crate) fn require_positive(name: &'static str, value: f64) -> Result<f64, Av
     }
 }
 
-/// Validates that `value` is finite and non-negative.
-pub(crate) fn require_non_negative(
-    name: &'static str,
-    value: f64,
-) -> Result<f64, AvailabilityError> {
-    if value.is_finite() && value >= 0.0 {
-        Ok(value)
-    } else {
-        Err(AvailabilityError::InvalidParameter {
-            name,
-            value,
-            requirement: "must be finite and >= 0",
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,18 +84,6 @@ mod tests {
     fn require_positive_rejects_zero_negative_nan_inf() {
         for v in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(require_positive("x", v).is_err(), "accepted {v}");
-        }
-    }
-
-    #[test]
-    fn require_non_negative_accepts_zero() {
-        assert_eq!(require_non_negative("x", 0.0), Ok(0.0));
-    }
-
-    #[test]
-    fn require_non_negative_rejects_negative_and_nan() {
-        for v in [-0.1, f64::NAN, f64::NEG_INFINITY] {
-            assert!(require_non_negative("x", v).is_err(), "accepted {v}");
         }
     }
 

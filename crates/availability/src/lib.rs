@@ -6,20 +6,16 @@
 //! It provides:
 //!
 //! * [`dist`] — samplable probability distributions with analytic moments
-//!   (exponential, Weibull, log-normal, Pareto, gamma, uniform,
-//!   deterministic). These are implemented from scratch because the ADAPT
-//!   model needs them in analytic form (means, variances, coefficients of
-//!   variation), not merely as samplers.
-//! * [`mg1`] — M/G/1 queue quantities. The paper models each host as an
-//!   M/G/1 queue whose "customers" are interruptions: Poisson arrivals with
-//!   rate `λ = 1/MTBI` and generally-distributed recovery times with mean
-//!   `μ`, served FCFS (overlapping interruptions queue up).
+//!   (exponential, log-normal, gamma). These are implemented from scratch
+//!   because the ADAPT model needs them in analytic form (means,
+//!   variances, coefficients of variation), not merely as samplers.
 //! * [`task_model`] — the paper's equations (2)–(5): the expected time to
 //!   complete a map task of failure-free length `γ` on a host with
-//!   interruption parameters `(λ, μ)`.
-//! * [`estimator`] — online estimation of `(λ, μ)` from heartbeat-style
-//!   observations, mirroring the Performance Predictor's input path on the
-//!   NameNode.
+//!   interruption parameters `(λ, μ)`. The paper models each host as an
+//!   M/G/1 queue whose "customers" are interruptions: Poisson arrivals
+//!   with rate `λ = 1/MTBI` and generally-distributed recovery times with
+//!   mean `μ`, served FCFS (overlapping interruptions queue up), so the
+//!   downtime per interruption, eq. (3), is the queue's mean busy period.
 //! * [`moments`] — streaming mean/variance/CoV accumulators used by every
 //!   statistics-reporting component (Table 1 of the paper, experiment
 //!   outputs).
@@ -52,8 +48,6 @@
 #![warn(missing_debug_implementations)]
 
 pub mod dist;
-pub mod estimator;
-pub mod mg1;
 pub mod moments;
 pub mod num;
 pub mod task_model;

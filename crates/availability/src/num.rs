@@ -27,12 +27,6 @@ pub fn widen_u64(n: u64) -> f64 {
     n as f64
 }
 
-/// Widens a `usize` index or length to `f64` exactly.
-#[inline]
-pub fn exact_f64(n: usize) -> f64 {
-    widen_u64(n as u64)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -42,7 +36,6 @@ mod tests {
         for n in [0u64, 1, 42, 1_000_000, MAX_EXACT_F64] {
             assert_eq!(widen_u64(n).to_bits(), (n as f64).to_bits());
         }
-        assert_eq!(exact_f64(12345).to_bits(), 12345.0f64.to_bits());
     }
 
     #[test]

@@ -16,8 +16,7 @@
 //! reference simulator used to validate them.
 
 use crate::dist::{uniform_open01, Sample};
-use crate::error::{require_non_negative, require_positive};
-use crate::mg1::Mg1;
+use crate::error::require_positive;
 use crate::AvailabilityError;
 use rand::Rng;
 
@@ -44,18 +43,6 @@ impl Availability {
             });
         }
         Ok(Availability(value.clamp(0.0, 1.0)))
-    }
-
-    /// The paper's naive availability estimate `(MTBI − μ)/MTBI`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AvailabilityError::InvalidParameter`] if `mtbi` is not
-    /// finite and positive or `mu` is not finite and non-negative.
-    pub fn from_mtbi_and_recovery(mtbi: f64, mu: f64) -> Result<Self, AvailabilityError> {
-        let mtbi = require_positive("mtbi", mtbi)?;
-        let mu = require_non_negative("mu", mu)?;
-        Availability::new((mtbi - mu) / mtbi)
     }
 
     /// The inner value in `[0, 1]`.
@@ -136,16 +123,6 @@ impl TaskModel {
         self.gamma
     }
 
-    /// Returns a copy of this model with a different task length.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AvailabilityError::InvalidParameter`] if `gamma` is not
-    /// finite and positive.
-    pub fn with_gamma(&self, gamma: f64) -> Result<Self, AvailabilityError> {
-        TaskModel::new(self.lambda, self.mu, gamma)
-    }
-
     /// Expected rework per failed attempt, equation (2):
     /// `E[X] = 1/λ − γ/(e^{γλ} − 1)`.
     ///
@@ -204,14 +181,6 @@ impl TaskModel {
     /// Slowdown relative to a failure-free host, `E[T]/γ ≥ 1`.
     pub fn slowdown(&self) -> f64 {
         self.expected_completion() / self.gamma
-    }
-
-    /// The M/G/1 queue view of this host, assuming exponential recovery
-    /// (what the emulated experiments inject).
-    pub fn queue(&self) -> Mg1 {
-        // Constructor validated λ and μ, so no checked construction (and
-        // no unreachable error path) is needed here.
-        Mg1::exponential_from_validated(self.lambda, self.mu)
     }
 
     /// The naive availability weight `(1 − λμ)` used by the baseline
@@ -336,12 +305,6 @@ mod tests {
     }
 
     #[test]
-    fn downtime_matches_mg1_busy_period() {
-        let m = TaskModel::new(0.1, 4.0, 12.0).unwrap();
-        assert!((m.expected_downtime() - m.queue().mean_busy_period().unwrap()).abs() < 1e-12);
-    }
-
-    #[test]
     fn table2_groups_are_ordered_by_severity() {
         // Table 2: group 2 (MTBI 10, mu 8) is the most hostile, group 3
         // (MTBI 20, mu 4) the least. E[T] must order accordingly.
@@ -359,6 +322,11 @@ mod tests {
         assert!(t1 > t3, "same recovery, shorter MTBI is worse");
         assert!(t4 > t3);
         assert!(t2 > t4);
+        // Eq. (3) at group 1 (λ = 0.1, μ = 4): 4/(1 − 0.4) = 20/3 s.
+        assert!((g1.expected_downtime() - 20.0 / 3.0).abs() < 1e-12);
+        // At a fixed μ, more frequent interruptions lengthen the downtime.
+        assert!(g1.expected_downtime() > g3.expected_downtime());
+        assert!(g2.expected_downtime() > g4.expected_downtime());
     }
 
     #[test]
@@ -422,23 +390,6 @@ mod tests {
         assert_eq!(Availability::new(-0.5).unwrap().value(), 0.0);
         assert_eq!(Availability::new(1.5).unwrap().value(), 1.0);
         assert!(Availability::new(f64::NAN).is_err());
-        // MTBI shorter than recovery clamps to zero availability.
-        assert_eq!(
-            Availability::from_mtbi_and_recovery(5.0, 10.0)
-                .unwrap()
-                .value(),
-            0.0
-        );
-    }
-
-    #[test]
-    fn with_gamma_rescales_only_gamma() {
-        let m = TaskModel::new(0.1, 4.0, 12.0).unwrap();
-        let m2 = m.with_gamma(24.0).unwrap();
-        assert_eq!(m2.lambda(), m.lambda());
-        assert_eq!(m2.mu(), m.mu());
-        assert_eq!(m2.gamma(), 24.0);
-        assert!(m2.expected_completion() > m.expected_completion());
     }
 
     proptest! {
@@ -452,6 +403,8 @@ mod tests {
             let m = TaskModel::new(lambda, mu, gamma).unwrap();
             prop_assert!(m.expected_completion() >= gamma * (1.0 - 1e-9));
             prop_assert!(m.slowdown() >= 1.0 - 1e-9);
+            // A busy period lasts at least the recovery that opens it.
+            prop_assert!(m.expected_downtime() >= mu);
         }
 
         #[test]
@@ -461,9 +414,11 @@ mod tests {
             gamma in 1.0f64..500.0,
         ) {
             prop_assume!(lambda * mu < 0.5);
-            let base = TaskModel::new(lambda, mu, gamma).unwrap().expected_completion();
-            let more_failures =
-                TaskModel::new(lambda * 1.5, mu, gamma).unwrap().expected_completion();
+            let model = TaskModel::new(lambda, mu, gamma).unwrap();
+            let busier = TaskModel::new(lambda * 1.5, mu, gamma).unwrap();
+            prop_assert!(busier.expected_downtime() > model.expected_downtime());
+            let base = model.expected_completion();
+            let more_failures = busier.expected_completion();
             let slower_recovery =
                 TaskModel::new(lambda, mu * 1.5, gamma).unwrap().expected_completion();
             let longer_task =

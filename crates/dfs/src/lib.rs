@@ -20,10 +20,6 @@
 //! * [`rebalance`] — the analogue of the paper's new `adapt` shell
 //!   command: re-places an existing file's blocks under a (different)
 //!   policy and reports how many replicas had to move.
-//! * [`replication`] — HDFS's replication monitor: under-replication
-//!   detection after node deaths, re-replication through any policy, and
-//!   over-replication trimming when offline hosts return with their
-//!   persistent copies.
 //!
 //! The ADAPT policy itself lives in the `adapt-core` crate; this crate
 //! only knows the *interface* a policy implements, mirroring how the
@@ -72,7 +68,6 @@ pub mod cluster;
 pub mod namenode;
 pub mod placement;
 pub mod rebalance;
-pub mod replication;
 pub mod telemetry;
 
 mod error;

@@ -249,10 +249,10 @@ impl NameNode {
         self.trace.take()
     }
 
-    /// Attaches a metrics hub: placement, rebalance, and replica
-    /// maintenance counters are recorded into it from now on. Hand it
-    /// back with [`take_metrics`](NameNode::take_metrics) so the
-    /// simulation harness can continue the same scrape cadence.
+    /// Attaches a metrics hub: placement and rebalance counters are
+    /// recorded into it from now on. Hand it back with
+    /// [`take_metrics`](NameNode::take_metrics) so the simulation harness
+    /// can continue the same scrape cadence.
     pub fn attach_metrics(&mut self, hub: MetricsHub) {
         self.metrics = Some(hub);
     }
@@ -274,7 +274,17 @@ impl NameNode {
         let blocks = self.blocks.len() as u64;
         let replicas = self.total_stored() as u64;
         let alive = self.alive_count() as u64;
-        let under = crate::replication::under_replicated(self).len() as u64;
+        // Blocks with fewer alive replicas than their file's target.
+        let mut under = 0u64;
+        for meta in self.files.values() {
+            for block in meta.blocks() {
+                let holders = self.blocks.get(block).map_or(&[][..], BlockMeta::replicas);
+                let up = holders
+                    .iter()
+                    .filter(|&&r| self.is_alive(r).unwrap_or(false));
+                under += u64::from(up.count() < meta.replication());
+            }
+        }
         if let Some(hub) = self.metrics.as_mut() {
             hub.registry.set_gauge("dfs.blocks", blocks);
             hub.registry.set_gauge("dfs.replicas", replicas);
@@ -769,84 +779,6 @@ impl NameNode {
         Ok(())
     }
 
-    /// Adds a replica of `block` on `node` (the re-replication path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DfsError::UnknownBlock`]/[`DfsError::UnknownNode`] for
-    /// unregistered ids and [`DfsError::InvalidArgument`] if the node
-    /// already holds the block or is at capacity.
-    pub fn add_replica(&mut self, block: BlockId, node: NodeId) -> Result<(), DfsError> {
-        let entry = self.entry(node)?;
-        if entry
-            .capacity_blocks
-            .is_some_and(|c| entry.stored_blocks >= c)
-        {
-            return Err(DfsError::InvalidArgument {
-                name: "node",
-                reason: format!("{node} is at storage capacity"),
-            });
-        }
-        let meta = self
-            .blocks
-            .get_mut(&block)
-            .ok_or(DfsError::UnknownBlock(block))?;
-        if meta.replicas.contains(&node) {
-            return Err(DfsError::InvalidArgument {
-                name: "node",
-                reason: format!("{node} already holds a replica of {block}"),
-            });
-        }
-        meta.replicas.push(node);
-        self.store(node, block);
-        if let Some(hub) = self.metrics.as_mut() {
-            hub.registry.incr("dfs.replicas_rereplicated", 1);
-            hub.profiler.add_placements(1);
-        }
-        Ok(())
-    }
-
-    /// Removes the replica of `block` held by `node` (the trim path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`DfsError::UnknownBlock`]/[`DfsError::UnknownNode`] for
-    /// unregistered ids, [`DfsError::InvalidArgument`] if the node holds
-    /// no replica or it is the block's last replica (metadata must never
-    /// lose a block entirely).
-    pub fn remove_replica(&mut self, block: BlockId, node: NodeId) -> Result<(), DfsError> {
-        if node.0 as usize >= self.view.len() {
-            return Err(DfsError::UnknownNode(node));
-        }
-        let meta = self
-            .blocks
-            .get_mut(&block)
-            .ok_or(DfsError::UnknownBlock(block))?;
-        let Some(pos) = meta.replicas.iter().position(|&r| r == node) else {
-            return Err(DfsError::InvalidArgument {
-                name: "node",
-                reason: format!("{node} holds no replica of {block}"),
-            });
-        };
-        if meta.replicas.len() == 1 {
-            return Err(DfsError::InvalidArgument {
-                name: "node",
-                reason: format!("{node} holds the last replica of {block}"),
-            });
-        }
-        meta.replicas.remove(pos);
-        self.unstore(node, block);
-        if let Some(hub) = self.metrics.as_mut() {
-            hub.registry.incr("dfs.replicas_trimmed", 1);
-        }
-        Ok(())
-    }
-
-    /// Iterates over all files with their metadata, in id order.
-    pub fn files(&self) -> impl Iterator<Item = (FileId, &FileMeta)> {
-        self.files.iter().map(|(&id, meta)| (id, meta))
-    }
-
     /// Checks every metadata invariant: replica distinctness, block↔node
     /// cross-references, file↔block membership, and capacity limits.
     ///
@@ -1035,6 +967,8 @@ mod tests {
             .find(|n| !nn.replicas(block).unwrap().contains(n))
             .unwrap();
         nn.move_replica(block, from, to).unwrap();
+        // Every block keeps its 2 replicas while all nodes are up.
+        nn.scrape_replication_state(0);
         nn.mark_down(NodeId(0)).unwrap();
         // With target 2 and only node 0 down, a block is under-replicated
         // exactly when one of its replicas sits on node 0.
@@ -1045,7 +979,7 @@ mod tests {
             .iter()
             .filter(|b| nn.replicas(**b).unwrap().contains(&NodeId(0)))
             .count() as u64;
-        nn.scrape_replication_state(0);
+        nn.scrape_replication_state(1);
         let hub = nn.take_metrics().unwrap();
         assert!(nn.take_metrics().is_none());
         let last = |name: &str| match hub.registry.series()[name].last().unwrap().value {
@@ -1059,7 +993,12 @@ mod tests {
         assert_eq!(last("dfs.blocks"), 6);
         assert_eq!(last("dfs.replicas"), 12);
         assert_eq!(last("dfs.alive_nodes"), 3);
-        assert_eq!(last("dfs.under_replicated"), expected_under);
+        let under = hub.registry.series()["dfs.under_replicated"].iter();
+        let under: Vec<SampleValue> = under.map(|sample| sample.value).collect();
+        assert_eq!(
+            under,
+            [SampleValue::U64(0), SampleValue::U64(expected_under)]
+        );
         // Placement work: 12 initial replicas + 1 rebalance move.
         assert_eq!(hub.profiler.to_spans()[0].counts.placements, 13);
     }

@@ -17,9 +17,6 @@
 //! experiments crate's `baselines` test compares reports byte for byte
 //! and fails on any drift.
 
-use std::io;
-use std::path::Path;
-
 use crate::json::Value;
 
 /// Version of the report layout; bump when renaming sections or keys so
@@ -75,11 +72,6 @@ impl RunReport {
     /// Pretty, deterministic JSON (trailing newline included).
     pub fn to_json(&self) -> String {
         self.to_value().to_json_pretty()
-    }
-
-    /// Writes the report to `path`.
-    pub fn write_to(&self, path: &Path) -> io::Result<()> {
-        std::fs::write(path, self.to_json())
     }
 }
 

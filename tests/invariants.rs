@@ -186,7 +186,7 @@ proptest! {
 /// profile, so the sim engine's `debug_assert`s — in particular the
 /// event-queue time-monotonicity check in the event loop — are active
 /// while a realistic schedule (interruptions, steals, speculation,
-/// re-replication pressure) executes.
+/// requeues) executes.
 #[test]
 fn fig3_style_run_passes_debug_assertions() {
     use adapt::experiments::emulated::run_emulated;
